@@ -264,7 +264,7 @@ def cmd_oracle_check(args) -> int:
         def stat_z_sum(out):
             return float(sum((out[i] - mbar_f[i]) / sig_f[i] for i in act))
 
-        g_corr = float(cs.corr.sum())
+        g_corr = cs.var_zsum
         ok_a = True
         for observed in dist.support:
             val = stat_z_sum(observed)
@@ -282,7 +282,7 @@ def cmd_oracle_check(args) -> int:
     def stat_t(out):
         return sum(Fraction(x) - mb for x, mb in zip(out, ms.mbar))
 
-    g_sum = float(cs.sigma.sum())
+    g_sum = cs.var_total
     ok_r = True
     for observed in dist.support:
         val = stat_t(observed)

@@ -110,17 +110,14 @@ def index_a(z: ZScores, cs: CovarianceStructure) -> float | None:
         return None
     if z.active != cs.active:
         raise ValueError("z-scores and covariance structure disagree on the active set")
-    za = z.z[list(cs.active)]
-    total = float(za.sum())  # = s_a * A
-    g = float(cs.corr.sum())
-    return _squash(total, g)
+    total = float(z.z[list(cs.active)].sum())  # = s_a * A
+    return _squash(total, cs.var_zsum)
 
 
 def index_r(o: ObservedOutcome, ms: MomentSummary, cs: CovarianceStructure) -> float:
     """Signed significance of the total homophilic-count deviation."""
     t = float(sum(Fraction(c) - mb for c, mb in zip(o.counts, ms.mbar)))
-    g = float(cs.sigma.sum())
-    return _squash(t, g)
+    return _squash(t, cs.var_total)
 
 
 @dataclass(frozen=True)
@@ -185,14 +182,16 @@ def index_j_theta(
     """Signed significance of the score w'(observed - expected).
 
     Invariant under positive rescaling of ``w`` (a ratio of quadratics), and
-    nondecreasing in every observed count for fixed moments.
+    nondecreasing in every observed count for fixed moments. ``w`` is first
+    scaled by the power of two that brings its largest entry into [0.5, 1),
+    which is exact, so neither the zero floor of the score nor overflow of
+    the spread depends on the scale of ``w``.
     """
     if len(w.w) != ms.s:
         raise ValueError("weight vector has the wrong number of classes")
+    ws = np.ldexp(w.w, -math.frexp(float(w.w.max()))[1])
     y = np.array([float(Fraction(c) - mb) for c, mb in zip(o.counts, ms.mbar)])
-    theta = float(w.w @ y)
-    spread = float(w.w @ cs.sigma @ w.w)
-    return _squash(theta, spread)
+    return _squash(float(ws @ y), cs.quad(ws))
 
 
 def index_h(z: ZScores, cs: CovarianceStructure) -> float | None:
@@ -204,12 +203,11 @@ def index_h(z: ZScores, cs: CovarianceStructure) -> float | None:
     directions that carry the variance; the sign pattern of z tells
     homophily from anti-homophily.
     """
-    if not cs.active or cs.corr_inv is None:
+    if cs.degenerate:
         return None
     if z.active != cs.active:
         raise ValueError("z-scores and covariance structure disagree on the active set")
-    za = z.z[list(cs.active)]
-    norm2 = float(za @ cs.corr_inv @ za)
+    norm2 = cs.corr_inv_quad(z.z[list(cs.active)])
     if norm2 <= 0.0:
         return 0.0
     return max(0.0, (norm2 - len(cs.active)) / norm2)
@@ -268,7 +266,8 @@ def build_index_report(
     """Evaluate all quantifiers, recording why any of them is undefined."""
     notes: list[str] = []
     zs = z_scores(o, ms)
-    inactive = [i for i in range(ms.s) if i not in zs.active]
+    active = set(zs.active)
+    inactive = [i for i in range(ms.s) if i not in active]
     if inactive and zs.active:
         notes.append(
             "classes with zero variance excluded from z-based indices: "

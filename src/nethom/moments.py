@@ -9,20 +9,23 @@ matrix is a rank-one update of a diagonal matrix,
 
 with coef = gamma_invariant(G) and vec_i = c_i^(2) when n >= 4, and with
 coef = -1 and vec = Mbar otherwise (no two vertex-disjoint edges exist, so
-E[M_i M_j] = 0 off the diagonal). Inverses are taken on the active set (the
-classes with positive variance) through the Sherman-Morrison identity
+E[M_i M_j] = 0 off the diagonal). :class:`CovarianceStructure` keeps coef,
+vec, the variances and q exact and evaluates, in O(s) floats, every
+quadratic form the indices need: 1'Sigma 1, w'Sigma w and, on the active
+set (the classes with positive variance) with correlation matrix Gamma,
+1'Gamma 1 and z'Gamma^-1 z through the Sherman-Morrison identity
 
     Sigma^-1 = diag(1/q) - (coef / (1 + coef * vec' diag(1/q) vec)) a a',
     a = diag(1/q) vec.
 
-Scalar formulas are evaluated in exact rational arithmetic; the dense
-matrices are materialized as float arrays. Everything here is a pure
+Dense s x s matrices are built only when read. Everything here is a pure
 function of immutable inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -106,32 +109,6 @@ def moment_summary(s: GraphSummary, p: Profile) -> MomentSummary:
     return MomentSummary(mbar=expected_counts(s, p), var=marginal_variances(s, p))
 
 
-def covariance_exact(
-    s: GraphSummary, p: Profile, ms: MomentSummary | None = None
-) -> list[list[Fraction]]:
-    """Exact covariance matrix of the homophilic-count vector.
-
-    Off-diagonal entries are gamma * c_i^(2) * c_j^(2) when n >= 4 and
-    -Mbar_i * Mbar_j otherwise (for n < 4 no two disjoint edges exist, so
-    the cross moment vanishes). Diagonal entries are the marginal variances.
-    """
-    if ms is None:
-        ms = moment_summary(s, p)
-    g = gamma_invariant(s)
-    if g is None and s.ordered_disjoint_pairs != 0:
-        raise AssertionError("n < 4 graphs cannot contain disjoint edge pairs")
-    u = [falling_factorial(c, 2) for c in p.sizes]
-    k = p.s
-    cov = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        cov[i][i] = ms.var[i]
-        for j in range(i + 1, k):
-            off = g * u[i] * u[j] if g is not None else -ms.mbar[i] * ms.mbar[j]
-            cov[i][j] = off
-            cov[j][i] = off
-    return cov
-
-
 def active_classes(var: tuple[Fraction, ...] | np.ndarray, rel_tol: float = REL_TOL) -> tuple[int, ...]:
     """Indices of classes whose variance exceeds rel_tol * max variance.
 
@@ -146,33 +123,98 @@ def active_classes(var: tuple[Fraction, ...] | np.ndarray, rel_tol: float = REL_
     return tuple(i for i, v in enumerate(var_f) if v > cut)
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceStructure:
-    """Covariance/correlation matrices plus their rank-one-structured inverses.
+def _pair_sum(x: np.ndarray) -> float:
+    """sum_{i<j} x_i x_j, with no cancellation for x >= 0 (unlike (1'x)^2 - x'x)."""
+    return float(x[1:] @ np.cumsum(x[:-1]))
 
-    ``sigma`` is the full s x s covariance. ``corr``, ``sigma_inv`` and
-    ``corr_inv`` live on the active set (classes with positive variance);
-    the inverses are present only when the active block is nonsingular at
-    the working tolerance, otherwise ``degenerate`` is set and they are None.
-    ``q`` holds the diagonal of the rank-one decomposition actually used
-    (sigma_i^2 - gamma * (c_i^(2))^2 when gamma is defined).
+
+class CovarianceStructure:
+    """Sigma = diag(q) + coef * vec vec' in exact rationals, with O(s) forms.
+
+    ``gamma`` is None when the n < 4 fallback supplies coef and vec.
+    ``var_total`` = 1'Sigma 1 and ``var_zsum`` = 1'Gamma 1 on the active set
+    are the variances of the total count and of the summed active z-scores.
+    ``degenerate`` is set when the active block is singular at the working
+    tolerance. The dense float views ``sigma`` (s x s), ``corr``,
+    ``sigma_inv`` and ``corr_inv`` (active set) are built on first access;
+    ``corr`` is None without active classes and the inverses when degenerate.
     """
 
-    gamma: Fraction | None
-    u: tuple[int, ...]
-    q: tuple[float, ...]
-    sigma: np.ndarray
-    corr: np.ndarray | None
-    sigma_inv: np.ndarray | None
-    corr_inv: np.ndarray | None
-    active: tuple[int, ...]
-    degenerate: bool
-    rank_one_coef: float
-    tol: float
+    def __init__(
+        self,
+        gamma: Fraction | None,
+        coef: Fraction,
+        vec: tuple[int | Fraction, ...],
+        var: tuple[Fraction, ...],
+        rel_tol: float = REL_TOL,
+    ):
+        self.gamma = gamma
+        self.coef = coef
+        self.vec = vec
+        self.var = var
+        self.q = tuple(v - coef * x * x for v, x in zip(var, vec))
+        self.active = active_classes(var, rel_tol)
+        self._coef_f = float(coef)
+        self._var_f = np.array([float(v) for v in var])
+        self._vec_f = np.array([float(x) for x in vec])
+        self.var_total = self.quad(np.ones(len(var)))
+
+        act = list(self.active)
+        self._sd = np.sqrt(self._var_f[act])
+        self._b = self._vec_f[act] / self._sd  # vec in the correlation geometry
+        self.var_zsum = len(act) + 2.0 * self._coef_f * _pair_sum(self._b)
+
+        # Sherman-Morrison on the active set: Gamma^-1 = diag(var/q) - k * an an'
+        self.degenerate = True
+        q_a = np.array([float(self.q[i]) for i in act])
+        if act and np.all(q_a > rel_tol * self._var_f.max()):
+            denom = 1 + coef * sum(vec[i] * vec[i] / self.q[i] for i in act)
+            if abs(float(denom)) > rel_tol:
+                self.degenerate = False
+                self._k = float(coef / denom)
+                self._inv_qn = self._var_f[act] / q_a
+                self._an = self._vec_f[act] / q_a * self._sd
 
     @property
     def s(self) -> int:
-        return int(self.sigma.shape[0])
+        return len(self.var)
+
+    def quad(self, w: np.ndarray) -> float:
+        """w' Sigma w for weights over all classes."""
+        return float(self._var_f @ (w * w)) + 2.0 * self._coef_f * _pair_sum(w * self._vec_f)
+
+    def corr_inv_quad(self, z: np.ndarray) -> float:
+        """z' Gamma^-1 z for z over the active set; the block must be nondegenerate."""
+        if self.degenerate:
+            raise ValueError("correlation block is singular on the active set")
+        return float(self._inv_qn @ (z * z)) - self._k * float(self._an @ z) ** 2
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        out = self._coef_f * np.outer(self._vec_f, self._vec_f)
+        np.fill_diagonal(out, self._var_f)
+        return out
+
+    @cached_property
+    def corr(self) -> np.ndarray | None:
+        if not self.active:
+            return None
+        out = self._coef_f * np.outer(self._b, self._b)
+        np.fill_diagonal(out, 1.0)
+        return out
+
+    @cached_property
+    def sigma_inv(self) -> np.ndarray | None:
+        if self.degenerate:
+            return None
+        a = self._an / self._sd
+        return np.diag(self._inv_qn / self._sd**2) - self._k * np.outer(a, a)
+
+    @cached_property
+    def corr_inv(self) -> np.ndarray | None:
+        if self.degenerate:
+            return None
+        return np.diag(self._inv_qn) - self._k * np.outer(self._an, self._an)
 
 
 def covariance_structure(
@@ -183,75 +225,26 @@ def covariance_structure(
 ) -> CovarianceStructure:
     """Assemble the :class:`CovarianceStructure` for (graph summary, profile).
 
-    Cost is O(s^2) given the summary; the graph itself is never touched.
+    Cost is O(s) given the summary; the graph itself is never touched.
     Degeneracy is a reported state, not an error.
     """
     if ms is None:
         ms = moment_summary(s, p)
-    k = p.s
     g = gamma_invariant(s)
-    u = tuple(falling_factorial(c, 2) for c in p.sizes)
     if g is not None:
-        coef = g
-        vec = tuple(Fraction(x) for x in u)
-    else:
-        coef = Fraction(-1)
-        vec = ms.mbar
-    qdiag = tuple(v - coef * x * x for v, x in zip(ms.var, vec))
+        u = tuple(falling_factorial(c, 2) for c in p.sizes)
+        return CovarianceStructure(g, g, u, ms.var, rel_tol)
+    if s.ordered_disjoint_pairs != 0:
+        raise AssertionError("n < 4 graphs cannot contain disjoint edge pairs")
+    return CovarianceStructure(None, Fraction(-1), ms.mbar, ms.var, rel_tol)
 
-    var_f = [float(v) for v in ms.var]
-    sigma = np.empty((k, k), dtype=float)
-    for i in range(k):
-        sigma[i, i] = var_f[i]
-        for j in range(i + 1, k):
-            off = float(coef * vec[i] * vec[j])
-            sigma[i, j] = off
-            sigma[j, i] = off
 
-    max_var = max(var_f, default=0.0)
-    tol_abs = rel_tol * max_var
-    active = tuple(i for i in range(k) if var_f[i] > tol_abs)
-
-    corr = None
-    sigma_inv = None
-    corr_inv = None
-    degenerate = True
-    if active:
-        idx = np.array(active)
-        sig_a = np.sqrt(np.array([var_f[i] for i in active]))
-        block = sigma[np.ix_(idx, idx)]
-        corr = block / np.outer(sig_a, sig_a)
-        np.fill_diagonal(corr, 1.0)
-
-        q_a = [qdiag[i] for i in active]
-        if all(float(q) > tol_abs for q in q_a):
-            denom = Fraction(1) + coef * sum(
-                vec[i] * vec[i] / qdiag[i] for i in active
-            )
-            denom_f = float(denom)
-            if abs(denom_f) > rel_tol:
-                degenerate = False
-                qf = np.array([float(q) for q in q_a])
-                vf = np.array([float(vec[i]) for i in active])
-                coef_f = float(coef)
-                a = vf / qf
-                sigma_inv = np.diag(1.0 / qf) - (coef_f / denom_f) * np.outer(a, a)
-                # same update in the correlation geometry: scale by sigma_i
-                qn = qf / (sig_a * sig_a)
-                vn = vf / sig_a
-                an = vn / qn
-                corr_inv = np.diag(1.0 / qn) - (coef_f / denom_f) * np.outer(an, an)
-
-    return CovarianceStructure(
-        gamma=g,
-        u=u,
-        q=tuple(float(q) for q in qdiag),
-        sigma=sigma,
-        corr=corr,
-        sigma_inv=sigma_inv,
-        corr_inv=corr_inv,
-        active=active,
-        degenerate=degenerate,
-        rank_one_coef=float(coef),
-        tol=tol_abs,
-    )
+def covariance_exact(
+    s: GraphSummary, p: Profile, ms: MomentSummary | None = None
+) -> list[list[Fraction]]:
+    """Exact covariance matrix: variances on the diagonal, coef * vec_i * vec_j off it."""
+    cs = covariance_structure(s, p, ms)
+    return [
+        [v if i == j else cs.coef * x * y for j, y in enumerate(cs.vec)]
+        for i, (v, x) in enumerate(zip(cs.var, cs.vec))
+    ]

@@ -157,6 +157,21 @@ class TestIndexJTheta:
         j1 = nh.index_j_theta(o, ms, cs, nh.WeightVector(3.0 * base.w))
         assert j1 == pytest.approx(j0, rel=1e-12)
 
+    def test_scale_invariance_at_extreme_scales(self):
+        # 6-cycle plus the chord a-d: w * 1e-14 used to fall under the zero
+        # floor of the score, and w * 1e300 to overflow the spread into NaN
+        g = nh.load_edge_list("a b\nb c\nc d\nd e\ne f\nf a\na d")
+        _, _, ms, cs = _setup(g, (3, 3))
+        o = nh.ObservedOutcome((2, 2))
+        base = np.array([0.75, 0.25])
+        j0 = nh.index_j_theta(o, ms, cs, nh.WeightVector(base))
+        assert j0 == pytest.approx(0.4966, abs=1e-4)
+        for lam in (1e-300, 1e-14, 1e-6, 1.0, 1e300):
+            j = nh.index_j_theta(o, ms, cs, nh.WeightVector(lam * base))
+            assert j == pytest.approx(j0, rel=1e-12, abs=0.0)
+        for lam in (2.0**-1000, 2.0**-47, 2.0**1000):
+            assert nh.index_j_theta(o, ms, cs, nh.WeightVector(lam * base)) == j0
+
     def test_ratio_preset_equals_index_r(self, two_edges):
         # m = 2 makes every rescaling a power of two, so equality is bitwise
         _, p, ms, cs = _setup(two_edges, (2, 2))
@@ -186,16 +201,9 @@ class TestIndexH:
         # identity correlation: |z|^2 = sum z_i^2; pick z with norm 2 * s_a
         cs = nh.CovarianceStructure(
             gamma=None,
-            u=(1, 1),
-            q=(1.0, 1.0),
-            sigma=np.eye(2),
-            corr=np.eye(2),
-            sigma_inv=np.eye(2),
-            corr_inv=np.eye(2),
-            active=(0, 1),
-            degenerate=False,
-            rank_one_coef=0.0,
-            tol=0.0,
+            coef=Fraction(0),
+            vec=(Fraction(1), Fraction(1)),
+            var=(Fraction(1), Fraction(1)),
         )
         zs = nh.ZScores(z=np.array([math.sqrt(2.0), math.sqrt(2.0)]), active=(0, 1))
         assert nh.index_h(zs, cs) == pytest.approx(0.5)

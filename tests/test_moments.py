@@ -81,7 +81,8 @@ class TestCovarianceStructure:
             p = random_composition(rng, n, int(rng.integers(2, min(6, n))), min_size=1)
             cs = nh.covariance_structure(s, p)
             gamma = float(cs.gamma)
-            rebuilt = np.diag(cs.q) + gamma * np.outer(cs.u, cs.u)
+            vec = [float(x) for x in cs.vec]
+            rebuilt = np.diag([float(x) for x in cs.q]) + gamma * np.outer(vec, vec)
             assert np.allclose(rebuilt, cs.sigma, atol=1e-11)
 
     def test_off_diagonals_share_gamma_sign(self):
