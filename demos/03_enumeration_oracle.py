@@ -44,7 +44,7 @@ cs = nh.covariance_structure(summary, profile, ms)
 observed = max(dist.support, key=lambda o: sum(o))  # most homophilic outcome
 total_dev = sum(observed) - float(sum(ms.mbar))
 tail = nh.exact_tail(dist, lambda o: sum(o), sum(observed), "ge")
-spread = float(cs.sigma.sum())
+spread = cs.var_total  # Var(total count) = 1'Sigma 1, as index r uses it
 bound = spread / (total_dev**2 + spread)
 print(f"\nmost homophilic outcome in the support: {observed}")
 print(f"exact P(total >= {sum(observed)}) = {tail} = {float(tail):.4f}")

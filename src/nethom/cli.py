@@ -30,14 +30,13 @@ from .colorings import (
 )
 from .graphs import EdgeListError, Graph, gamma_invariant, load_edge_list, summarize
 from .indices import PRESET_NAMES, build_index_report, index_a, z_scores
-from .moments import covariance_exact, covariance_structure, moment_summary
+from .moments import covariance_structure, moment_summary
 from .oracle import (
     EnumerationLimitError,
     enumerate_colorings,
-    exact_moments,
-    exact_tail,
     matching_graph,
     matching_tail_table,
+    validate,
 )
 
 _PRESET_FLAGS = {
@@ -226,114 +225,14 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _check(name: str, ok: bool | None, detail: str = "") -> dict:
-    status = "SKIPPED" if ok is None else ("PASS" if ok else "FAIL")
-    return {"name": name, "status": status, "detail": detail}
-
-
 def cmd_oracle_check(args) -> int:
     with open(args.graph, "rb") as fh:
         graph = load_edge_list(fh, dedupe=args.dedupe)
-    sizes = tuple(int(tok) for tok in args.profile.split(",") if tok.strip())
-    profile = Profile(sizes)
-    if profile.n != graph.n:
-        raise ColoringError(
-            f"profile sums to {profile.n} but the graph has {graph.n} vertices"
-        )
-    summary = summarize(graph)
+    profile = Profile(tuple(int(tok) for tok in args.profile.split(",") if tok.strip()))
     dist = enumerate_colorings(graph, profile, limit=args.limit)
-    mean, cov = exact_moments(dist)
+    summary = summarize(graph)
     ms = moment_summary(summary, profile)
-    cs = covariance_structure(summary, profile, ms)
-
-    checks = []
-    moments_ok = mean == ms.mbar and cov == covariance_exact(summary, profile, ms)
-    checks.append(
-        _check(
-            "moments",
-            moments_ok,
-            f"closed forms vs exact enumeration over {dist.total} colorings",
-        )
-    )
-
-    mbar_f = ms.mbar_array()
-    sig_f = np.sqrt(ms.var_array())
-    act = list(cs.active)
-
-    if act:
-        def stat_z_sum(out):
-            return float(sum((out[i] - mbar_f[i]) / sig_f[i] for i in act))
-
-        g_corr = cs.var_zsum
-        ok_a = True
-        for observed in dist.support:
-            val = stat_z_sum(observed)
-            if abs(val) <= 1e-12:  # mathematically zero up to float noise
-                continue
-            tail = exact_tail(dist, stat_z_sum, val, "ge" if val > 0 else "le")
-            bound = g_corr / (val * val + g_corr) if val * val + g_corr > 0 else 1.0
-            if float(tail) > bound + 1e-12:
-                ok_a = False
-                break
-        checks.append(_check("cantelli_index_a", ok_a, "exact tail <= Cantelli bound"))
-    else:
-        checks.append(_check("cantelli_index_a", None, "all classes degenerate"))
-
-    def stat_t(out):
-        return sum(Fraction(x) - mb for x, mb in zip(out, ms.mbar))
-
-    g_sum = cs.var_total
-    ok_r = True
-    for observed in dist.support:
-        val = stat_t(observed)
-        if val == 0:
-            continue
-        tail = exact_tail(dist, stat_t, val, "ge" if val > 0 else "le")
-        fv = float(val)
-        bound = g_sum / (fv * fv + g_sum) if fv * fv + g_sum > 0 else 1.0
-        if float(tail) > bound + 1e-12:
-            ok_r = False
-            break
-    checks.append(_check("cantelli_index_r", ok_r, "exact tail <= Cantelli bound"))
-
-    if cs.corr_inv is not None and act:
-        def stat_mahal(out):
-            za = np.array([(out[i] - mbar_f[i]) / sig_f[i] for i in act])
-            return float(za @ cs.corr_inv @ za)
-
-        ok_h = True
-        for observed in dist.support:
-            val = stat_mahal(observed)
-            if val <= 0.0:
-                continue
-            tail = exact_tail(dist, stat_mahal, val, "ge")
-            if float(tail) > len(act) / val + 1e-12:
-                ok_h = False
-                break
-        checks.append(_check("chebyshev_index_h", ok_h, "exact tail <= s/|z|^2"))
-    else:
-        checks.append(_check("chebyshev_index_h", None, "degenerate correlation block"))
-
-    if cs.gamma is not None and profile.s >= 2:
-        gam = float(cs.gamma)
-        offs = cs.sigma[~np.eye(profile.s, dtype=bool)]
-        if gam > 0:
-            sign_ok = bool(np.all(offs >= 0))
-        elif gam < 0:
-            sign_ok = bool(np.all(offs <= 0))
-        else:
-            sign_ok = bool(np.all(offs == 0))
-        checks.append(_check("sign_structure", sign_ok, f"gamma = {gam:.6g}"))
-    else:
-        checks.append(_check("sign_structure", None, "gamma undefined or single class"))
-
-    if not cs.degenerate:
-        block = cs.sigma[np.ix_(act, act)]
-        resid = float(np.max(np.abs(block @ cs.sigma_inv - np.eye(len(act)))))
-        checks.append(_check("sherman_morrison", resid <= 1e-9, f"residual {resid:.3g}"))
-    else:
-        checks.append(_check("sherman_morrison", None, "degenerate"))
-
+    checks = validate(dist, summary, ms, covariance_structure(summary, profile, ms))
     payload = _jsonable(
         {
             "tool": {"name": "nethom", "version": __version__},

@@ -1,24 +1,32 @@
 """Ground-truth engines: exact enumeration, Monte Carlo tails, matching tails.
 
-Everything in this module is independent of the closed-form moment formulas,
-so it can validate them. Enumeration walks every coloring of a profile
-exactly once (lexicographic multiset permutations) and accumulates exact
-rational probability mass; Monte Carlo estimation reuses the seeded uniform
-sampler; the disjoint-edges ("matching") graph additionally admits a fully
-explicit tail formula evaluated in exact arbitrary-precision rationals, with
-a log-space variant for very large instances.
+The engines are independent of the closed-form moment formulas, so they can
+validate them. Enumeration walks every coloring of a profile exactly once
+(lexicographic multiset permutations) and accumulates exact rational
+probability mass; Monte Carlo estimation reuses the seeded uniform sampler;
+the disjoint-edges ("matching") graph additionally admits a fully explicit
+tail formula evaluated in exact arbitrary-precision rationals, with a
+log-space variant for very large instances.
+
+:func:`validate` is the one place that compares the closed forms, the
+bounds behind the indices and the Sherman-Morrison inverse with them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .colorings import Profile, homophilic_counts, random_coloring
-from .graphs import Graph
+import numpy as np
+
+from .colorings import ColoringError, ObservedOutcome, Profile, homophilic_counts, random_coloring
+from .graphs import Graph, GraphSummary
+from .indices import z_scores
+from .moments import CovarianceStructure, MomentSummary, covariance_exact
 
 __all__ = [
     "EnumerationLimitError",
@@ -34,6 +42,7 @@ __all__ = [
     "matching_tail_table",
     "matching_graph",
     "tree_gamma_scan",
+    "validate",
 ]
 
 # two-sided 99% normal quantile, i.e. Phi^-1(0.995)
@@ -98,7 +107,7 @@ def enumerate_colorings(
     ``limit``. Probabilities are exact: count / multinomial.
     """
     if p.n != g.n:
-        raise ValueError("profile does not sum to the graph's vertex count")
+        raise ColoringError(f"profile sums to {p.n} but the graph has {g.n} vertices")
     total = p.coloring_count()
     if total > limit:
         raise EnumerationLimitError(total, limit)
@@ -174,6 +183,93 @@ def exact_tail(
             if statistic(out) <= threshold:
                 mass += pr
     return mass
+
+
+def _sorted_tails(d: ExactDistribution, values: Sequence) -> Callable[..., Fraction]:
+    """Exact tails of a statistic taking ``values[k]`` on the k-th outcome of
+    ``d.outcome_counts``: one sort, then ``tail(v, "ge" | "le")`` bisects prefix
+    sums of the integer coloring counts, the same mass as :func:`exact_tail`."""
+    order = sorted(zip(values, d.outcome_counts.values()), key=lambda vc: vc[0])
+    keys = [v for v, _ in order]
+    cum = [0, *itertools.accumulate(c for _, c in order)]
+
+    def tail(v, side: str) -> Fraction:
+        k = cum[-1] - cum[bisect_left(keys, v)] if side == "ge" else cum[bisect_right(keys, v)]
+        return Fraction(k, d.total)
+
+    return tail
+
+
+def _bound_holds(d: ExactDistribution, values: Sequence, bound, skip) -> bool:
+    """P(stat >= v) for v > 0, else P(stat <= v), is at most bound(v) + 1e-12
+    at every outcome's own value v that ``skip`` does not pass over."""
+    tail = _sorted_tails(d, values)
+    return all(
+        float(tail(v, "ge" if v > 0 else "le")) <= bound(float(v)) + 1e-12
+        for v in values
+        if not skip(v)
+    )
+
+
+def _cantelli(spread: float):
+    return lambda v: spread / (v * v + spread) if v * v + spread > 0 else 1.0
+
+
+def _check(name: str, ok: bool | None, detail: str) -> dict:
+    status = "SKIPPED" if ok is None else ("PASS" if ok else "FAIL")
+    return {"name": name, "status": status, "detail": detail}
+
+
+def validate(
+    d: ExactDistribution, s: GraphSummary, ms: MomentSummary, cs: CovarianceStructure
+) -> list[dict]:
+    """Check the closed forms for (``s``, ``d.profile``) against the exact law ``d``.
+
+    Returns ``{name, status, detail}`` records (PASS, FAIL or SKIPPED) for
+    ``moments``, ``cantelli_index_a``, ``cantelli_index_r``,
+    ``chebyshev_index_h``, ``sign_structure`` and ``sherman_morrison``, in that
+    order. The tail checks use the statistics the indices score.
+    """
+    act = list(cs.active)
+    mean, cov = exact_moments(d)
+    moments_ok = mean == ms.mbar and cov == covariance_exact(s, d.profile, ms)
+    checks = [_check("moments", moments_ok,
+                     f"closed forms vs exact enumeration over {d.total} colorings")]
+
+    zs = [z_scores(ObservedOutcome(out), ms).z[act] for out in d.outcome_counts]
+    if act:
+        z_sums = [float(z.sum()) for z in zs]  # |sum| <= 1e-12 is zero up to float noise
+        ok_a = _bound_holds(d, z_sums, _cantelli(cs.var_zsum), lambda v: abs(v) <= 1e-12)
+        checks.append(_check("cantelli_index_a", ok_a, "exact tail <= Cantelli bound"))
+    else:
+        checks.append(_check("cantelli_index_a", None, "all classes degenerate"))
+
+    devs = [sum(Fraction(x) - mb for x, mb in zip(out, ms.mbar)) for out in d.outcome_counts]
+    ok_r = _bound_holds(d, devs, _cantelli(cs.var_total), lambda v: v == 0)
+    checks.append(_check("cantelli_index_r", ok_r, "exact tail <= Cantelli bound"))
+
+    if not cs.degenerate:
+        norms = [cs.corr_inv_quad(z) for z in zs]
+        ok_h = _bound_holds(d, norms, lambda v: len(act) / v, lambda v: v <= 0.0)
+        checks.append(_check("chebyshev_index_h", ok_h, "exact tail <= s/|z|^2"))
+    else:
+        checks.append(_check("chebyshev_index_h", None, "degenerate correlation block"))
+
+    if cs.gamma is not None and cs.s >= 2:
+        gam = float(cs.gamma)
+        offs = cs.sigma[~np.eye(cs.s, dtype=bool)]
+        sign_ok = bool(np.all(offs >= 0 if gam > 0 else offs <= 0 if gam < 0 else offs == 0))
+        checks.append(_check("sign_structure", sign_ok, f"gamma = {gam:.6g}"))
+    else:
+        checks.append(_check("sign_structure", None, "gamma undefined or single class"))
+
+    if not cs.degenerate:
+        block = cs.sigma[np.ix_(act, act)]
+        resid = float(np.max(np.abs(block @ cs.sigma_inv - np.eye(len(act)))))
+        checks.append(_check("sherman_morrison", resid <= 1e-9, f"residual {resid:.3g}"))
+    else:
+        checks.append(_check("sherman_morrison", None, "degenerate"))
+    return checks
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import pytest
 
 import nethom as nh
 from nethom.cli import main
+from nethom.oracle import validate
 
 # ---------------------------------------------------------------------------
 # shared instance pools
@@ -321,6 +322,18 @@ def test_criterion_05_bound_validity():
     assert a4 == pytest.approx(3 / 5)
     assert a4 <= float(exact4) + 1e-12
     print(f"CRITERION 5: PASS - {checks} exact tails within their bounds; pinned values hold")
+
+
+def test_oracle_validate_reports_no_fail_on_atlas():
+    """The library's validation agrees with criterion 5 on every atlas instance."""
+    reported = 0
+    for g, s, p, dist in _atlas_instances():
+        ms = nh.moment_summary(s, p)
+        checks = validate(dist, s, ms, nh.covariance_structure(s, p, ms))
+        failed = [c["name"] for c in checks if c["status"] == "FAIL"]
+        assert not failed, (g.labels, p.sizes, failed)
+        reported += len(checks)
+    print(f"oracle.validate: {reported} checks, no FAIL")
 
 
 def test_criterion_06_sherman_morrison():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import nethom as nh
+from nethom import cli
 from nethom.cli import main
 
 P4_EDGES = "a b\nb c\nc d\n"
@@ -240,8 +241,15 @@ class TestOracleCheck:
         assert code == 3
         assert "exceed" in capsys.readouterr().err
 
-    def test_profile_mismatch_exits_2(self, p4_files):
+    def test_profile_mismatch_exits_2(self, p4_files, capsys):
         assert main(["oracle-check", "--graph", p4_files[0], "--profile", "2,3"]) == 2
+        assert "profile sums to 5 but the graph has 4 vertices" in capsys.readouterr().err
+
+    def test_failed_check_exits_1(self, p4_files, monkeypatch, capsys):
+        failed = [{"name": "moments", "status": "FAIL", "detail": "forced"}]
+        monkeypatch.setattr(cli, "validate", lambda *args: failed)
+        assert main(["oracle-check", "--graph", p4_files[0], "--profile", "2,2"]) == 1
+        assert json.loads(capsys.readouterr().out)["checks"] == failed
 
 
 class TestToyCurve:

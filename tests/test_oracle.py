@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nethom as nh
+from nethom.oracle import _sorted_tails, validate
 
 
 class TestEnumerateColorings:
@@ -33,6 +34,10 @@ class TestEnumerateColorings:
             nh.enumerate_colorings(p4, nh.Profile((2, 2)), limit=5)
         assert exc.value.count == 6
         assert exc.value.limit == 5
+
+    def test_profile_mismatch_names_both_sizes(self, p4):
+        with pytest.raises(nh.ColoringError, match="profile sums to 5 but the graph has 4"):
+            nh.enumerate_colorings(p4, nh.Profile((2, 3)))
 
     def test_outcomes_satisfy_support_bounds(self, p4):
         d = nh.enumerate_colorings(p4, nh.Profile((2, 2)))
@@ -196,3 +201,77 @@ class TestTreeGammaScan:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             nh.tree_gamma_scan(9)
+
+
+def _oracle_instance(g, sizes):
+    s = nh.summarize(g)
+    p = nh.Profile(sizes)
+    ms = nh.moment_summary(s, p)
+    return nh.enumerate_colorings(g, p), s, ms, nh.covariance_structure(s, p, ms)
+
+
+_TIED_INSTANCES = [
+    ("k4", (2, 2)),
+    ("k4", (1, 1, 2)),
+    ("c6", (3, 3)),
+    ("c6", (2, 2, 2)),
+    ("p4", (2, 2)),
+    ("p4", (1, 1, 2)),
+]
+
+
+def _cycle(n):
+    return nh.Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+class TestSortedTails:
+    @pytest.mark.parametrize("name,sizes", _TIED_INSTANCES)
+    def test_matches_exact_tail_on_every_value(self, request, name, sizes):
+        g = _cycle(6) if name == "c6" else request.getfixturevalue(name)
+        dist, _, ms, _ = _oracle_instance(g, sizes)
+        stats = [
+            lambda o: sum(o),
+            lambda o: o[0] - o[-1],
+            lambda o: sum(Fraction(x) - mb for x, mb in zip(o, ms.mbar)),
+            lambda o: float(nh.z_scores(nh.ObservedOutcome(o), ms).z.sum()),
+        ]
+        for stat in stats:
+            values = [stat(o) for o in dist.outcome_counts]
+            tail = _sorted_tails(dist, values)
+            for v in values + [min(values) - 1, max(values) + 1]:
+                for side in ("ge", "le"):
+                    assert tail(v, side) == nh.exact_tail(dist, stat, v, side), (v, side)
+
+
+class TestValidate:
+    NAMES = [
+        "moments",
+        "cantelli_index_a",
+        "cantelli_index_r",
+        "chebyshev_index_h",
+        "sign_structure",
+        "sherman_morrison",
+    ]
+
+    def test_six_checks_in_order(self, p4):
+        checks = validate(*_oracle_instance(p4, (2, 2)))
+        assert [c["name"] for c in checks] == self.NAMES
+        assert all(c["status"] == "PASS" for c in checks)
+
+    def test_perturbed_mean_fails_moments(self, p4):
+        dist, s, ms, cs = _oracle_instance(p4, (2, 2))
+        bad = nh.MomentSummary((ms.mbar[0] + Fraction(1, 7),) + ms.mbar[1:], ms.var)
+        statuses = {c["name"]: c["status"] for c in validate(dist, s, bad, cs)}
+        assert statuses["moments"] == "FAIL"
+
+    @pytest.mark.parametrize("name,sizes", [("p4", (2, 2)), ("c6", (2, 2, 2))])
+    def test_shrunk_variances_fail_every_bound(self, request, name, sizes):
+        # z-scores read the variances from the moment summary and the bounds
+        # read them from the structure, so both shrink by the same factor
+        g = _cycle(6) if name == "c6" else request.getfixturevalue(name)
+        dist, s, ms, cs = _oracle_instance(g, sizes)
+        small = nh.MomentSummary(ms.mbar, tuple(v / 100 for v in ms.var))
+        cs_small = nh.CovarianceStructure(cs.gamma, cs.coef / 100, cs.vec, small.var)
+        statuses = {c["name"]: c["status"] for c in validate(dist, s, small, cs_small)}
+        for check in ("cantelli_index_a", "cantelli_index_r", "chebyshev_index_h"):
+            assert statuses[check] == "FAIL", check
