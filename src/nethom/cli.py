@@ -232,7 +232,7 @@ def cmd_oracle_check(args) -> int:
     dist = enumerate_colorings(graph, profile, limit=args.limit)
     summary = summarize(graph)
     ms = moment_summary(summary, profile)
-    checks = validate(dist, summary, ms, covariance_structure(summary, profile, ms))
+    checks = validate(dist, ms, covariance_structure(summary, profile, ms))
     payload = _jsonable(
         {
             "tool": {"name": "nethom", "version": __version__},

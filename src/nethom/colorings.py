@@ -128,12 +128,43 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     """Parse a TSV coloring file ("vertex-id<TAB>class-label") for ``graph``.
 
     Every graph vertex must appear exactly once; '#' starts a comment.
-    Class indices are assigned by first appearance of each label.
+    Class indices are assigned by first appearance of each label. Errors
+    name the first offending line.
     """
     text = _as_text(source)
     index = graph.index
+    try:
+        rows, classes, class_labels = _scan_coloring(text, index)
+    except ColoringError:
+        _scan_coloring(text, index, seen=set())  # a repeated vertex above the bad line comes first
+        raise
     assign = np.full(graph.n, -1, dtype=np.int32)
+    assign[rows] = classes
+    if np.count_nonzero(assign >= 0) != len(rows):
+        _scan_coloring(text, index, seen=set())
+        raise AssertionError("a repeated vertex was counted that the scan cannot find")
+    missing = np.flatnonzero(assign < 0)
+    if missing.size:
+        names = ", ".join(repr(graph.labels[int(i)]) for i in missing[:5])
+        more = "" if missing.size <= 5 else f" (+{missing.size - 5} more)"
+        raise MissingVertexError(f"no class assigned to vertex {names}{more}")
+    return Coloring(assignment=assign, class_labels=class_labels)
+
+
+def _scan_coloring(
+    text: str, index: dict[str, int], seen: set[int] | None = None
+) -> tuple[list[int], list[int], tuple[str, ...]]:
+    """Apply the coloring line grammar to every line of ``text``.
+
+    Returns each row's vertex index and class index, and the class labels in
+    first-appearance order. Raises :class:`ColoringError` at a malformed
+    line and :class:`UnknownVertexError` at an id missing from ``index``.
+    Given ``seen``, the scan is the error locator: it also raises
+    :class:`DuplicateVertexError` at the first row that repeats a vertex.
+    """
     class_index: dict[str, int] = {}
+    rows: list[int] = []
+    classes: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0] if "#" in raw else raw
         if not line.strip():
@@ -148,15 +179,13 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
         i = index.get(vid)
         if i is None:
             raise UnknownVertexError(f"line {lineno}: vertex {vid!r} is not in the graph")
-        if assign[i] >= 0:
-            raise DuplicateVertexError(f"line {lineno}: vertex {vid!r} assigned twice")
-        assign[i] = class_index.setdefault(label, len(class_index))
-    missing = np.flatnonzero(assign < 0)
-    if missing.size:
-        names = ", ".join(repr(graph.labels[int(i)]) for i in missing[:5])
-        more = "" if missing.size <= 5 else f" (+{missing.size - 5} more)"
-        raise MissingVertexError(f"no class assigned to vertex {names}{more}")
-    return Coloring(assignment=assign, class_labels=tuple(class_index))
+        if seen is not None:
+            if i in seen:
+                raise DuplicateVertexError(f"line {lineno}: vertex {vid!r} assigned twice")
+            seen.add(i)
+        rows.append(i)
+        classes.append(class_index.setdefault(label, len(class_index)))
+    return rows, classes, tuple(class_index)
 
 
 def homophilic_counts(g: Graph, f: Coloring) -> ObservedOutcome:

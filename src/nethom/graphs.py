@@ -12,9 +12,11 @@ graph alone.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, NoReturn, Union
 
 import numpy as np
 
@@ -84,9 +86,9 @@ class Graph:
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.n else 0
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
-        """External id -> dense index (rebuilt on access; cache if hot)."""
+        """External id -> dense index, built on first access."""
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def edge_pairs(self) -> Iterator[tuple[int, int]]:
@@ -132,46 +134,159 @@ class Graph:
         return cls(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=labels)
 
 
+def _read(source: TextSource) -> str | bytes:
+    return source if isinstance(source, (str, bytes)) else source.read()
+
+
+def _decode(data: str | bytes) -> str:
+    return data.decode("utf-8") if isinstance(data, bytes) else data
+
+
 def _as_text(source: TextSource) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+    return _decode(_read(source))
 
 
-def _locate_edge_violation(text: str, dedupe: bool) -> None:
-    """Slow re-scan that raises the precise per-line error.
+def _scan(text: str, dedupe: bool | None = None) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Apply the edge-list line grammar to every line of ``text``.
 
-    Called only after the vectorized validation in :func:`load_edge_list`
-    has detected a problem, so line numbers are recovered without taxing
-    the common path.
+    '#' starts a comment and blank lines are skipped. A line whose tokens
+    are exactly "v <id>" declares an isolated vertex; any other line needs
+    two endpoints, and tokens after them are ignored. Returns the labels in
+    first-appearance order and the endpoint index arrays, and raises
+    :class:`MalformedLineError` at a line with a single token.
+
+    Given ``dedupe``, the scan is the error locator that runs only after the
+    vectorized checks in :func:`load_edge_list` found a violation: it also
+    raises at the first self-loop and, without ``dedupe``, at the first
+    duplicate edge, so the error names the first bad line.
     """
     index: dict[str, int] = {}
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0] if "#" in raw else raw
+    us: list[int] = []
+    vs: list[int] = []
+    setdefault = index.setdefault
+    us_append = us.append
+    vs_append = vs.append
+    seen: set[tuple[int, int]] | None = None if dedupe is None else set()
+    scan_comments = "#" in text
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if scan_comments and "#" in line:
+            line = line[: line.index("#")]
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "v" and len(parts) == 2:
-            index.setdefault(parts[1], len(index))
-            continue
         if len(parts) < 2:
-            raise MalformedLineError(f"expected two endpoints, got {line.strip()!r}", lineno)
-        a, b = parts[0], parts[1]
-        ia = index.setdefault(a, len(index))
-        ib = index.setdefault(b, len(index))
-        if ia == ib:
-            raise SelfLoopError(f"self-loop at vertex {a!r}", lineno)
-        key = (ia, ib) if ia < ib else (ib, ia)
-        if key in seen and not dedupe:
-            raise DuplicateEdgeError(f"duplicate edge {a!r} {b!r}", lineno)
-        seen.add(key)
+            raise MalformedLineError(f"expected two endpoints, got {parts[0]!r}", lineno)
+        if parts[0] == "v" and len(parts) == 2:
+            setdefault(parts[1], len(index))
+            continue
+        ia = setdefault(parts[0], len(index))
+        ib = setdefault(parts[1], len(index))
+        if seen is not None:
+            if ia == ib:
+                raise SelfLoopError(f"self-loop at vertex {parts[0]!r}", lineno)
+            key = (ia, ib) if ia < ib else (ib, ia)
+            if key in seen and not dedupe:
+                raise DuplicateEdgeError(f"duplicate edge {parts[0]!r} {parts[1]!r}", lineno)
+            seen.add(key)
+        us_append(ia)
+        vs_append(ib)
+    return tuple(index), np.asarray(us, dtype=np.int32), np.asarray(vs, dtype=np.int32)
+
+
+def _locate_edge_violation(text: str, dedupe: bool) -> NoReturn:
+    """Raise the error of the first bad line of ``text``."""
+    _scan(text, dedupe)
     raise AssertionError("vectorized validation flagged a violation the scan cannot find")
+
+
+# A comment runs to the next byte that str.splitlines() treats as a line end.
+_COMMENT = re.compile(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*")
+_INT_GRAMMAR = b"0123456789v \t\n\r"
+_V, _ZERO = ord("v"), ord("0")
+_MAX_DIGITS = 18  # every canonical id of up to 18 digits fits in int64
+
+
+def _int_id_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
+    """The general pass's result for an edge list of canonical integer ids, or None.
+
+    Vectorized over the raw bytes, with no per-line Python loop. It applies
+    only when, after comments are removed, the input is ASCII digits, "v",
+    spaces, tabs, LF and CR; every non-blank line holds exactly two tokens;
+    "v" appears only as a lone first token; and every other token is a
+    decimal of at most 18 digits with no leading zero, so that an id and its
+    label determine each other. Any other input returns None and takes the
+    general path, which also raises every error.
+    """
+    if not data.isascii():
+        return None
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    if b"#" in data:
+        data = _COMMENT.sub(b"", data)
+    if data.translate(None, _INT_GRAMMAR):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    tok = raw >= _ZERO  # digits and "v"; blanks and line ends sort below "0"
+    start = np.flatnonzero(tok[1:] > tok[:-1])
+    start += 1
+    stop = np.flatnonzero(tok[:-1] > tok[1:])
+    stop += 1
+    if tok.size and tok[0]:
+        start = np.concatenate(([0], start))
+    if tok.size and tok[-1]:
+        stop = np.append(stop, tok.size)
+    del tok
+    line_end = raw == ord("\n")
+    if b"\r" in data:
+        line_end |= raw == ord("\r")
+    # tokens per line, from the token starts before each line end: 0 or 2 on every line
+    per_line = np.diff(np.searchsorted(start, np.flatnonzero(line_end)), prepend=0, append=start.size)
+    del line_end
+    if not bool(((per_line == 0) | (per_line == 2)).all()):
+        return None
+    del per_line
+    length = stop - start
+    first = raw[start]
+    if bool((length > _MAX_DIGITS).any()) or bool(((first == _ZERO) & (length > 1)).any()):
+        return None
+    declared = first == _V
+    if declared[1::2].any():
+        return None
+    del raw, start, stop, length, first
+    n_v = data.count(b"v")
+    if n_v:
+        data = data.translate(bytes.maketrans(b"v", b" "))
+    # sep=" " matches any run of whitespace; a blank input would parse as [0]
+    ids = np.fromstring(data, dtype=np.int64, sep=" ") if declared.size else np.empty(0, np.int64)
+    del data
+    # a token yields one id per run of digits once "v" is blanked, so this count
+    # holds exactly when every token is all digits or a lone "v"
+    if ids.size != declared.size - n_v:
+        return None
+    order, dense = _first_appearance(ids)
+    del ids
+    if n_v:  # endpoints are the ids not on a "v" line
+        dense = dense[~np.repeat(declared[0::2], 2)[~declared]]
+    return tuple(map(str, order.tolist())), dense[0::2].copy(), dense[1::2].copy()
+
+
+def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``ids`` in first-appearance order, and each id's index in it (int32)."""
+    k = ids.size
+    top = int(ids.max()) + 1 if k else 0
+    if top <= 4 * k + 1024:  # dense ids: a lookup table of at most 4 entries per token
+        first = np.full(top, k, dtype=np.int32)
+        np.minimum.at(first, ids, np.arange(k, dtype=np.int32))
+        order = ids[first[ids] == np.arange(k, dtype=np.int32)]
+        del first
+        table = np.empty(top, dtype=np.int32)
+        table[order] = np.arange(order.size, dtype=np.int32)
+        return order, table[ids]
+    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty(uniq.size, dtype=np.int32)
+    by_first = np.argsort(first)
+    rank[by_first] = np.arange(uniq.size, dtype=np.int32)
+    return uniq[by_first], rank[inverse]
 
 
 def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
@@ -184,65 +299,38 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
 
     Raises :class:`SelfLoopError` / :class:`DuplicateEdgeError` /
     :class:`MalformedLineError` with the offending line number; duplicates
-    are silently merged when ``dedupe`` is set. Self-loop and duplicate
-    detection run vectorized after the single pass over lines; the line
-    number is recovered by a second scan only when an error is raised.
+    are silently merged when ``dedupe`` is set. Files whose ids are all
+    canonical non-negative decimals are tokenized vectorized
+    (:func:`_int_id_edges`); any other input takes the general pass,
+    :func:`_scan`. Either way the result is the same, self-loop and
+    duplicate detection run vectorized afterwards, and the line number is
+    recovered by a second scan only when an error is raised.
     """
-    text = _as_text(source)
-    index: dict[str, int] = {}
-    us: list[int] = []
-    vs: list[int] = []
-    setdefault = index.setdefault
-    us_append = us.append
-    vs_append = vs.append
-    scan_comments = "#" in text
-    malformed = False
-    for line in text.splitlines():
-        if scan_comments and "#" in line:
-            line = line[: line.index("#")]
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v" and len(parts) == 2:
-            setdefault(parts[1], len(index))
-            continue
-        if len(parts) < 2:
-            malformed = True
-            break
-        ia = setdefault(parts[0], len(index))
-        ib = setdefault(parts[1], len(index))
-        us_append(ia)
-        vs_append(ib)
-    if malformed:
-        _locate_edge_violation(text, dedupe)
-    n = len(index)
-    eu = np.asarray(us, dtype=np.int64)
-    ev = np.asarray(vs, dtype=np.int64)
+    data = _read(source)
+    parsed = _int_id_edges(data)
+    if parsed is None:
+        data = _decode(data)
+        try:
+            parsed = _scan(data)
+        except MalformedLineError:  # a self-loop or duplicate above it comes first
+            _locate_edge_violation(data, dedupe)
+    labels, eu, ev = parsed
+    n = len(labels)
     if eu.size:
         if bool(np.any(eu == ev)):
-            _locate_edge_violation(text, dedupe)
-        lo = np.minimum(eu, ev)
-        hi = np.maximum(eu, ev)
-        packed = lo * n + hi
-        order = np.argsort(packed, kind="stable")
-        sorted_packed = packed[order]
-        dup_sorted = np.empty(packed.size, dtype=bool)
-        dup_sorted[0] = False
-        dup_sorted[1:] = sorted_packed[1:] == sorted_packed[:-1]
-        if bool(dup_sorted.any()):
+            _locate_edge_violation(_decode(data), dedupe)
+        packed = np.minimum(eu, ev).astype(np.int64)
+        packed *= n
+        packed += np.maximum(eu, ev)
+        sorted_packed = np.sort(packed)
+        if bool((sorted_packed[1:] == sorted_packed[:-1]).any()):
             if not dedupe:
-                _locate_edge_violation(text, dedupe)
-            keep = np.ones(packed.size, dtype=bool)
-            keep[order[dup_sorted]] = False  # first appearance survives
+                _locate_edge_violation(_decode(data), dedupe)
+            keep = np.zeros(packed.size, dtype=bool)
+            keep[np.unique(packed, return_index=True)[1]] = True  # first appearance survives
             eu = eu[keep]
             ev = ev[keep]
-    eu = eu.astype(np.int32)
-    ev = ev.astype(np.int32)
-    if eu.size:
-        degrees = np.bincount(np.concatenate([eu, ev]), minlength=n).astype(np.int64)
-    else:
-        degrees = np.zeros(n, dtype=np.int64)
-    labels = tuple(index)  # dicts preserve insertion order
+    degrees = (np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)).astype(np.int64)
     return Graph(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=labels)
 
 

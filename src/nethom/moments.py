@@ -189,6 +189,13 @@ class CovarianceStructure:
             raise ValueError("correlation block is singular on the active set")
         return float(self._inv_qn @ (z * z)) - self._k * float(self._an @ z) ** 2
 
+    def exact(self) -> list[list[Fraction]]:
+        """Sigma as an exact matrix: variances on the diagonal, coef * vec_i * vec_j off it."""
+        return [
+            [v if i == j else self.coef * x * y for j, y in enumerate(self.vec)]
+            for i, (v, x) in enumerate(zip(self.var, self.vec))
+        ]
+
     @cached_property
     def sigma(self) -> np.ndarray:
         out = self._coef_f * np.outer(self._vec_f, self._vec_f)
@@ -243,8 +250,4 @@ def covariance_exact(
     s: GraphSummary, p: Profile, ms: MomentSummary | None = None
 ) -> list[list[Fraction]]:
     """Exact covariance matrix: variances on the diagonal, coef * vec_i * vec_j off it."""
-    cs = covariance_structure(s, p, ms)
-    return [
-        [v if i == j else cs.coef * x * y for j, y in enumerate(cs.vec)]
-        for i, (v, x) in enumerate(zip(cs.var, cs.vec))
-    ]
+    return covariance_structure(s, p, ms).exact()

@@ -24,9 +24,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .colorings import ColoringError, ObservedOutcome, Profile, homophilic_counts, random_coloring
-from .graphs import Graph, GraphSummary
+from .graphs import Graph
 from .indices import z_scores
-from .moments import CovarianceStructure, MomentSummary, covariance_exact
+from .moments import CovarianceStructure, MomentSummary
 
 __all__ = [
     "EnumerationLimitError",
@@ -220,10 +220,8 @@ def _check(name: str, ok: bool | None, detail: str) -> dict:
     return {"name": name, "status": status, "detail": detail}
 
 
-def validate(
-    d: ExactDistribution, s: GraphSummary, ms: MomentSummary, cs: CovarianceStructure
-) -> list[dict]:
-    """Check the closed forms for (``s``, ``d.profile``) against the exact law ``d``.
+def validate(d: ExactDistribution, ms: MomentSummary, cs: CovarianceStructure) -> list[dict]:
+    """Check the closed forms ``ms`` and ``cs`` for ``d.profile`` against the exact law ``d``.
 
     Returns ``{name, status, detail}`` records (PASS, FAIL or SKIPPED) for
     ``moments``, ``cantelli_index_a``, ``cantelli_index_r``,
@@ -232,7 +230,7 @@ def validate(
     """
     act = list(cs.active)
     mean, cov = exact_moments(d)
-    moments_ok = mean == ms.mbar and cov == covariance_exact(s, d.profile, ms)
+    moments_ok = mean == ms.mbar and cov == cs.exact()
     checks = [_check("moments", moments_ok,
                      f"closed forms vs exact enumeration over {d.total} colorings")]
 

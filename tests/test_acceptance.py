@@ -329,7 +329,7 @@ def test_oracle_validate_reports_no_fail_on_atlas():
     reported = 0
     for g, s, p, dist in _atlas_instances():
         ms = nh.moment_summary(s, p)
-        checks = validate(dist, s, ms, nh.covariance_structure(s, p, ms))
+        checks = validate(dist, ms, nh.covariance_structure(s, p, ms))
         failed = [c["name"] for c in checks if c["status"] == "FAIL"]
         assert not failed, (g.labels, p.sizes, failed)
         reported += len(checks)

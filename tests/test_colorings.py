@@ -62,6 +62,25 @@ class TestLoadColoring:
         with pytest.raises(nh.DuplicateVertexError, match="'a'"):
             nh.load_coloring("a\tred\na\tblue\nb\tred\nc\tblue", p3)
 
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("a\tred\na\tblue\nzz\tred\n", nh.DuplicateVertexError, "line 2: vertex 'a' assigned twice"),
+            ("zz\tred\na\tred\na\tblue\n", nh.UnknownVertexError, "line 1: vertex 'zz' is not in the graph"),
+            ("a\tr\nb\tr\nb\tb\nnotab\n", nh.DuplicateVertexError, "line 3: vertex 'b' assigned twice"),
+            ("a\tred\nnotab\na\tblue\n", nh.ColoringError, "line 2: expected 'vertex-id<TAB>class-label'"),
+            ("a\tr\n \tr\na\tb\n", nh.ColoringError, "line 2: empty vertex id or class label"),
+            ("b\tx\na\tx\nc\tx\nb\ty\na\ty\n", nh.DuplicateVertexError, "line 4: vertex 'b' assigned twice"),
+            ("a\tred\na\tblue\n", nh.DuplicateVertexError, "line 2: vertex 'a' assigned twice"),
+            ("a\tred\n", nh.MissingVertexError, "no class assigned to vertex 'b', 'c'"),
+        ],
+    )
+    def test_first_offending_line_is_reported(self, p3, text, error, message):
+        with pytest.raises(error) as exc:
+            nh.load_coloring(text, p3)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
     def test_comments_and_blank_lines(self, p3):
         f = nh.load_coloring("# hi\n\na\tred\nb\tred\nc\tblue # inline\n", p3)
         assert f.profile.sizes == (2, 1)

@@ -56,6 +56,12 @@ class TestLoadEdgeList:
         g = nh.load_edge_list("z y\nx z")
         assert g.labels == ("z", "y", "x")
 
+    def test_index_is_cached_and_maps_labels(self):
+        g = nh.load_edge_list("z y\nx z\nv w")
+        assert g.index is g.index
+        assert g.index == {"z": 0, "y": 1, "x": 2, "w": 3}
+        assert all(g.labels[i] == lab for lab, i in g.index.items())
+
     def test_bytes_input(self):
         g = nh.load_edge_list(b"a b\nb c")
         assert g.m == 2

@@ -207,7 +207,7 @@ def _oracle_instance(g, sizes):
     s = nh.summarize(g)
     p = nh.Profile(sizes)
     ms = nh.moment_summary(s, p)
-    return nh.enumerate_colorings(g, p), s, ms, nh.covariance_structure(s, p, ms)
+    return nh.enumerate_colorings(g, p), ms, nh.covariance_structure(s, p, ms)
 
 
 _TIED_INSTANCES = [
@@ -228,7 +228,7 @@ class TestSortedTails:
     @pytest.mark.parametrize("name,sizes", _TIED_INSTANCES)
     def test_matches_exact_tail_on_every_value(self, request, name, sizes):
         g = _cycle(6) if name == "c6" else request.getfixturevalue(name)
-        dist, _, ms, _ = _oracle_instance(g, sizes)
+        dist, ms, _ = _oracle_instance(g, sizes)
         stats = [
             lambda o: sum(o),
             lambda o: o[0] - o[-1],
@@ -259,9 +259,15 @@ class TestValidate:
         assert all(c["status"] == "PASS" for c in checks)
 
     def test_perturbed_mean_fails_moments(self, p4):
-        dist, s, ms, cs = _oracle_instance(p4, (2, 2))
+        dist, ms, cs = _oracle_instance(p4, (2, 2))
         bad = nh.MomentSummary((ms.mbar[0] + Fraction(1, 7),) + ms.mbar[1:], ms.var)
-        statuses = {c["name"]: c["status"] for c in validate(dist, s, bad, cs)}
+        statuses = {c["name"]: c["status"] for c in validate(dist, bad, cs)}
+        assert statuses["moments"] == "FAIL"
+
+    def test_moments_check_reads_the_given_structure(self, p4):
+        dist, ms, cs = _oracle_instance(p4, (2, 2))
+        doubled = nh.CovarianceStructure(cs.gamma, 2 * cs.coef, cs.vec, cs.var)
+        statuses = {c["name"]: c["status"] for c in validate(dist, ms, doubled)}
         assert statuses["moments"] == "FAIL"
 
     @pytest.mark.parametrize("name,sizes", [("p4", (2, 2)), ("c6", (2, 2, 2))])
@@ -269,9 +275,9 @@ class TestValidate:
         # z-scores read the variances from the moment summary and the bounds
         # read them from the structure, so both shrink by the same factor
         g = _cycle(6) if name == "c6" else request.getfixturevalue(name)
-        dist, s, ms, cs = _oracle_instance(g, sizes)
+        dist, ms, cs = _oracle_instance(g, sizes)
         small = nh.MomentSummary(ms.mbar, tuple(v / 100 for v in ms.var))
         cs_small = nh.CovarianceStructure(cs.gamma, cs.coef / 100, cs.vec, small.var)
-        statuses = {c["name"]: c["status"] for c in validate(dist, s, small, cs_small)}
+        statuses = {c["name"]: c["status"] for c in validate(dist, small, cs_small)}
         for check in ("cantelli_index_a", "cantelli_index_r", "chebyshev_index_h"):
             assert statuses[check] == "FAIL", check
