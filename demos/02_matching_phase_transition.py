@@ -19,10 +19,9 @@ M = 500
 graph = nh.matching_graph(M)
 summary = nh.summarize(graph)
 profile = nh.Profile((M, M))
-ms = nh.moment_summary(summary, profile)
-cs = nh.covariance_structure(summary, profile, ms)
+cs = nh.covariance_structure(summary, profile)
 
-mean = ms.mbar[0]
+mean = cs.mbar[0]
 print(f"mean homophilic count per color: {mean} = {float(mean):.3f}")
 print(f"mean per-edge fraction exactly:  {mean / M}")
 
@@ -34,8 +33,7 @@ for k in (0, 50, 100, 110, 120, 125, 130, 140, 141, 150, 200, 250):
     F = float(1 - tails[k])
     ratio = 2 * k / M
     q = 2 * (k / M - 0.25)
-    zs = nh.z_scores(ObservedOutcome((k, k)), ms)
-    a = nh.index_a(zs, cs)
+    a = nh.index_a(nh.z_scores(ObservedOutcome((k, k)), cs), cs)
     print(f"{k:4d}   {F:11.4e}   {ratio:5.2f}   {q:9.2f}   {a:8.4f}")
 
 lo, hi = 110, 140
@@ -55,7 +53,7 @@ try:
     F = [float(1 - tails[k]) for k in ks]
     ratio = [2 * k / M for k in ks]
     q = [2 * (k / M - 0.25) for k in ks]
-    a = [nh.index_a(nh.z_scores(ObservedOutcome((k, k)), ms), cs) for k in ks]
+    a = [nh.index_a(nh.z_scores(ObservedOutcome((k, k)), cs), cs) for k in ks]
     fig, ax = plt.subplots(figsize=(8, 5))
     ax.plot(ks, F, label="P(M < k)", color="tab:red")
     ax.plot(ks, ratio, label="homophily ratio", color="black")

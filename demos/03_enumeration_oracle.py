@@ -28,11 +28,11 @@ dist = nh.enumerate_colorings(graph, profile)
 print(f"distinct outcomes: {len(dist.support)}; masses sum to {sum(dist.support.values())}")
 
 mean, cov = nh.exact_moments(dist)
-ms = nh.moment_summary(summary, profile)
+cs = nh.covariance_structure(summary, profile)
 print("\nenumerated mean :", [str(x) for x in mean])
-print("closed-form mean:", [str(x) for x in ms.mbar])
-assert mean == ms.mbar
-assert cov == nh.covariance_exact(summary, profile, ms)
+print("closed-form mean:", [str(x) for x in cs.mbar])
+assert mean == cs.mbar
+assert cov == cs.exact()
 print("closed forms match enumeration exactly (rational equality)")
 
 gamma = nh.gamma_invariant(summary)
@@ -40,9 +40,8 @@ print(f"\ngamma = {gamma}; off-diagonal covariances are gamma * c_i^(2) * c_j^(2
 print(f"  cov(M1, M2) = {cov[0][1]} = {gamma} * 6 * 2")
 
 # --- an exact tail against its Cantelli bound --------------------------------
-cs = nh.covariance_structure(summary, profile, ms)
 observed = max(dist.support, key=lambda o: sum(o))  # most homophilic outcome
-total_dev = sum(observed) - float(sum(ms.mbar))
+total_dev = sum(observed) - float(sum(cs.mbar))
 tail = nh.exact_tail(dist, lambda o: sum(o), sum(observed), "ge")
 spread = cs.var_total  # Var(total count) = 1'Sigma 1, as index r uses it
 bound = spread / (total_dev**2 + spread)

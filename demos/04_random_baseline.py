@@ -30,11 +30,10 @@ coloring = nh.Coloring(
 
 summary = nh.summarize(graph)
 profile = coloring.profile
-ms = nh.moment_summary(summary, profile)
-cs = nh.covariance_structure(summary, profile, ms)
+cs = nh.covariance_structure(summary, profile)
 
 observed = nh.homophilic_counts(graph, coloring)
-obs_report = nh.build_index_report(graph, coloring, observed, ms, cs)
+obs_report = nh.build_index_report(graph, coloring, observed, cs)
 print(f"graph: n = {n}, m = {graph.m}; profile {profile.sizes}")
 print(f"observed counts {observed.counts}: a = {obs_report.a:.4f}, "
       f"r = {obs_report.r:.4f}, ratio = {obs_report.descriptive_ratio:.3f}, "
@@ -47,7 +46,7 @@ acc = {"a": [], "r": [], "ratio": [], "q": []}
 for seed in range(5):
     f = nh.random_coloring(profile, seed, class_labels=coloring.class_labels)
     out = nh.homophilic_counts(graph, f)
-    rep = nh.build_index_report(graph, f, out, ms, cs)
+    rep = nh.build_index_report(graph, f, out, cs)
     acc["a"].append(rep.a)
     acc["r"].append(rep.r)
     acc["ratio"].append(rep.descriptive_ratio)

@@ -30,7 +30,7 @@ from .colorings import (
 )
 from .graphs import EdgeListError, Graph, gamma_invariant, load_edge_list, summarize
 from .indices import PRESET_NAMES, build_index_report, index_a, z_scores
-from .moments import covariance_structure, moment_summary
+from .moments import covariance_structure
 from .oracle import (
     EnumerationLimitError,
     enumerate_colorings,
@@ -128,11 +128,10 @@ def cmd_analyze(args) -> int:
     t1 = time.perf_counter()
     summary = summarize(graph)
     profile = coloring.profile
-    ms = moment_summary(summary, profile)
-    cs = covariance_structure(summary, profile, ms)
+    cs = covariance_structure(summary, profile)
     outcome = homophilic_counts(graph, coloring)
     report = build_index_report(
-        graph, coloring, outcome, ms, cs,
+        graph, coloring, outcome, cs,
         presets=_PRESET_FLAGS[args.preset], nu_mode=args.nu,
     )
     t2 = time.perf_counter()
@@ -148,7 +147,7 @@ def cmd_analyze(args) -> int:
             },
             "observed": list(report.observed),
             "expected": list(report.mbar),
-            "variance": [float(v) for v in ms.var],
+            "variance": [float(v) for v in cs.var],
             "z": list(report.z),
             "indices": _index_block(report),
             "degeneracy": {
@@ -172,8 +171,7 @@ def cmd_baseline(args) -> int:
     graph, coloring = _load_pair(args)
     summary = summarize(graph)
     profile = coloring.profile
-    ms = moment_summary(summary, profile)
-    cs = covariance_structure(summary, profile, ms)
+    cs = covariance_structure(summary, profile)
     per_sample = []
     values: dict[str, list[float]] = {}
 
@@ -187,7 +185,7 @@ def cmd_baseline(args) -> int:
         f = random_coloring(profile, seed, class_labels=coloring.class_labels)
         out = homophilic_counts(graph, f)
         rep = build_index_report(
-            graph, f, out, ms, cs, presets=_PRESET_FLAGS[args.preset], nu_mode=args.nu
+            graph, f, out, cs, presets=_PRESET_FLAGS[args.preset], nu_mode=args.nu
         )
         per_sample.append(
             {"seed": seed, "observed": list(rep.observed), "indices": _index_block(rep)}
@@ -231,8 +229,7 @@ def cmd_oracle_check(args) -> int:
     profile = Profile(tuple(int(tok) for tok in args.profile.split(",") if tok.strip()))
     dist = enumerate_colorings(graph, profile, limit=args.limit)
     summary = summarize(graph)
-    ms = moment_summary(summary, profile)
-    checks = validate(dist, ms, covariance_structure(summary, profile, ms))
+    checks = validate(dist, covariance_structure(summary, profile))
     payload = _jsonable(
         {
             "tool": {"name": "nethom", "version": __version__},
@@ -259,16 +256,14 @@ def cmd_toy_curve(args) -> int:
     graph = matching_graph(m)
     summary = summarize(graph)
     profile = Profile((m, m))
-    ms = moment_summary(summary, profile)
-    cs = covariance_structure(summary, profile, ms)
+    cs = covariance_structure(summary, profile)
     tails = matching_tail_table(m)
     lines = ["k,F,ratio,modularity,index_a"]
     for k in range(m // 2 + 1):
         f_k = float(1 - tails[k])
         ratio = 2 * k / m
         modularity = 2 * (k / m - 0.25)
-        zs = z_scores(ObservedOutcome((k, k)), ms)
-        a_k = index_a(zs, cs)
+        a_k = index_a(z_scores(ObservedOutcome((k, k)), cs), cs)
         lines.append(f"{k},{f_k!r},{ratio!r},{modularity!r},{a_k!r}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -404,10 +404,13 @@ def gamma_invariant(s: GraphSummary) -> Fraction | None:
     """
     if s.n < 4:
         return None
-    n4 = math.perm(s.n, 4)
-    n2 = math.perm(s.n, 2)
-    pairs = s.m * (s.m - 1) // 2
-    return Fraction(2 * (pairs - s.pi3), n4) - Fraction(s.m, n2) ** 2
+    return _gamma_from_counts(s.n, s.m, s.pi3)
+
+
+def _gamma_from_counts(n: int, m: int, pi3: int) -> Fraction:
+    """The combinatorial form of :func:`gamma_invariant`, for n >= 4."""
+    pairs = m * (m - 1) // 2
+    return Fraction(2 * (pairs - pi3), math.perm(n, 4)) - Fraction(m, math.perm(n, 2)) ** 2
 
 
 def gamma_from_degree_moments(s: GraphSummary) -> Fraction | None:

@@ -1,19 +1,22 @@
 """Homophily quantifiers built from observed counts and the moment structure.
 
-Each index couples a monotone score of the observed counts with a one-sided
-second-moment tail bound on that score under the random coloring null model,
-then folds the two sides into a signed value in [-1, 1]:
+Every index reads the null model's moments from one
+:class:`~nethom.moments.CovarianceStructure`: its exact means and variances,
+its active set and its O(s) quadratic forms. Each index couples a monotone
+score of the observed counts with a one-sided second-moment tail bound on
+that score under the random coloring null model, then folds the two sides
+into a signed value in [-1, 1]:
 
     index = sgn(score) * score^2 / (score^2 + Var(score)).
 
-``index_a`` scores by the mean of the per-class z-scores, ``index_r`` by the
-total deviation of homophilic counts (the homophily-ratio score), and
-``index_j_theta`` by an arbitrary nonnegative weighting of the deviations.
-``index_h`` instead bounds the tail of the correlation-metric norm of the
-z-score vector (a multidimensional Chebyshev bound) and lives in [0, 1].
-Classes with zero variance are excluded from z-based indices through the
-active set; covariance-based indices use the full matrix, where such classes
-contribute zeros.
+``index_a`` scores by the sum of the active z-scores (from :func:`z_scores`),
+``index_r`` by the total deviation of homophilic counts (the homophily-ratio
+score), and ``index_j_theta`` by an arbitrary nonnegative weighting of the
+deviations. ``index_h`` instead bounds the tail of the correlation-metric
+norm of the active z-scores (a multidimensional Chebyshev bound) and lives
+in [0, 1]. Classes outside the active set (zero variance) get z-score 0 and
+are left out of the z-based indices; the covariance-based indices use the
+full matrix, where such classes contribute zeros.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ import numpy as np
 
 from .colorings import Coloring, ObservedOutcome, Profile, falling_factorial
 from .graphs import Graph
-from .moments import CovarianceStructure, MomentSummary, active_classes
+from .moments import CovarianceStructure
 
 __all__ = [
     "UndefinedQuantityError",
-    "ZScores",
     "WeightVector",
     "IndexReport",
     "z_scores",
@@ -54,26 +56,15 @@ class UndefinedQuantityError(ValueError):
     """A quantifier has no value on this instance (degenerate input)."""
 
 
-@dataclass(frozen=True)
-class ZScores:
-    """Observed z-scores; degenerate classes carry 0 and sit outside ``active``."""
-
-    z: np.ndarray
-    active: tuple[int, ...]
-
-    def __post_init__(self):
-        self.z.setflags(write=False)
-
-
-def z_scores(o: ObservedOutcome, ms: MomentSummary) -> ZScores:
-    """(observed - expected) / sigma per class, 0 for zero-variance classes."""
-    if o.s != ms.s:
-        raise ValueError("outcome and moment summary have different class counts")
-    active = active_classes(ms.var)
-    z = np.zeros(ms.s)
-    for i in active:
-        z[i] = float((Fraction(o.counts[i]) - ms.mbar[i]) / _sqrt_fraction(ms.var[i]))
-    return ZScores(z=z, active=active)
+def z_scores(o: ObservedOutcome, cs: CovarianceStructure) -> np.ndarray:
+    """(observed - expected) / sigma per class, 0 outside the active set; read-only."""
+    if o.s != cs.s:
+        raise ValueError("outcome and covariance structure have different class counts")
+    z = np.zeros(cs.s)
+    for i in cs.active:
+        z[i] = float((Fraction(o.counts[i]) - cs.mbar[i]) / _sqrt_fraction(cs.var[i]))
+    z.setflags(write=False)
+    return z
 
 
 def _sqrt_fraction(x: Fraction) -> float:
@@ -81,18 +72,25 @@ def _sqrt_fraction(x: Fraction) -> float:
 
 
 def _squash(score: float, spread: float) -> float:
-    """sgn(score) * score^2 / (score^2 + spread), with sgn(0) = 0.
+    """:func:`_fold` of a float-sum score, with |score| <= 1e-12 counted as zero.
 
-    ``spread`` is clamped at zero (it is a variance up to float rounding),
-    and scores below 1e-12 in magnitude count as zero: scores are built
-    from float z-values or dot products whose rounding noise sits many
-    orders below any genuine deviation, and without the floor a zero-spread
-    instance would spuriously saturate at +-1 on noise alone. A zero spread
-    with a real nonzero score does saturate at +-1 (the tail bound
-    degenerates to a zero tail).
+    The scores of ``index_a`` and ``index_j_theta`` are sums of float
+    z-values or products whose rounding noise sits many orders below any
+    genuine deviation; without the floor a zero-spread instance would
+    spuriously saturate at +-1 on noise alone.
     """
     if abs(score) <= 1e-12:
         return 0.0
+    return _fold(score, spread)
+
+
+def _fold(score: float, spread: float) -> float:
+    """sgn(score) * score^2 / (score^2 + spread), with sgn(0) = 0.
+
+    ``spread`` is clamped at zero (it is a variance up to float rounding).
+    A zero spread with a nonzero score saturates at +-1 (the tail bound
+    degenerates to a zero tail).
+    """
     num = score * score
     den = num + max(spread, 0.0)
     if den <= 0.0:
@@ -100,7 +98,7 @@ def _squash(score: float, spread: float) -> float:
     return math.copysign(num / den, score)
 
 
-def index_a(z: ZScores, cs: CovarianceStructure) -> float | None:
+def index_a(z: np.ndarray, cs: CovarianceStructure) -> float | None:
     """Signed significance of the mean z-score; None if every class is degenerate.
 
     With s_a active classes, A = mean of active z-scores and g the sum of the
@@ -108,16 +106,18 @@ def index_a(z: ZScores, cs: CovarianceStructure) -> float | None:
     """
     if not cs.active:
         return None
-    if z.active != cs.active:
-        raise ValueError("z-scores and covariance structure disagree on the active set")
-    total = float(z.z[list(cs.active)].sum())  # = s_a * A
+    total = float(z[list(cs.active)].sum())  # = s_a * A
     return _squash(total, cs.var_zsum)
 
 
-def index_r(o: ObservedOutcome, ms: MomentSummary, cs: CovarianceStructure) -> float:
-    """Signed significance of the total homophilic-count deviation."""
-    t = float(sum(Fraction(c) - mb for c, mb in zip(o.counts, ms.mbar)))
-    return _squash(t, cs.var_total)
+def index_r(o: ObservedOutcome, cs: CovarianceStructure) -> float:
+    """Signed significance of the total homophilic-count deviation.
+
+    The deviation is an exact rational, so unlike the float scores of
+    ``index_a`` and ``index_j_theta`` it needs no zero floor.
+    """
+    t = sum(Fraction(c) - mb for c, mb in zip(o.counts, cs.mbar))
+    return _fold(float(t), cs.var_total) if t else 0.0
 
 
 @dataclass(frozen=True)
@@ -173,12 +173,7 @@ def weight_preset(name: str, g: Graph, p: Profile, nu_mode: str = "maxdeg") -> W
     raise ValueError(f"unknown preset {name!r}")
 
 
-def index_j_theta(
-    o: ObservedOutcome,
-    ms: MomentSummary,
-    cs: CovarianceStructure,
-    w: WeightVector,
-) -> float:
+def index_j_theta(o: ObservedOutcome, cs: CovarianceStructure, w: WeightVector) -> float:
     """Signed significance of the score w'(observed - expected).
 
     Invariant under positive rescaling of ``w`` (a ratio of quadratics), and
@@ -187,14 +182,14 @@ def index_j_theta(
     which is exact, so neither the zero floor of the score nor overflow of
     the spread depends on the scale of ``w``.
     """
-    if len(w.w) != ms.s:
+    if len(w.w) != cs.s:
         raise ValueError("weight vector has the wrong number of classes")
     ws = np.ldexp(w.w, -math.frexp(float(w.w.max()))[1])
-    y = np.array([float(Fraction(c) - mb) for c, mb in zip(o.counts, ms.mbar)])
+    y = np.array([float(Fraction(c) - mb) for c, mb in zip(o.counts, cs.mbar)])
     return _squash(float(ws @ y), cs.quad(ws))
 
 
-def index_h(z: ZScores, cs: CovarianceStructure) -> float | None:
+def index_h(z: np.ndarray, cs: CovarianceStructure) -> float | None:
     """Chebyshev-style quantifier in [0, 1] from the correlation-metric norm.
 
     h = max(0, (|z|^2 - s_a) / |z|^2) with |z|^2 = z' Gamma^-1 z on the
@@ -205,9 +200,7 @@ def index_h(z: ZScores, cs: CovarianceStructure) -> float | None:
     """
     if cs.degenerate:
         return None
-    if z.active != cs.active:
-        raise ValueError("z-scores and covariance structure disagree on the active set")
-    norm2 = cs.corr_inv_quad(z.z[list(cs.active)])
+    norm2 = cs.corr_inv_quad(z[list(cs.active)])
     if norm2 <= 0.0:
         return 0.0
     return max(0.0, (norm2 - len(cs.active)) / norm2)
@@ -258,33 +251,32 @@ def build_index_report(
     g: Graph,
     f: Coloring,
     o: ObservedOutcome,
-    ms: MomentSummary,
     cs: CovarianceStructure,
     presets: tuple[str, ...] = PRESET_NAMES,
     nu_mode: str = "maxdeg",
 ) -> IndexReport:
     """Evaluate all quantifiers, recording why any of them is undefined."""
     notes: list[str] = []
-    zs = z_scores(o, ms)
-    active = set(zs.active)
-    inactive = [i for i in range(ms.s) if i not in active]
-    if inactive and zs.active:
+    z = z_scores(o, cs)
+    active = set(cs.active)
+    inactive = [i for i in range(cs.s) if i not in active]
+    if inactive and active:
         notes.append(
             "classes with zero variance excluded from z-based indices: "
             + ", ".join(f.class_labels[i] for i in inactive)
         )
 
-    a = index_a(zs, cs)
+    a = index_a(z, cs)
     if a is None:
         notes.append("index a undefined: all classes degenerate")
-    h = index_h(zs, cs)
+    h = index_h(z, cs)
     if h is None:
         if not cs.active:
             notes.append("index h undefined: all classes degenerate")
         else:
             notes.append("index h undefined: correlation matrix singular on the active set")
 
-    r = index_r(o, ms, cs)
+    r = index_r(o, cs)
 
     j_theta: dict[str, float | None] = {}
     for name in presets:
@@ -294,7 +286,7 @@ def build_index_report(
             j_theta[name] = None
             notes.append(f"j_theta[{name}] undefined: {exc}")
             continue
-        j_theta[name] = index_j_theta(o, ms, cs, w)
+        j_theta[name] = index_j_theta(o, cs, w)
 
     q = newman_modularity(g, f, o)
     ratio = descriptive_ratio(o, g.m)
@@ -307,8 +299,8 @@ def build_index_report(
 
     return IndexReport(
         observed=o.counts,
-        mbar=tuple(float(x) for x in ms.mbar),
-        z=tuple(float(x) for x in zs.z),
+        mbar=tuple(float(x) for x in cs.mbar),
+        z=tuple(float(x) for x in z),
         gamma=gamma,
         a=a,
         r=r,

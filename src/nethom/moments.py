@@ -9,11 +9,15 @@ matrix is a rank-one update of a diagonal matrix,
 
 with coef = gamma_invariant(G) and vec_i = c_i^(2) when n >= 4, and with
 coef = -1 and vec = Mbar otherwise (no two vertex-disjoint edges exist, so
-E[M_i M_j] = 0 off the diagonal). :class:`CovarianceStructure` keeps coef,
-vec, the variances and q exact and evaluates, in O(s) floats, every
+E[M_i M_j] = 0 off the diagonal).
+
+:func:`covariance_structure` returns the one moments object the indices and
+the oracle read: a :class:`CovarianceStructure` holding the exact means and
+variances of :func:`moment_summary`, coef, vec and q, and the active set
+(the classes with positive variance). It evaluates, in O(s) floats, every
 quadratic form the indices need: 1'Sigma 1, w'Sigma w and, on the active
-set (the classes with positive variance) with correlation matrix Gamma,
-1'Gamma 1 and z'Gamma^-1 z through the Sherman-Morrison identity
+set with correlation matrix Gamma, 1'Gamma 1 and z'Gamma^-1 z through the
+Sherman-Morrison identity
 
     Sigma^-1 = diag(1/q) - (coef / (1 + coef * vec' diag(1/q) vec)) a a',
     a = diag(1/q) vec.
@@ -62,12 +66,6 @@ class MomentSummary:
     def s(self) -> int:
         return len(self.mbar)
 
-    def mbar_array(self) -> np.ndarray:
-        return np.array([float(x) for x in self.mbar])
-
-    def var_array(self) -> np.ndarray:
-        return np.array([float(x) for x in self.var])
-
 
 def expected_counts(s: GraphSummary, p: Profile) -> tuple[Fraction, ...]:
     """Expected homophilic count per class: m * c_i^(2) / n^(2), exact."""
@@ -109,17 +107,16 @@ def moment_summary(s: GraphSummary, p: Profile) -> MomentSummary:
     return MomentSummary(mbar=expected_counts(s, p), var=marginal_variances(s, p))
 
 
-def active_classes(var: tuple[Fraction, ...] | np.ndarray, rel_tol: float = REL_TOL) -> tuple[int, ...]:
-    """Indices of classes whose variance exceeds rel_tol * max variance.
+def active_classes(var: tuple[Fraction, ...] | np.ndarray) -> tuple[int, ...]:
+    """Indices of classes whose variance exceeds REL_TOL * max variance.
 
-    By Cauchy-Schwarz the largest covariance entry sits on the diagonal, so
-    this single rule is shared by the z-score and covariance machinery.
+    By Cauchy-Schwarz the largest covariance entry sits on the diagonal.
     """
     var_f = [float(v) for v in var]
     mx = max(var_f, default=0.0)
     if mx <= 0.0:
         return ()
-    cut = rel_tol * mx
+    cut = REL_TOL * mx
     return tuple(i for i, v in enumerate(var_f) if v > cut)
 
 
@@ -131,6 +128,8 @@ def _pair_sum(x: np.ndarray) -> float:
 class CovarianceStructure:
     """Sigma = diag(q) + coef * vec vec' in exact rationals, with O(s) forms.
 
+    Built on a :class:`MomentSummary`, whose exact ``mbar`` and ``var`` it
+    carries; ``active`` lists the classes with positive variance.
     ``gamma`` is None when the n < 4 fallback supplies coef and vec.
     ``var_total`` = 1'Sigma 1 and ``var_zsum`` = 1'Gamma 1 on the active set
     are the variances of the total count and of the summed active z-scores.
@@ -145,15 +144,16 @@ class CovarianceStructure:
         gamma: Fraction | None,
         coef: Fraction,
         vec: tuple[int | Fraction, ...],
-        var: tuple[Fraction, ...],
-        rel_tol: float = REL_TOL,
+        ms: MomentSummary,
     ):
+        var = ms.var
         self.gamma = gamma
         self.coef = coef
         self.vec = vec
+        self.mbar = ms.mbar
         self.var = var
         self.q = tuple(v - coef * x * x for v, x in zip(var, vec))
-        self.active = active_classes(var, rel_tol)
+        self.active = active_classes(var)
         self._coef_f = float(coef)
         self._var_f = np.array([float(v) for v in var])
         self._vec_f = np.array([float(x) for x in vec])
@@ -167,9 +167,9 @@ class CovarianceStructure:
         # Sherman-Morrison on the active set: Gamma^-1 = diag(var/q) - k * an an'
         self.degenerate = True
         q_a = np.array([float(self.q[i]) for i in act])
-        if act and np.all(q_a > rel_tol * self._var_f.max()):
+        if act and np.all(q_a > REL_TOL * self._var_f.max()):
             denom = 1 + coef * sum(vec[i] * vec[i] / self.q[i] for i in act)
-            if abs(float(denom)) > rel_tol:
+            if abs(float(denom)) > REL_TOL:
                 self.degenerate = False
                 self._k = float(coef / denom)
                 self._inv_qn = self._var_f[act] / q_a
@@ -224,30 +224,22 @@ class CovarianceStructure:
         return np.diag(self._inv_qn) - self._k * np.outer(self._an, self._an)
 
 
-def covariance_structure(
-    s: GraphSummary,
-    p: Profile,
-    ms: MomentSummary | None = None,
-    rel_tol: float = REL_TOL,
-) -> CovarianceStructure:
+def covariance_structure(s: GraphSummary, p: Profile) -> CovarianceStructure:
     """Assemble the :class:`CovarianceStructure` for (graph summary, profile).
 
     Cost is O(s) given the summary; the graph itself is never touched.
     Degeneracy is a reported state, not an error.
     """
-    if ms is None:
-        ms = moment_summary(s, p)
+    ms = moment_summary(s, p)
     g = gamma_invariant(s)
     if g is not None:
         u = tuple(falling_factorial(c, 2) for c in p.sizes)
-        return CovarianceStructure(g, g, u, ms.var, rel_tol)
+        return CovarianceStructure(g, g, u, ms)
     if s.ordered_disjoint_pairs != 0:
         raise AssertionError("n < 4 graphs cannot contain disjoint edge pairs")
-    return CovarianceStructure(None, Fraction(-1), ms.mbar, ms.var, rel_tol)
+    return CovarianceStructure(None, Fraction(-1), ms.mbar, ms)
 
 
-def covariance_exact(
-    s: GraphSummary, p: Profile, ms: MomentSummary | None = None
-) -> list[list[Fraction]]:
+def covariance_exact(s: GraphSummary, p: Profile) -> list[list[Fraction]]:
     """Exact covariance matrix: variances on the diagonal, coef * vec_i * vec_j off it."""
-    return covariance_structure(s, p, ms).exact()
+    return covariance_structure(s, p).exact()

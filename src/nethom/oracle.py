@@ -24,9 +24,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .colorings import ColoringError, ObservedOutcome, Profile, homophilic_counts, random_coloring
-from .graphs import Graph
+from .graphs import Graph, _gamma_from_counts
 from .indices import z_scores
-from .moments import CovarianceStructure, MomentSummary
+from .moments import CovarianceStructure
 
 __all__ = [
     "EnumerationLimitError",
@@ -37,7 +37,6 @@ __all__ = [
     "exact_moments",
     "exact_tail",
     "mc_tail",
-    "matching_tail",
     "matching_tail_log",
     "matching_tail_table",
     "matching_graph",
@@ -220,8 +219,8 @@ def _check(name: str, ok: bool | None, detail: str) -> dict:
     return {"name": name, "status": status, "detail": detail}
 
 
-def validate(d: ExactDistribution, ms: MomentSummary, cs: CovarianceStructure) -> list[dict]:
-    """Check the closed forms ``ms`` and ``cs`` for ``d.profile`` against the exact law ``d``.
+def validate(d: ExactDistribution, cs: CovarianceStructure) -> list[dict]:
+    """Check the closed forms in ``cs`` for ``d.profile`` against the exact law ``d``.
 
     Returns ``{name, status, detail}`` records (PASS, FAIL or SKIPPED) for
     ``moments``, ``cantelli_index_a``, ``cantelli_index_r``,
@@ -230,11 +229,11 @@ def validate(d: ExactDistribution, ms: MomentSummary, cs: CovarianceStructure) -
     """
     act = list(cs.active)
     mean, cov = exact_moments(d)
-    moments_ok = mean == ms.mbar and cov == cs.exact()
+    moments_ok = mean == cs.mbar and cov == cs.exact()
     checks = [_check("moments", moments_ok,
                      f"closed forms vs exact enumeration over {d.total} colorings")]
 
-    zs = [z_scores(ObservedOutcome(out), ms).z[act] for out in d.outcome_counts]
+    zs = [z_scores(ObservedOutcome(out), cs)[act] for out in d.outcome_counts]
     if act:
         z_sums = [float(z.sum()) for z in zs]  # |sum| <= 1e-12 is zero up to float noise
         ok_a = _bound_holds(d, z_sums, _cantelli(cs.var_zsum), lambda v: abs(v) <= 1e-12)
@@ -242,7 +241,7 @@ def validate(d: ExactDistribution, ms: MomentSummary, cs: CovarianceStructure) -
     else:
         checks.append(_check("cantelli_index_a", None, "all classes degenerate"))
 
-    devs = [sum(Fraction(x) - mb for x, mb in zip(out, ms.mbar)) for out in d.outcome_counts]
+    devs = [sum(Fraction(x) - mb for x, mb in zip(out, cs.mbar)) for out in d.outcome_counts]
     ok_r = _bound_holds(d, devs, _cantelli(cs.var_total), lambda v: v == 0)
     checks.append(_check("cantelli_index_r", ok_r, "exact tail <= Cantelli bound"))
 
@@ -329,9 +328,21 @@ def matching_graph(m: int) -> Graph:
     return Graph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
 
 
-def _matching_suffix_numerators(m: int) -> tuple[list[int], int]:
-    """Integer suffix sums S_k = sum_{t>=k} multinomial(m; t,t,m-2t) * 4^(h-t)
-    over the common denominator 4^h, h = floor(m/2)."""
+def matching_tail_table(m: int) -> list[Fraction]:
+    """Exact tails [P(M >= k) for k = 0..floor(m/2)] on the matching graph.
+
+    M is the count of same-class edges in one class under uniform colorings
+    of profile (m, m) on m disjoint edges:
+
+        P(M >= k) = 2^m (m!)^2 / (2m)! * sum_{t=k}^{floor(m/2)} m!/(t! t! (m-2t)!) * 4^-t
+
+    Valid for any m >= 1 (the sum is capped at floor(m/2); odd m follows
+    from the same counting). Nonincreasing in k, and equal to 1 at k = 0.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    # integer suffix sums S_k = sum_{t>=k} multinomial(m; t,t,m-2t) * 4^(h-t)
+    # over the common denominator 4^h, h = floor(m/2)
     h = m // 2
     fm = math.factorial(m)
     terms = [
@@ -341,40 +352,13 @@ def _matching_suffix_numerators(m: int) -> tuple[list[int], int]:
     suffix = [0] * (h + 2)
     for t in range(h, -1, -1):
         suffix[t] = suffix[t + 1] + terms[t]
-    return suffix[: h + 1], h
-
-
-def matching_tail(m: int, k: int) -> Fraction:
-    """Exact P(count of same-class edges in one class >= k) on the matching graph.
-
-    Under uniform colorings of profile (m, m) on m disjoint edges:
-
-        2^m (m!)^2 / (2m)! * sum_{t=k}^{floor(m/2)} m!/(t! t! (m-2t)!) * 4^-t
-
-    Valid for any m >= 1 (the sum is capped at floor(m/2); odd m follows
-    from the same counting). Nonincreasing in k, and equal to 1 at k = 0.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0 <= k <= m // 2:
-        raise ValueError(f"k must lie in 0..{m // 2}")
-    suffix, h = _matching_suffix_numerators(m)
-    pref = Fraction(2**m * math.factorial(m) ** 2, math.factorial(2 * m))
-    return pref * Fraction(suffix[k], 4**h)
-
-
-def matching_tail_table(m: int) -> list[Fraction]:
-    """All exact tails [P(M >= k) for k = 0..floor(m/2)] in one pass."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    suffix, h = _matching_suffix_numerators(m)
     pref = Fraction(2**m * math.factorial(m) ** 2, math.factorial(2 * m))
     den = 4**h
-    return [pref * Fraction(sk, den) for sk in suffix]
+    return [pref * Fraction(sk, den) for sk in suffix[: h + 1]]
 
 
 def matching_tail_log(m: int, k: int) -> float:
-    """log of :func:`matching_tail` via log-factorials and compensated summation.
+    """log of ``matching_tail_table(m)[k]`` via log-factorials and compensated summation.
 
     Agrees with the exact path to better than 1e-10 relative over the range
     where both are practical; intended for m far beyond exact-rational reach.
@@ -410,12 +394,6 @@ class TreeGammaReport:
     max_all_paths: bool
     min_all_stars: bool
     tree_count: int
-
-
-def _gamma_for_tree(n: int, pi3: int) -> Fraction:
-    m = n - 1
-    pairs = m * (m - 1) // 2
-    return Fraction(2 * (pairs - pi3), math.perm(n, 4)) - Fraction(m, math.perm(n, 2)) ** 2
 
 
 def tree_gamma_scan(n: int) -> TreeGammaReport:
@@ -477,8 +455,8 @@ def tree_gamma_scan(n: int) -> TreeGammaReport:
     return TreeGammaReport(
         n=n,
         degenerate=False,
-        gamma_max=_gamma_for_tree(n, best_pi3),
-        gamma_min=_gamma_for_tree(n, worst_pi3),
+        gamma_max=_gamma_from_counts(n, n - 1, best_pi3),
+        gamma_min=_gamma_from_counts(n, n - 1, worst_pi3),
         max_count=best_count,
         min_count=worst_count,
         max_all_paths=best_all_paths,

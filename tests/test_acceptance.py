@@ -157,7 +157,7 @@ def test_criterion_01_oracle_moment_equivalence():
         ms = nh.moment_summary(s, p)
         assert mean == ms.mbar, (g.labels, p.sizes)
         assert tuple(cov[i][i] for i in range(p.s)) == ms.var
-        assert cov == nh.covariance_exact(s, p, ms)
+        assert cov == nh.covariance_exact(s, p)
         checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
@@ -229,16 +229,15 @@ def test_criterion_05_bound_validity():
     instances = _atlas_instances()
     checks = 0
     for g, s, p, dist in instances:
-        ms = nh.moment_summary(s, p)
-        cs = nh.covariance_structure(s, p, ms)
+        cs = nh.covariance_structure(s, p)
         outcomes = list(dist.support)
         masses = [dist.support[o] for o in outcomes]
         act = list(cs.active)
+        mbar = np.array([float(x) for x in cs.mbar])
+        sig = np.sqrt(np.array([float(v) for v in cs.var]))
 
         # Cantelli behind index a (z-mean score, active classes only)
         if act:
-            mbar = ms.mbar_array()
-            sig = np.sqrt(ms.var_array())
             zsum = [float(sum((o[i] - mbar[i]) / sig[i] for i in act)) for o in outcomes]
             g_corr = float(cs.corr.sum())
             for val, _ in zip(zsum, outcomes):
@@ -251,7 +250,7 @@ def test_criterion_05_bound_validity():
 
         # Cantelli behind index r (count-sum score, exact integer statistic)
         tsum = [sum(o) for o in outcomes]
-        mean_total = sum(ms.mbar)
+        mean_total = sum(cs.mbar)
         g_sig = float(cs.sigma.sum())
         for tv in set(tsum):
             dev = float(Fraction(tv) - mean_total)
@@ -268,7 +267,6 @@ def test_criterion_05_bound_validity():
                 w = nh.weight_preset(preset, g, p)
             except nh.UndefinedQuantityError:
                 continue
-            mbar = ms.mbar_array()
             wvals = [float(w.w @ np.array(o, dtype=float)) for o in outcomes]
             w_mean = float(w.w @ mbar)
             spread = float(w.w @ cs.sigma @ w.w)
@@ -283,8 +281,6 @@ def test_criterion_05_bound_validity():
 
         # Chebyshev behind index h (needs an invertible correlation block)
         if act and cs.corr_inv is not None:
-            mbar = ms.mbar_array()
-            sig = np.sqrt(ms.var_array())
 
             def mahal(o):
                 za = np.array([(o[i] - mbar[i]) / sig[i] for i in act])
@@ -302,9 +298,8 @@ def test_criterion_05_bound_validity():
     p3 = nh.load_edge_list("a b\nb c")
     s3 = nh.summarize(p3)
     prof3 = nh.Profile((2, 1))
-    ms3 = nh.moment_summary(s3, prof3)
-    cs3 = nh.covariance_structure(s3, prof3, ms3)
-    a3 = nh.index_a(nh.z_scores(nh.ObservedOutcome((1, 0)), ms3), cs3)
+    cs3 = nh.covariance_structure(s3, prof3)
+    a3 = nh.index_a(nh.z_scores(nh.ObservedOutcome((1, 0)), cs3), cs3)
     exact3 = 1 - nh.exact_tail(nh.enumerate_colorings(p3, prof3), lambda o: o[0], 1, "ge")
     assert exact3 == Fraction(1, 3)
     assert abs(a3 - float(exact3)) <= 1e-12  # Cantelli is tight here
@@ -312,9 +307,8 @@ def test_criterion_05_bound_validity():
     p4 = nh.load_edge_list("a b\nb c\nc d")
     s4 = nh.summarize(p4)
     prof4 = nh.Profile((2, 2))
-    ms4 = nh.moment_summary(s4, prof4)
-    cs4 = nh.covariance_structure(s4, prof4, ms4)
-    a4 = nh.index_a(nh.z_scores(nh.ObservedOutcome((1, 1)), ms4), cs4)
+    cs4 = nh.covariance_structure(s4, prof4)
+    a4 = nh.index_a(nh.z_scores(nh.ObservedOutcome((1, 1)), cs4), cs4)
     exact4 = 1 - nh.exact_tail(
         nh.enumerate_colorings(p4, prof4), lambda o: o[0] + o[1], 2, "ge"
     )
@@ -328,8 +322,7 @@ def test_oracle_validate_reports_no_fail_on_atlas():
     """The library's validation agrees with criterion 5 on every atlas instance."""
     reported = 0
     for g, s, p, dist in _atlas_instances():
-        ms = nh.moment_summary(s, p)
-        checks = validate(dist, ms, nh.covariance_structure(s, p, ms))
+        checks = validate(dist, nh.covariance_structure(s, p))
         failed = [c["name"] for c in checks if c["status"] == "FAIL"]
         assert not failed, (g.labels, p.sizes, failed)
         reported += len(checks)

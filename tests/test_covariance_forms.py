@@ -41,13 +41,13 @@ def _weights(s: int):
 
 def check_forms(summary, profile, w=None):
     ms = nh.moment_summary(summary, profile)
-    cs = nh.covariance_structure(summary, profile, ms)
-    exact = nh.covariance_exact(summary, profile, ms)
+    cs = nh.covariance_structure(summary, profile)
+    exact = nh.covariance_exact(summary, profile)
     k = profile.s
     pairs = [(i, j) for i in range(k) for j in range(k)]
 
     # exact fields: the diagonal of the rank-one split and the fallback
-    assert cs.var == ms.var
+    assert cs.mbar == ms.mbar and cs.var == ms.var
     assert cs.q == tuple(v - cs.coef * x * x for v, x in zip(ms.var, cs.vec))
     assert (cs.gamma is None) == (summary.n < 4)
 
@@ -131,9 +131,8 @@ def test_index_report_builds_no_dense_view():
     g = nh.Graph.from_edges(n, edges)
     summary = nh.summarize(g)
     profile = nh.Profile((3,) * s)
-    ms = nh.moment_summary(summary, profile)
-    cs = nh.covariance_structure(summary, profile, ms)
+    cs = nh.covariance_structure(summary, profile)
     f = nh.random_coloring(profile, seed=1)
-    rep = nh.build_index_report(g, f, nh.homophilic_counts(g, f), ms, cs)
+    rep = nh.build_index_report(g, f, nh.homophilic_counts(g, f), cs)
     assert rep.a is not None and rep.h is not None
     assert not set(DENSE_VIEWS) & set(vars(cs))

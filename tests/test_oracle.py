@@ -82,8 +82,8 @@ class TestExactTail:
         p = nh.Profile((2, 2))
         ms = nh.moment_summary(s, p)
         d = nh.enumerate_colorings(p4, p)
-        mbar = ms.mbar_array()
-        sig = np.sqrt(ms.var_array())
+        mbar = [float(x) for x in ms.mbar]
+        sig = [math.sqrt(x) for x in ms.var]
 
         def z_mean(out):
             return float(np.mean([(out[i] - mbar[i]) / sig[i] for i in range(2)]))
@@ -134,24 +134,24 @@ class TestMcTail:
 
 class TestMatchingTail:
     def test_two_edges_exactly_one_third(self):
-        assert nh.matching_tail(2, 1) == Fraction(1, 3)
+        assert nh.matching_tail_table(2)[1] == Fraction(1, 3)
 
     def test_k_zero_full_mass(self):
         for m in (1, 2, 3, 10, 57):
-            assert nh.matching_tail(m, 0) == 1
+            assert nh.matching_tail_table(m)[0] == 1
 
     def test_nonincreasing_in_k(self):
         for m in (2, 7, 24):
             tails = nh.matching_tail_table(m)
+            assert len(tails) == m // 2 + 1
             assert all(a >= b for a, b in zip(tails, tails[1:]))
-            assert tails == [nh.matching_tail(m, k) for k in range(m // 2 + 1)]
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_agrees_with_enumeration(self, m):
         g = nh.matching_graph(m)
         d = nh.enumerate_colorings(g, nh.Profile((m, m)))
-        for k in range(m // 2 + 1):
-            assert nh.exact_tail(d, lambda o: o[0], k, "ge") == nh.matching_tail(m, k)
+        for k, tail in enumerate(nh.matching_tail_table(m)):
+            assert nh.exact_tail(d, lambda o: o[0], k, "ge") == tail
 
     def test_m500_mean_and_window(self):
         s = nh.summarize(nh.matching_graph(500))
@@ -163,14 +163,17 @@ class TestMatchingTail:
 
     def test_out_of_range_k(self):
         with pytest.raises(ValueError):
-            nh.matching_tail(4, 3)
+            nh.matching_tail_log(4, 3)
         with pytest.raises(ValueError):
-            nh.matching_tail(4, -1)
+            nh.matching_tail_log(4, -1)
+        with pytest.raises(ValueError):
+            nh.matching_tail_table(0)
 
     def test_log_space_agreement(self):
         for m in (3, 10, 57, 121, 200):
+            tails = nh.matching_tail_table(m)
             for k in range(0, m // 2 + 1, max(1, m // 7)):
-                exact = nh.matching_tail(m, k)
+                exact = tails[k]
                 approx = math.exp(nh.matching_tail_log(m, k))
                 assert abs(approx - float(exact)) <= 1e-10 * float(exact)
 
@@ -206,8 +209,7 @@ class TestTreeGammaScan:
 def _oracle_instance(g, sizes):
     s = nh.summarize(g)
     p = nh.Profile(sizes)
-    ms = nh.moment_summary(s, p)
-    return nh.enumerate_colorings(g, p), ms, nh.covariance_structure(s, p, ms)
+    return nh.enumerate_colorings(g, p), nh.covariance_structure(s, p)
 
 
 _TIED_INSTANCES = [
@@ -228,12 +230,12 @@ class TestSortedTails:
     @pytest.mark.parametrize("name,sizes", _TIED_INSTANCES)
     def test_matches_exact_tail_on_every_value(self, request, name, sizes):
         g = _cycle(6) if name == "c6" else request.getfixturevalue(name)
-        dist, ms, _ = _oracle_instance(g, sizes)
+        dist, cs = _oracle_instance(g, sizes)
         stats = [
             lambda o: sum(o),
             lambda o: o[0] - o[-1],
-            lambda o: sum(Fraction(x) - mb for x, mb in zip(o, ms.mbar)),
-            lambda o: float(nh.z_scores(nh.ObservedOutcome(o), ms).z.sum()),
+            lambda o: sum(Fraction(x) - mb for x, mb in zip(o, cs.mbar)),
+            lambda o: float(nh.z_scores(nh.ObservedOutcome(o), cs).sum()),
         ]
         for stat in stats:
             values = [stat(o) for o in dist.outcome_counts]
@@ -259,25 +261,27 @@ class TestValidate:
         assert all(c["status"] == "PASS" for c in checks)
 
     def test_perturbed_mean_fails_moments(self, p4):
-        dist, ms, cs = _oracle_instance(p4, (2, 2))
-        bad = nh.MomentSummary((ms.mbar[0] + Fraction(1, 7),) + ms.mbar[1:], ms.var)
-        statuses = {c["name"]: c["status"] for c in validate(dist, bad, cs)}
+        dist, cs = _oracle_instance(p4, (2, 2))
+        bad = nh.MomentSummary((cs.mbar[0] + Fraction(1, 7),) + cs.mbar[1:], cs.var)
+        cs_bad = nh.CovarianceStructure(cs.gamma, cs.coef, cs.vec, bad)
+        statuses = {c["name"]: c["status"] for c in validate(dist, cs_bad)}
         assert statuses["moments"] == "FAIL"
 
     def test_moments_check_reads_the_given_structure(self, p4):
-        dist, ms, cs = _oracle_instance(p4, (2, 2))
-        doubled = nh.CovarianceStructure(cs.gamma, 2 * cs.coef, cs.vec, cs.var)
-        statuses = {c["name"]: c["status"] for c in validate(dist, ms, doubled)}
+        dist, cs = _oracle_instance(p4, (2, 2))
+        ms = nh.MomentSummary(cs.mbar, cs.var)
+        doubled = nh.CovarianceStructure(cs.gamma, 2 * cs.coef, cs.vec, ms)
+        statuses = {c["name"]: c["status"] for c in validate(dist, doubled)}
         assert statuses["moments"] == "FAIL"
 
     @pytest.mark.parametrize("name,sizes", [("p4", (2, 2)), ("c6", (2, 2, 2))])
     def test_shrunk_variances_fail_every_bound(self, request, name, sizes):
-        # z-scores read the variances from the moment summary and the bounds
-        # read them from the structure, so both shrink by the same factor
+        # z-scores and bounds read the variances from the one structure,
+        # so both shrink by the same factor
         g = _cycle(6) if name == "c6" else request.getfixturevalue(name)
-        dist, ms, cs = _oracle_instance(g, sizes)
-        small = nh.MomentSummary(ms.mbar, tuple(v / 100 for v in ms.var))
-        cs_small = nh.CovarianceStructure(cs.gamma, cs.coef / 100, cs.vec, small.var)
-        statuses = {c["name"]: c["status"] for c in validate(dist, small, cs_small)}
+        dist, cs = _oracle_instance(g, sizes)
+        small = nh.MomentSummary(cs.mbar, tuple(v / 100 for v in cs.var))
+        cs_small = nh.CovarianceStructure(cs.gamma, cs.coef / 100, cs.vec, small)
+        statuses = {c["name"]: c["status"] for c in validate(dist, cs_small)}
         for check in ("cantelli_index_a", "cantelli_index_r", "chebyshev_index_h"):
             assert statuses[check] == "FAIL", check
