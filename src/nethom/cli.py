@@ -26,10 +26,17 @@ from .colorings import (
     Profile,
     homophilic_counts,
     load_coloring,
-    random_coloring,
+    sample_counts,
 )
 from .graphs import EdgeListError, Graph, gamma_invariant, load_edge_list, summarize
-from .indices import PRESET_NAMES, build_index_report, index_a, z_scores
+from .indices import (
+    NU_MODES,
+    PRESET_NAMES,
+    IndexEvaluator,
+    build_index_report,
+    index_a,
+    z_scores,
+)
 from .moments import covariance_structure
 from .oracle import (
     EnumerationLimitError,
@@ -180,13 +187,15 @@ def cmd_baseline(args) -> int:
         if value is not None:
             values[key].append(value)
 
+    observed = homophilic_counts(graph, coloring)
     seeds = list(range(args.seed, args.seed + args.samples))
-    for seed in seeds:
-        f = random_coloring(profile, seed, class_labels=coloring.class_labels)
-        out = homophilic_counts(graph, f)
-        rep = build_index_report(
-            graph, f, out, cs, presets=_PRESET_FLAGS[args.preset], nu_mode=args.nu
-        )
+    evaluator = IndexEvaluator(
+        graph, profile, cs, coloring.class_labels,
+        presets=_PRESET_FLAGS[args.preset], nu_mode=args.nu,
+    )
+    counts, mass = sample_counts(graph, profile, seeds)
+    for seed, row, row_mass in zip(seeds, counts.tolist(), mass.tolist()):
+        rep = evaluator.report(row, row_mass)
         per_sample.append(
             {"seed": seed, "observed": list(rep.observed), "indices": _index_block(rep)}
         )
@@ -214,7 +223,7 @@ def cmd_baseline(args) -> int:
                 "classes": list(coloring.class_labels),
                 "sizes": list(profile.sizes),
             },
-            "observed_input": list(homophilic_counts(graph, coloring).counts),
+            "observed_input": list(observed.counts),
             "per_sample": per_sample,
             "means": means,
         }
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--coloring", required=True)
     p.add_argument("--preset", choices=tuple(_PRESET_FLAGS), default="all")
-    p.add_argument("--nu", choices=("maxdeg", "classes", "avgdeg"), default="maxdeg")
+    p.add_argument("--nu", choices=NU_MODES, default="maxdeg")
     common_io(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -301,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--preset", choices=tuple(_PRESET_FLAGS), default="all")
-    p.add_argument("--nu", choices=("maxdeg", "classes", "avgdeg"), default="maxdeg")
+    p.add_argument("--nu", choices=NU_MODES, default="maxdeg")
     common_io(p)
     p.set_defaults(func=cmd_baseline)
 

@@ -3,13 +3,17 @@
 A *profile* is the vector of class sizes of a labeled partition of the
 vertices. The null model treats all colorings with the given profile as
 equally likely; :func:`random_coloring` draws from that law by shuffling the
-multiset of class labels with a seed-deterministic uniform shuffle.
+multiset of class labels with a seed-deterministic uniform shuffle, and
+:func:`sample_counts` is the one resampling loop: it draws the same coloring
+for each seed of a list and keeps only its homophilic counts and class
+degree masses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +31,7 @@ __all__ = [
     "load_coloring",
     "homophilic_counts",
     "random_coloring",
+    "sample_counts",
 ]
 
 
@@ -192,13 +197,8 @@ def homophilic_counts(g: Graph, f: Coloring) -> ObservedOutcome:
     """Count, for each class, the edges with both endpoints in that class."""
     if f.n != g.n:
         raise ValueError("coloring does not cover the graph's vertex set")
-    a = f.assignment
-    if g.m == 0:
-        return ObservedOutcome(tuple(0 for _ in range(f.s)))
-    cu = a[g.edges_u]
-    same = cu == a[g.edges_v]
-    counts = np.bincount(cu[same], minlength=f.s)
-    return ObservedOutcome(tuple(int(c) for c in counts))
+    u, v = _edge_index(g)
+    return ObservedOutcome(tuple(_count(f.assignment, u, v, f.s).tolist()))
 
 
 def random_coloring(
@@ -215,7 +215,59 @@ def random_coloring(
         class_labels = tuple(str(i) for i in range(p.s))
     elif len(class_labels) != p.s:
         raise ValueError("class_labels must match the number of classes")
-    pool = np.repeat(np.arange(p.s, dtype=np.int32), p.sizes)
-    rng = np.random.default_rng(seed)
-    assignment = rng.permutation(pool)
+    assignment = _draw(_pool(p), seed).astype(np.int32)
     return Coloring(assignment=assignment, class_labels=class_labels)
+
+
+def sample_counts(g: Graph, p: Profile, seeds: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Homophilic counts and class degree masses of the coloring of each seed.
+
+    Returns two int64 arrays of shape (len(seeds), s): row k holds
+    ``homophilic_counts(g, random_coloring(p, seeds[k])).counts`` and the
+    degree sum of each class under that coloring. Only the rows are kept:
+    beyond them, the loop holds one coloring and intp copies of the edge
+    arrays.
+    """
+    if p.n != g.n:
+        raise ValueError("profile does not cover the graph's vertex set")
+    seeds = list(seeds)
+    pool = _pool(p)
+    u, v = _edge_index(g)
+    degrees = g.degrees.astype(np.float64)
+    counts = np.empty((len(seeds), p.s), dtype=np.int64)
+    mass = np.empty((len(seeds), p.s), dtype=np.int64)
+    for k, seed in enumerate(seeds):
+        a = _draw(pool, seed)
+        counts[k] = _count(a, u, v, p.s)
+        mass[k] = _degree_mass(a, degrees, p.s)
+    return counts, mass
+
+
+def _pool(p: Profile) -> np.ndarray:
+    """Class indices repeated by class size, in the smallest dtype holding s - 1."""
+    return np.repeat(np.arange(p.s, dtype=np.min_scalar_type(p.s - 1)), p.sizes)
+
+
+def _draw(pool: np.ndarray, seed: int) -> np.ndarray:
+    """The coloring of ``seed``: equal, entry for entry, to ``default_rng(seed).permutation(pool)``.
+
+    Permuting positions shuffles an int64 array, numpy's fast path, whatever
+    the pool's dtype.
+    """
+    return pool[np.random.default_rng(seed).permutation(pool.shape[0])]
+
+
+def _edge_index(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The edge endpoints as intp, which ``take`` uses without a cast per call."""
+    return g.edges_u.astype(np.intp, copy=False), g.edges_v.astype(np.intp, copy=False)
+
+
+def _count(a: np.ndarray, u: np.ndarray, v: np.ndarray, s: int) -> np.ndarray:
+    """Per-class count of the edges (u, v) whose endpoints share a class under ``a``."""
+    cu = a.take(u)
+    return np.bincount(cu.compress(cu == a.take(v)), minlength=s)
+
+
+def _degree_mass(a: np.ndarray, degrees: np.ndarray, s: int) -> np.ndarray:
+    """Per-class int64 sum of ``degrees`` under ``a``; exact while the sums stay below 2**53."""
+    return np.bincount(a, weights=degrees, minlength=s).astype(np.int64)

@@ -9,6 +9,14 @@ into a signed value in [-1, 1]:
 
     index = sgn(score) * score^2 / (score^2 + Var(score)).
 
+Every score starts from the per-class deviations of the observed counts from
+their means, each computed as one integer division over the structure's
+common denominator, so no index does ``Fraction`` arithmetic per call.
+:class:`IndexEvaluator` fixes everything that depends only on the instance
+(notes, preset weights, their spreads) and then evaluates rows of counts,
+such as those of :func:`~nethom.colorings.sample_counts`;
+:func:`build_index_report` is its one-row case.
+
 ``index_a`` scores by the sum of the active z-scores (from :func:`z_scores`),
 ``index_r`` by the total deviation of homophilic counts (the homophily-ratio
 score), and ``index_j_theta`` by an arbitrary nonnegative weighting of the
@@ -23,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from .colorings import Coloring, ObservedOutcome, Profile, falling_factorial
+from .colorings import Coloring, ObservedOutcome, Profile, _degree_mass, falling_factorial
 from .graphs import Graph
 from .moments import CovarianceStructure
 
@@ -44,11 +52,14 @@ __all__ = [
     "newman_modularity",
     "descriptive_ratio",
     "build_index_report",
+    "IndexEvaluator",
     "PRESET_NAMES",
+    "NU_MODES",
 ]
 
 PRESET_NAMES = ("ratio", "avg_internal_degree", "dyadicity")
 
+# scalings nu of the avg_internal_degree preset (see weight_preset)
 NU_MODES = ("maxdeg", "classes", "avgdeg")
 
 
@@ -58,17 +69,27 @@ class UndefinedQuantityError(ValueError):
 
 def z_scores(o: ObservedOutcome, cs: CovarianceStructure) -> np.ndarray:
     """(observed - expected) / sigma per class, 0 outside the active set; read-only."""
-    if o.s != cs.s:
+    return _z(_deviations(o.counts, cs), cs)
+
+
+def _deviations(counts: Sequence[int], cs: CovarianceStructure) -> np.ndarray:
+    """Observed minus expected count per class, each its exact value correctly rounded.
+
+    Python's int / int true division rounds correctly, so this equals
+    ``float(Fraction(count) - mbar)`` class by class.
+    """
+    if len(counts) != cs.s:
         raise ValueError("outcome and covariance structure have different class counts")
+    den = cs.mbar_den
+    return np.array([(int(c) * den - k) / den for c, k in zip(counts, cs.mbar_num)])
+
+
+def _z(dev: np.ndarray, cs: CovarianceStructure) -> np.ndarray:
     z = np.zeros(cs.s)
-    for i in cs.active:
-        z[i] = float((Fraction(o.counts[i]) - cs.mbar[i]) / _sqrt_fraction(cs.var[i]))
+    act = list(cs.active)
+    z[act] = dev[act] / cs.sd
     z.setflags(write=False)
     return z
-
-
-def _sqrt_fraction(x: Fraction) -> float:
-    return math.sqrt(float(x))
 
 
 def _squash(score: float, spread: float) -> float:
@@ -116,8 +137,9 @@ def index_r(o: ObservedOutcome, cs: CovarianceStructure) -> float:
     The deviation is an exact rational, so unlike the float scores of
     ``index_a`` and ``index_j_theta`` it needs no zero floor.
     """
-    t = sum(Fraction(c) - mb for c, mb in zip(o.counts, cs.mbar))
-    return _fold(float(t), cs.var_total) if t else 0.0
+    den = cs.mbar_den
+    t = int(o.total) * den - sum(cs.mbar_num)
+    return _fold(t / den, cs.var_total) if t else 0.0
 
 
 @dataclass(frozen=True)
@@ -150,18 +172,14 @@ def weight_preset(name: str, g: Graph, p: Profile, nu_mode: str = "maxdeg") -> W
             raise UndefinedQuantityError("ratio preset needs at least one edge")
         return WeightVector(np.full(p.s, 1.0 / g.m), preset=name)
     if name == "avg_internal_degree":
-        if nu_mode == "maxdeg":
-            if g.max_degree == 0:
-                raise UndefinedQuantityError("avg_internal_degree preset needs edges")
-            nu = 1.0 / g.max_degree
-        elif nu_mode == "classes":
-            nu = 1.0 / p.s
-        elif nu_mode == "avgdeg":
-            if g.m == 0:
-                raise UndefinedQuantityError("avg_internal_degree preset needs edges")
-            nu = g.n / (2.0 * g.m)
-        else:
+        if nu_mode not in NU_MODES:
             raise ValueError(f"unknown nu mode {nu_mode!r}")
+        if nu_mode == "classes":
+            nu = 1.0 / p.s
+        elif g.m == 0:
+            raise UndefinedQuantityError("avg_internal_degree preset needs edges")
+        else:
+            nu = 1.0 / g.max_degree if nu_mode == "maxdeg" else g.n / (2.0 * g.m)
         return WeightVector(np.array([nu * 2.0 / c for c in p.sizes]), preset=name)
     if name == "dyadicity":
         w = np.array(
@@ -184,9 +202,16 @@ def index_j_theta(o: ObservedOutcome, cs: CovarianceStructure, w: WeightVector) 
     """
     if len(w.w) != cs.s:
         raise ValueError("weight vector has the wrong number of classes")
-    ws = np.ldexp(w.w, -math.frexp(float(w.w.max()))[1])
-    y = np.array([float(Fraction(c) - mb) for c, mb in zip(o.counts, cs.mbar)])
-    return _squash(float(ws @ y), cs.quad(ws))
+    ws = _scaled(w)
+    return _j_theta(_deviations(o.counts, cs), ws, cs.quad(ws))
+
+
+def _scaled(w: WeightVector) -> np.ndarray:
+    return np.ldexp(w.w, -math.frexp(float(w.w.max()))[1])
+
+
+def _j_theta(dev: np.ndarray, ws: np.ndarray, spread: float) -> float:
+    return _squash(float(ws @ dev), spread)
 
 
 def index_h(z: np.ndarray, cs: CovarianceStructure) -> float | None:
@@ -213,21 +238,22 @@ def newman_modularity(g: Graph, f: Coloring, o: ObservedOutcome) -> float | None
     counts with their expectation under a degree-preserving rewiring null,
     in contrast to the coloring-based indices above.
     """
-    m = g.m
+    mass = _degree_mass(f.assignment, g.degrees, f.s)
+    return _modularity(int(o.total), mass.tolist(), g.m)
+
+
+def _modularity(total: int, mass: Sequence[int], m: int) -> float | None:
+    """(4m * total - sum_i D_i^2) / 4m^2, one correctly rounded integer division."""
     if m == 0:
         return None
-    deg_mass = np.bincount(f.assignment, weights=g.degrees, minlength=f.s)
-    q = Fraction(0)
-    for mi, di in zip(o.counts, deg_mass):
-        q += Fraction(mi, m) - Fraction(int(di), 2 * m) ** 2
-    return float(q)
+    return (4 * m * total - sum(d * d for d in mass)) / (4 * m * m)
 
 
 def descriptive_ratio(o: ObservedOutcome, m: int) -> float | None:
     """Fraction of edges that are homophilic, in [0, 1]; None when m = 0."""
     if m == 0:
         return None
-    return float(Fraction(o.total, m))
+    return int(o.total) / m
 
 
 @dataclass(frozen=True)
@@ -247,6 +273,83 @@ class IndexReport:
     notes: tuple[str, ...]
 
 
+class IndexEvaluator:
+    """Every quantifier of :class:`IndexReport` for rows of counts of one instance.
+
+    What depends only on (graph, profile, structure) is fixed here once: the
+    degeneracy notes, each preset's scaled weights and their spread
+    w' Sigma w. :meth:`report` then costs O(s) per row, so resampling pays
+    no per-sample set-up.
+    """
+
+    def __init__(
+        self,
+        g: Graph,
+        p: Profile,
+        cs: CovarianceStructure,
+        class_labels: tuple[str, ...],
+        presets: tuple[str, ...] = PRESET_NAMES,
+        nu_mode: str = "maxdeg",
+    ):
+        self._cs = cs
+        self._m = g.m
+        notes: list[str] = []
+        active = set(cs.active)
+        inactive = [i for i in range(cs.s) if i not in active]
+        if inactive and active:
+            notes.append(
+                "classes with zero variance excluded from z-based indices: "
+                + ", ".join(class_labels[i] for i in inactive)
+            )
+        if not cs.active:
+            notes.append("index a undefined: all classes degenerate")
+            notes.append("index h undefined: all classes degenerate")
+        elif cs.degenerate:
+            notes.append("index h undefined: correlation matrix singular on the active set")
+
+        self._weights: list[tuple[str, np.ndarray | None, float | None]] = []
+        for name in presets:
+            try:
+                w = weight_preset(name, g, p, nu_mode=nu_mode)
+            except UndefinedQuantityError as exc:
+                self._weights.append((name, None, None))
+                notes.append(f"j_theta[{name}] undefined: {exc}")
+                continue
+            ws = _scaled(w)
+            self._weights.append((name, ws, cs.quad(ws)))
+
+        if g.m == 0:
+            notes.append("modularity and descriptive ratio undefined: graph has no edges")
+        self._gamma = float(cs.gamma) if cs.gamma is not None else None
+        if self._gamma is None:
+            notes.append("gamma undefined for n < 4: covariance computed by direct fallback")
+        self._notes = tuple(notes)
+        self._mbar = tuple(float(x) for x in cs.mbar)
+
+    def report(self, counts: Sequence[int], mass: Sequence[int]) -> IndexReport:
+        """The report of one row: homophilic ``counts`` and class degree sums ``mass``."""
+        cs = self._cs
+        o = ObservedOutcome(tuple(counts))
+        dev = _deviations(o.counts, cs)
+        z = _z(dev, cs)
+        return IndexReport(
+            observed=o.counts,
+            mbar=self._mbar,
+            z=tuple(z.tolist()),
+            gamma=self._gamma,
+            a=index_a(z, cs),
+            r=index_r(o, cs),
+            h=index_h(z, cs),
+            j_theta={
+                name: None if ws is None else _j_theta(dev, ws, spread)
+                for name, ws, spread in self._weights
+            },
+            newman_q=_modularity(int(o.total), mass, self._m),
+            descriptive_ratio=descriptive_ratio(o, self._m),
+            notes=self._notes,
+        )
+
+
 def build_index_report(
     g: Graph,
     f: Coloring,
@@ -256,57 +359,6 @@ def build_index_report(
     nu_mode: str = "maxdeg",
 ) -> IndexReport:
     """Evaluate all quantifiers, recording why any of them is undefined."""
-    notes: list[str] = []
-    z = z_scores(o, cs)
-    active = set(cs.active)
-    inactive = [i for i in range(cs.s) if i not in active]
-    if inactive and active:
-        notes.append(
-            "classes with zero variance excluded from z-based indices: "
-            + ", ".join(f.class_labels[i] for i in inactive)
-        )
-
-    a = index_a(z, cs)
-    if a is None:
-        notes.append("index a undefined: all classes degenerate")
-    h = index_h(z, cs)
-    if h is None:
-        if not cs.active:
-            notes.append("index h undefined: all classes degenerate")
-        else:
-            notes.append("index h undefined: correlation matrix singular on the active set")
-
-    r = index_r(o, cs)
-
-    j_theta: dict[str, float | None] = {}
-    for name in presets:
-        try:
-            w = weight_preset(name, g, f.profile, nu_mode=nu_mode)
-        except UndefinedQuantityError as exc:
-            j_theta[name] = None
-            notes.append(f"j_theta[{name}] undefined: {exc}")
-            continue
-        j_theta[name] = index_j_theta(o, cs, w)
-
-    q = newman_modularity(g, f, o)
-    ratio = descriptive_ratio(o, g.m)
-    if g.m == 0:
-        notes.append("modularity and descriptive ratio undefined: graph has no edges")
-
-    gamma = float(cs.gamma) if cs.gamma is not None else None
-    if gamma is None:
-        notes.append("gamma undefined for n < 4: covariance computed by direct fallback")
-
-    return IndexReport(
-        observed=o.counts,
-        mbar=tuple(float(x) for x in cs.mbar),
-        z=tuple(float(x) for x in z),
-        gamma=gamma,
-        a=a,
-        r=r,
-        h=h,
-        j_theta=j_theta,
-        newman_q=q,
-        descriptive_ratio=ratio,
-        notes=tuple(notes),
-    )
+    mass = _degree_mass(f.assignment, g.degrees, f.s)
+    evaluator = IndexEvaluator(g, f.profile, cs, f.class_labels, presets, nu_mode)
+    return evaluator.report(o.counts, mass.tolist())

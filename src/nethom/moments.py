@@ -28,6 +28,7 @@ function of immutable inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -129,7 +130,10 @@ class CovarianceStructure:
     """Sigma = diag(q) + coef * vec vec' in exact rationals, with O(s) forms.
 
     Built on a :class:`MomentSummary`, whose exact ``mbar`` and ``var`` it
-    carries; ``active`` lists the classes with positive variance.
+    carries; ``mbar[i] == mbar_num[i] / mbar_den`` with integer numerators
+    over one common denominator, so a count deviation is one integer
+    division. ``active`` lists the classes with positive variance and ``sd``
+    holds their float standard deviations.
     ``gamma`` is None when the n < 4 fallback supplies coef and vec.
     ``var_total`` = 1'Sigma 1 and ``var_zsum`` = 1'Gamma 1 on the active set
     are the variances of the total count and of the summed active z-scores.
@@ -151,6 +155,8 @@ class CovarianceStructure:
         self.coef = coef
         self.vec = vec
         self.mbar = ms.mbar
+        self.mbar_den = math.lcm(*(x.denominator for x in ms.mbar))
+        self.mbar_num = tuple(x.numerator * (self.mbar_den // x.denominator) for x in ms.mbar)
         self.var = var
         self.q = tuple(v - coef * x * x for v, x in zip(var, vec))
         self.active = active_classes(var)
@@ -160,8 +166,8 @@ class CovarianceStructure:
         self.var_total = self.quad(np.ones(len(var)))
 
         act = list(self.active)
-        self._sd = np.sqrt(self._var_f[act])
-        self._b = self._vec_f[act] / self._sd  # vec in the correlation geometry
+        self.sd = np.sqrt(self._var_f[act])
+        self._b = self._vec_f[act] / self.sd  # vec in the correlation geometry
         self.var_zsum = len(act) + 2.0 * self._coef_f * _pair_sum(self._b)
 
         # Sherman-Morrison on the active set: Gamma^-1 = diag(var/q) - k * an an'
@@ -173,7 +179,7 @@ class CovarianceStructure:
                 self.degenerate = False
                 self._k = float(coef / denom)
                 self._inv_qn = self._var_f[act] / q_a
-                self._an = self._vec_f[act] / q_a * self._sd
+                self._an = self._vec_f[act] / q_a * self.sd
 
     @property
     def s(self) -> int:
@@ -214,8 +220,8 @@ class CovarianceStructure:
     def sigma_inv(self) -> np.ndarray | None:
         if self.degenerate:
             return None
-        a = self._an / self._sd
-        return np.diag(self._inv_qn / self._sd**2) - self._k * np.outer(a, a)
+        a = self._an / self.sd
+        return np.diag(self._inv_qn / self.sd**2) - self._k * np.outer(a, a)
 
     @cached_property
     def corr_inv(self) -> np.ndarray | None:

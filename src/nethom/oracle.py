@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .colorings import ColoringError, ObservedOutcome, Profile, homophilic_counts, random_coloring
+from .colorings import ColoringError, ObservedOutcome, Profile, sample_counts
 from .graphs import Graph, _gamma_from_counts
 from .indices import z_scores
 from .moments import CovarianceStructure
@@ -48,6 +48,9 @@ __all__ = [
 _Z99 = 2.5758293035489004
 
 DEFAULT_ENUMERATION_LIMIT = 10**6
+
+# seeds per sample_counts call in mc_tail, so its count rows take at most 16 * s KiB
+_MC_BLOCK = 1024
 
 
 class EnumerationLimitError(RuntimeError):
@@ -279,10 +282,6 @@ class TailEstimate:
     seed: int
 
     @property
-    def seeds(self) -> range:
-        return range(self.seed, self.seed + self.samples)
-
-    @property
     def bounds(self) -> tuple[float, float]:
         """Confidence interval clamped into [0, 1] for reporting."""
         return (
@@ -303,19 +302,22 @@ def mc_tail(
     """Estimate a tail probability from uniform colorings with seeds seed, seed+1, ...
 
     Deterministic for fixed arguments; disjoint seed ranges can run in
-    parallel and merge by hit counts.
+    parallel and merge by hit counts. The colorings come from
+    :func:`~nethom.colorings.sample_counts` in blocks of ``_MC_BLOCK`` seeds,
+    so memory stays bounded for any sample count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if side not in ("ge", "le"):
         raise ValueError("side must be 'ge' or 'le'")
     hits = 0
-    for k in range(samples):
-        f = random_coloring(p, seed + k)
-        out = homophilic_counts(g, f).counts
-        val = statistic(out)
-        if (side == "ge" and val >= threshold) or (side == "le" and val <= threshold):
-            hits += 1
+    stop = seed + samples
+    for lo in range(seed, stop, _MC_BLOCK):
+        counts, _ = sample_counts(g, p, range(lo, min(lo + _MC_BLOCK, stop)))
+        for out in counts.tolist():
+            val = statistic(tuple(out))
+            if (side == "ge" and val >= threshold) or (side == "le" and val <= threshold):
+                hits += 1
     est = hits / samples
     half = _Z99 * math.sqrt(est * (1.0 - est) / samples)
     return TailEstimate(estimate=est, half_width=half, samples=samples, seed=seed)
