@@ -12,6 +12,7 @@ degree masses.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -133,43 +134,17 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     """Parse a TSV coloring file ("vertex-id<TAB>class-label") for ``graph``.
 
     Every graph vertex must appear exactly once; '#' starts a comment.
-    Class indices are assigned by first appearance of each label. Errors
-    name the first offending line.
+    Class indices are assigned by first appearance of each label. One pass
+    over the lines raises at the first bad one: a line without a tab or
+    with an empty field (:class:`ColoringError`), an id not in the graph
+    (:class:`UnknownVertexError`) or a vertex already assigned
+    (:class:`DuplicateVertexError`); the error names that line. After the
+    pass, unassigned vertices raise :class:`MissingVertexError`.
     """
     text = _as_text(source)
     index = graph.index
-    try:
-        rows, classes, class_labels = _scan_coloring(text, index)
-    except ColoringError:
-        _scan_coloring(text, index, seen=set())  # a repeated vertex above the bad line comes first
-        raise
-    assign = np.full(graph.n, -1, dtype=np.int32)
-    assign[rows] = classes
-    if np.count_nonzero(assign >= 0) != len(rows):
-        _scan_coloring(text, index, seen=set())
-        raise AssertionError("a repeated vertex was counted that the scan cannot find")
-    missing = np.flatnonzero(assign < 0)
-    if missing.size:
-        names = ", ".join(repr(graph.labels[int(i)]) for i in missing[:5])
-        more = "" if missing.size <= 5 else f" (+{missing.size - 5} more)"
-        raise MissingVertexError(f"no class assigned to vertex {names}{more}")
-    return Coloring(assignment=assign, class_labels=class_labels)
-
-
-def _scan_coloring(
-    text: str, index: dict[str, int], seen: set[int] | None = None
-) -> tuple[list[int], list[int], tuple[str, ...]]:
-    """Apply the coloring line grammar to every line of ``text``.
-
-    Returns each row's vertex index and class index, and the class labels in
-    first-appearance order. Raises :class:`ColoringError` at a malformed
-    line and :class:`UnknownVertexError` at an id missing from ``index``.
-    Given ``seen``, the scan is the error locator: it also raises
-    :class:`DuplicateVertexError` at the first row that repeats a vertex.
-    """
     class_index: dict[str, int] = {}
-    rows: list[int] = []
-    classes: list[int] = []
+    assign = array("i", [-1]) * graph.n  # C ints, which numpy reads in place
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0] if "#" in raw else raw
         if not line.strip():
@@ -184,13 +159,16 @@ def _scan_coloring(
         i = index.get(vid)
         if i is None:
             raise UnknownVertexError(f"line {lineno}: vertex {vid!r} is not in the graph")
-        if seen is not None:
-            if i in seen:
-                raise DuplicateVertexError(f"line {lineno}: vertex {vid!r} assigned twice")
-            seen.add(i)
-        rows.append(i)
-        classes.append(class_index.setdefault(label, len(class_index)))
-    return rows, classes, tuple(class_index)
+        if assign[i] >= 0:
+            raise DuplicateVertexError(f"line {lineno}: vertex {vid!r} assigned twice")
+        assign[i] = class_index.setdefault(label, len(class_index))
+    assignment = np.frombuffer(assign, dtype=np.int32)
+    missing = np.flatnonzero(assignment < 0)
+    if missing.size:
+        names = ", ".join(repr(graph.labels[int(i)]) for i in missing[:5])
+        more = "" if missing.size <= 5 else f" (+{missing.size - 5} more)"
+        raise MissingVertexError(f"no class assigned to vertex {names}{more}")
+    return Coloring(assignment=assignment, class_labels=tuple(class_index))
 
 
 def homophilic_counts(g: Graph, f: Coloring) -> ObservedOutcome:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, NoReturn, Union
+from typing import IO, Iterable, Union
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "load_edge_list",
     "summarize",
     "gamma_invariant",
-    "gamma_from_degree_moments",
     "dispersion_margin",
 ]
 
@@ -63,9 +62,11 @@ class MalformedLineError(EdgeListError):
 class Graph:
     """Immutable simple undirected graph on dense vertex indices 0..n-1.
 
-    Invariants enforced at construction: no self-loops, no duplicate edges,
-    all endpoints in range, and sum(degrees) == 2*m. Safe for concurrent
-    read access; the edge and degree arrays are write-protected.
+    Invariants: no self-loops, no duplicate edges, all endpoints in range,
+    and sum(degrees) == 2*m. :meth:`from_edges` and :func:`load_edge_list`
+    enforce them, both through the one simple-graph check
+    :func:`_simple_edges`; the constructor itself checks nothing. Safe for
+    concurrent read access; the edge and degree arrays are write-protected.
     """
 
     n: int
@@ -91,9 +92,6 @@ class Graph:
         """External id -> dense index, built on first access."""
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    def edge_pairs(self) -> Iterator[tuple[int, int]]:
-        return zip(self.edges_u.tolist(), self.edges_v.tolist())
-
     @classmethod
     def from_edges(
         cls,
@@ -102,36 +100,75 @@ class Graph:
         labels: tuple[str, ...] | None = None,
         dedupe: bool = False,
     ) -> "Graph":
-        """Build a graph from index pairs, validating simplicity."""
+        """Build a graph from index pairs under the rules of :func:`load_edge_list`.
+
+        Every endpoint must lie in 0..n-1. A self-loop or a repeated edge
+        raises, unless ``dedupe`` is set, which keeps the first copy of each
+        edge; :func:`_simple_edges` is the check. The error names the first
+        bad pair. ``labels``, one distinct id per vertex, default to
+        "0".."n-1".
+        """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         elif len(labels) != n:
             raise ValueError("labels must have length n")
-        seen: set[tuple[int, int]] = set()
-        us: list[int] = []
-        vs: list[int] = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise EdgeListError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        elif len(set(labels)) != n:
+            raise ValueError("labels must be distinct")
+        edges = list(edges)
+        try:
+            pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        except OverflowError:  # an endpoint beyond int64, so out of range
+            pairs = np.array(edges, dtype=object).reshape(len(edges), 2)
+        outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+        stop = int(outside[0]) if outside.size else len(edges)
+        # a bad pair above the first out-of-range one is reported first
+        eu, ev, k = _simple_edges(
+            n, pairs[:stop, 0].astype(np.int32), pairs[:stop, 1].astype(np.int32), dedupe
+        )
+        if k is not None:
+            u, v = pairs[k].tolist()
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                if dedupe:
-                    continue
-                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            us.append(u)
-            vs.append(v)
-        eu = np.asarray(us, dtype=np.int32)
-        ev = np.asarray(vs, dtype=np.int32)
-        if eu.size:
-            degrees = np.bincount(np.concatenate([eu, ev]), minlength=n).astype(np.int64)
-        else:
-            degrees = np.zeros(n, dtype=np.int64)
-        return cls(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=labels)
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+        if stop < len(edges):
+            u, v = pairs[stop].tolist()
+            raise EdgeListError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        return _graph(labels, eu, ev)
+
+
+def _graph(labels: tuple[str, ...], eu: np.ndarray, ev: np.ndarray) -> Graph:
+    """The :class:`Graph` of edges that passed :func:`_simple_edges`."""
+    n = len(labels)
+    degrees = (np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)).astype(np.int64)
+    return Graph(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=labels)
+
+
+def _simple_edges(
+    n: int, eu: np.ndarray, ev: np.ndarray, dedupe: bool
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """The simple-graph check on dense endpoint arrays over n vertices.
+
+    Returns ``(eu, ev, k)``. ``k`` is the position of the first edge that
+    breaks a rule, or None: a self-loop breaks one, and so does a repeat of
+    an earlier edge, in either orientation, unless ``dedupe`` is set. When
+    ``k`` is None and ``dedupe`` is set, only the first copy of each edge is
+    kept; otherwise the arrays come back as given.
+    """
+    loop = eu == ev
+    packed = np.minimum(eu, ev).astype(np.int64)
+    packed *= n
+    packed += np.maximum(eu, ev)
+    sorted_packed = np.sort(packed)
+    if not (loop.any() or (sorted_packed[1:] == sorted_packed[:-1]).any()):
+        return eu, ev, None
+    first = np.zeros(packed.size, dtype=bool)
+    first[np.unique(packed, return_index=True)[1]] = True
+    bad = loop if dedupe else loop | ~first
+    if bad.any():
+        return eu, ev, int(bad.argmax())
+    return eu[first], ev[first], None
 
 
 def _read(source: TextSource) -> str | bytes:
@@ -146,19 +183,15 @@ def _as_text(source: TextSource) -> str:
     return _decode(_read(source))
 
 
-def _scan(text: str, dedupe: bool | None = None) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+def _scan(text: str, lines: list[int] | None = None) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Apply the edge-list line grammar to every line of ``text``.
 
     '#' starts a comment and blank lines are skipped. A line whose tokens
     are exactly "v <id>" declares an isolated vertex; any other line needs
     two endpoints, and tokens after them are ignored. Returns the labels in
     first-appearance order and the endpoint index arrays, and raises
-    :class:`MalformedLineError` at a line with a single token.
-
-    Given ``dedupe``, the scan is the error locator that runs only after the
-    vectorized checks in :func:`load_edge_list` found a violation: it also
-    raises at the first self-loop and, without ``dedupe``, at the first
-    duplicate edge, so the error names the first bad line.
+    :class:`MalformedLineError` at a line with a single token. Given
+    ``lines``, the line number of each edge is appended to it.
     """
     index: dict[str, int] = {}
     us: list[int] = []
@@ -166,7 +199,6 @@ def _scan(text: str, dedupe: bool | None = None) -> tuple[tuple[str, ...], np.nd
     setdefault = index.setdefault
     us_append = us.append
     vs_append = vs.append
-    seen: set[tuple[int, int]] | None = None if dedupe is None else set()
     scan_comments = "#" in text
     for lineno, line in enumerate(text.splitlines(), 1):
         if scan_comments and "#" in line:
@@ -179,24 +211,11 @@ def _scan(text: str, dedupe: bool | None = None) -> tuple[tuple[str, ...], np.nd
         if parts[0] == "v" and len(parts) == 2:
             setdefault(parts[1], len(index))
             continue
-        ia = setdefault(parts[0], len(index))
-        ib = setdefault(parts[1], len(index))
-        if seen is not None:
-            if ia == ib:
-                raise SelfLoopError(f"self-loop at vertex {parts[0]!r}", lineno)
-            key = (ia, ib) if ia < ib else (ib, ia)
-            if key in seen and not dedupe:
-                raise DuplicateEdgeError(f"duplicate edge {parts[0]!r} {parts[1]!r}", lineno)
-            seen.add(key)
-        us_append(ia)
-        vs_append(ib)
+        us_append(setdefault(parts[0], len(index)))
+        vs_append(setdefault(parts[1], len(index)))
+        if lines is not None:
+            lines.append(lineno)
     return tuple(index), np.asarray(us, dtype=np.int32), np.asarray(vs, dtype=np.int32)
-
-
-def _locate_edge_violation(text: str, dedupe: bool) -> NoReturn:
-    """Raise the error of the first bad line of ``text``."""
-    _scan(text, dedupe)
-    raise AssertionError("vectorized validation flagged a violation the scan cannot find")
 
 
 # A comment runs to the next byte that str.splitlines() treats as a line end.
@@ -297,41 +316,44 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
     first literally "v") declares an isolated vertex. Dense indices are
     assigned by first appearance, so parsing is deterministic.
 
-    Raises :class:`SelfLoopError` / :class:`DuplicateEdgeError` /
-    :class:`MalformedLineError` with the offending line number; duplicates
-    are silently merged when ``dedupe`` is set. Files whose ids are all
-    canonical non-negative decimals are tokenized vectorized
-    (:func:`_int_id_edges`); any other input takes the general pass,
-    :func:`_scan`. Either way the result is the same, self-loop and
-    duplicate detection run vectorized afterwards, and the line number is
-    recovered by a second scan only when an error is raised.
+    The simple-graph rules are checked once, vectorized, by
+    :func:`_simple_edges`, the check :meth:`Graph.from_edges` applies too:
+    the first self-loop raises :class:`SelfLoopError` and the first repeated
+    edge :class:`DuplicateEdgeError`, unless ``dedupe`` is set, which keeps
+    the first copy of each edge. A line with one token raises
+    :class:`MalformedLineError`. Each error names the first bad line.
+    Files whose ids are all canonical non-negative decimals are tokenized
+    vectorized (:func:`_int_id_edges`); any other input takes the general
+    pass, :func:`_scan`, with the same result. The line of a bad edge is
+    found by a second scan, run only when an error is raised.
     """
     data = _read(source)
     parsed = _int_id_edges(data)
     if parsed is None:
-        data = _decode(data)
+        text = _decode(data)
         try:
-            parsed = _scan(data)
-        except MalformedLineError:  # a self-loop or duplicate above it comes first
-            _locate_edge_violation(data, dedupe)
+            parsed = _scan(text)
+        except MalformedLineError as exc:  # a bad edge above the line comes first
+            above = "\n".join(text.splitlines()[: exc.line - 1])
+            _checked_graph(above, _scan(above), dedupe)
+            raise
+    return _checked_graph(data, parsed, dedupe)
+
+
+def _checked_graph(
+    data: str | bytes, parsed: tuple[tuple[str, ...], np.ndarray, np.ndarray], dedupe: bool
+) -> Graph:
+    """The graph of the scanned edge list ``data``, or the error of its first bad edge."""
     labels, eu, ev = parsed
-    n = len(labels)
-    if eu.size:
-        if bool(np.any(eu == ev)):
-            _locate_edge_violation(_decode(data), dedupe)
-        packed = np.minimum(eu, ev).astype(np.int64)
-        packed *= n
-        packed += np.maximum(eu, ev)
-        sorted_packed = np.sort(packed)
-        if bool((sorted_packed[1:] == sorted_packed[:-1]).any()):
-            if not dedupe:
-                _locate_edge_violation(_decode(data), dedupe)
-            keep = np.zeros(packed.size, dtype=bool)
-            keep[np.unique(packed, return_index=True)[1]] = True  # first appearance survives
-            eu = eu[keep]
-            ev = ev[keep]
-    degrees = (np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)).astype(np.int64)
-    return Graph(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=labels)
+    eu, ev, k = _simple_edges(len(labels), eu, ev, dedupe)
+    if k is None:
+        return _graph(labels, eu, ev)
+    lines: list[int] = []
+    _scan(_decode(data), lines)
+    u, v = labels[eu[k]], labels[ev[k]]
+    if u == v:
+        raise SelfLoopError(f"self-loop at vertex {u!r}", lines[k])
+    raise DuplicateEdgeError(f"duplicate edge {u!r} {v!r}", lines[k])
 
 
 @dataclass(frozen=True)
@@ -411,22 +433,6 @@ def _gamma_from_counts(n: int, m: int, pi3: int) -> Fraction:
     """The combinatorial form of :func:`gamma_invariant`, for n >= 4."""
     pairs = m * (m - 1) // 2
     return Fraction(2 * (pairs - pi3), math.perm(n, 4)) - Fraction(m, math.perm(n, 2)) ** 2
-
-
-def gamma_from_degree_moments(s: GraphSummary) -> Fraction | None:
-    """Equivalent degree-moment form of :func:`gamma_invariant`.
-
-    (n / n^(4)) * ((2n-3)/(2n-2) * delta1^2 + delta1/2 - delta2), exact.
-    Kept as an independent cross-check of the combinatorial form.
-    """
-    if s.n < 4:
-        return None
-    n = s.n
-    d1 = Fraction(2 * s.m, n)
-    d2 = Fraction(s.sum_sq_degrees, n)
-    return Fraction(n, math.perm(n, 4)) * (
-        Fraction(2 * n - 3, 2 * n - 2) * d1 * d1 + d1 / 2 - d2
-    )
 
 
 def dispersion_margin(s: GraphSummary) -> Fraction | None:

@@ -43,7 +43,7 @@ def two_edges():
 
 def brute_pi3(g: nh.Graph) -> int:
     """Two-edge paths = unordered edge pairs sharing exactly one vertex."""
-    edges = list(g.edge_pairs())
+    edges = list(zip(g.edges_u.tolist(), g.edges_v.tolist()))
     count = 0
     for (a, b), (c, d) in combinations(edges, 2):
         if len({a, b, c, d}) == 3:
@@ -52,7 +52,7 @@ def brute_pi3(g: nh.Graph) -> int:
 
 
 def brute_disjoint_ordered_pairs(g: nh.Graph) -> int:
-    edges = list(g.edge_pairs())
+    edges = list(zip(g.edges_u.tolist(), g.edges_v.tolist()))
     count = 0
     for (a, b), (c, d) in combinations(edges, 2):
         if len({a, b, c, d}) == 4:
@@ -63,7 +63,7 @@ def brute_disjoint_ordered_pairs(g: nh.Graph) -> int:
 def monochrome_edge_scan(g: nh.Graph, f: nh.Coloring) -> int:
     """Total monochromatic edges by a direct per-edge loop."""
     a = f.assignment
-    return sum(1 for u, v in g.edge_pairs() if a[u] == a[v])
+    return sum(1 for u, v in zip(g.edges_u.tolist(), g.edges_v.tolist()) if a[u] == a[v])
 
 
 def random_gnp(rng: np.random.Generator, n: int, p: float, min_edges: int = 0) -> nh.Graph:

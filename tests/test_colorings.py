@@ -6,9 +6,79 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nethom as nh
 from conftest import monochrome_edge_scan, random_gnp
+
+
+def reference_load_coloring(text, graph):
+    """Every coloring rule applied line by line, in order; raises at the first bad line."""
+    index = {lab: i for i, lab in enumerate(graph.labels)}
+    class_index = {}
+    assign = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise nh.ColoringError(f"line {lineno}: expected 'vertex-id<TAB>class-label'")
+        vid, label = (part.strip() for part in line.split("\t", 1))
+        if not vid or not label:
+            raise nh.ColoringError(f"line {lineno}: empty vertex id or class label")
+        if vid not in index:
+            raise nh.UnknownVertexError(f"line {lineno}: vertex {vid!r} is not in the graph")
+        if index[vid] in assign:
+            raise nh.DuplicateVertexError(f"line {lineno}: vertex {vid!r} assigned twice")
+        assign[index[vid]] = class_index.setdefault(label, len(class_index))
+    missing = [repr(lab) for i, lab in enumerate(graph.labels) if i not in assign]
+    if missing:
+        more = "" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"
+        raise nh.MissingVertexError(f"no class assigned to vertex {', '.join(missing[:5])}{more}")
+    return [assign[i] for i in range(graph.n)], tuple(class_index)
+
+
+def _coloring_outcome(load, text, graph):
+    try:
+        f = load(text, graph)
+    except nh.ColoringError as exc:
+        return type(exc), str(exc)
+    if isinstance(f, nh.Coloring):
+        assert f.assignment.dtype == np.int32
+        return f.assignment.tolist(), f.class_labels
+    return f
+
+
+# a graph on eight vertices, so that more than five can be missing
+COLORED = nh.load_edge_list("a b\nb c\nc d\nd a\nv e\nv f\nv gg\nv 7\n")
+
+
+@st.composite
+def coloring_texts(draw):
+    """A coloring of ``COLORED`` with injected unknown, repeated, malformed and missing vertices."""
+    labels = list(COLORED.labels)
+    vids = draw(st.permutations(labels))
+    vids = vids[: len(vids) - draw(st.sampled_from([0, 0, 0, 1, 2, 6]))]  # missing vertices
+    tab = st.sampled_from(["\t", " \t", "\t "])
+    lines = [v + draw(tab) + draw(st.sampled_from(["x", "y", "z z"])) for v in vids]
+    for _ in range(draw(st.integers(0, 3))):
+        bad = draw(
+            st.sampled_from(
+                [
+                    draw(st.sampled_from(labels)) + "\tq",  # a repeated vertex
+                    "zz\tq",  # an unknown vertex
+                    "a x",  # no tab
+                    " \tq",  # empty vertex id
+                    "b\t # c",  # empty class label
+                    "# only a comment",
+                    "",
+                ]
+            )
+        )
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + line_end for line in lines)
 
 
 class TestFallingFactorial:
@@ -80,6 +150,13 @@ class TestLoadColoring:
             nh.load_coloring(text, p3)
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(coloring_texts())
+    def test_matches_reference_rule_loop(self, text):
+        assert _coloring_outcome(nh.load_coloring, text, COLORED) == _coloring_outcome(
+            reference_load_coloring, text, COLORED
+        )
 
     def test_comments_and_blank_lines(self, p3):
         f = nh.load_coloring("# hi\n\na\tred\nb\tred\nc\tblue # inline\n", p3)

@@ -2,7 +2,9 @@
 
 ``load_edge_list`` takes the integer path whenever every id is a canonical
 decimal; patching ``_int_id_edges`` to decline forces the general path on the
-same bytes, so the two can be compared on any input.
+same bytes, so the two can be compared on any input. Both are also compared
+with ``reference_load``, a line-by-line rule loop that shares no code with
+the library, since the two paths share their error selection.
 """
 
 from unittest import mock
@@ -21,6 +23,45 @@ PATHS = settings(max_examples=400, deadline=None, derandomize=True, database=Non
 def _general(data, dedupe=False):
     with mock.patch.object(graphs, "_int_id_edges", return_value=None):
         return nh.load_edge_list(data, dedupe=dedupe)
+
+
+def reference_load(data, dedupe=False):
+    """Every edge-list rule applied line by line, in order; raises at the first bad line."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    index = {}
+    us, vs = [], []
+    seen = set()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise nh.MalformedLineError(f"expected two endpoints, got {parts[0]!r}", lineno)
+        if parts[0] == "v" and len(parts) == 2:
+            index.setdefault(parts[1], len(index))
+            continue
+        a = index.setdefault(parts[0], len(index))
+        b = index.setdefault(parts[1], len(index))
+        if a == b:
+            raise nh.SelfLoopError(f"self-loop at vertex {parts[0]!r}", lineno)
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            if dedupe:
+                continue
+            raise nh.DuplicateEdgeError(f"duplicate edge {parts[0]!r} {parts[1]!r}", lineno)
+        seen.add(key)
+        us.append(a)
+        vs.append(b)
+    degrees = [0] * len(index)
+    for w in us + vs:
+        degrees[w] += 1
+    return nh.Graph(
+        n=len(index),
+        edges_u=np.array(us, dtype=np.int32),
+        edges_v=np.array(vs, dtype=np.int32),
+        degrees=np.array(degrees, dtype=np.int64),
+        labels=tuple(index),
+    )
 
 
 def _outcome(load, data, dedupe):
@@ -130,6 +171,16 @@ def test_integer_path_matches_general_path(case, dedupe, as_bytes):
     assert _outcome(nh.load_edge_list, data, dedupe) == _outcome(_general, data, dedupe)
 
 
+@PATHS
+@given(edge_lists(), st.booleans(), st.booleans())
+def test_both_paths_match_reference_rule_loop(case, dedupe, as_bytes):
+    text, _ = case
+    data = text.encode("utf-8") if as_bytes else text
+    expected = _outcome(reference_load, data, dedupe)
+    assert _outcome(nh.load_edge_list, data, dedupe) == expected
+    assert _outcome(_general, data, dedupe) == expected
+
+
 class TestIntegerPath:
     def test_snap_style_file_takes_it(self):
         data = b"# Nodes: 4 Edges: 3\r\n# FromNodeId\tToNodeId\r\n0\t5\r\n5\t12\r\n12\t0\r\nv 7\r\n"
@@ -141,7 +192,7 @@ class TestIntegerPath:
     def test_sparse_ids_fall_back_to_unique(self):
         g = nh.load_edge_list("900000000000 3\n3 17\nv 5000000000\n17 900000000000\n")
         assert g.labels == ("900000000000", "3", "17", "5000000000")
-        assert list(g.edge_pairs()) == [(0, 1), (1, 2), (2, 0)]
+        assert list(zip(g.edges_u.tolist(), g.edges_v.tolist())) == [(0, 1), (1, 2), (2, 0)]
 
     def test_non_integer_id_anywhere_takes_general_path(self):
         data = b"1 2\n2 3\n3 x\n"
@@ -186,5 +237,5 @@ class TestIntegerPath:
 
     def test_dedupe_keeps_first_appearance(self):
         g = nh.load_edge_list(b"3 1\n1 2\n1 3\n2 1\n", dedupe=True)
-        assert list(g.edge_pairs()) == [(0, 1), (1, 2)]
+        assert list(zip(g.edges_u.tolist(), g.edges_v.tolist())) == [(0, 1), (1, 2)]
         assert g.degrees.dtype == np.int64

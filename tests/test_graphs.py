@@ -1,12 +1,95 @@
 """Edge-list parsing, graph summaries, and the covariance-scale invariant."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nethom as nh
 from conftest import brute_disjoint_ordered_pairs, brute_pi3, random_gnp
+
+
+def gamma_from_degree_moments(s: nh.GraphSummary) -> Fraction | None:
+    """Degree-moment form of :func:`nethom.gamma_invariant`, an independent cross-check.
+
+    (n / n^(4)) * ((2n-3)/(2n-2) * delta1^2 + delta1/2 - delta2), exact.
+    """
+    if s.n < 4:
+        return None
+    n = s.n
+    d1 = Fraction(2 * s.m, n)
+    d2 = Fraction(s.sum_sq_degrees, n)
+    return Fraction(n, math.perm(n, 4)) * (Fraction(2 * n - 3, 2 * n - 2) * d1 * d1 + d1 / 2 - d2)
+
+
+def reference_from_edges(n, edges, dedupe=False):
+    """Every ``Graph.from_edges`` rule applied pair by pair, in order; raises at the first bad pair.
+
+    Returns the edge lists and the degrees.
+    """
+    seen = set()
+    us, vs = [], []
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise nh.EdgeListError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise nh.SelfLoopError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            if dedupe:
+                continue
+            raise nh.DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        us.append(u)
+        vs.append(v)
+    degrees = [0] * n
+    for w in us + vs:
+        degrees[w] += 1
+    return us, vs, degrees
+
+
+def _from_edges_outcome(build, n, edges, dedupe):
+    """Edges and degrees as lists, or the error's class, message and line.
+
+    The pairs are passed as an iterator, which ``from_edges`` accepts.
+    """
+    try:
+        out = build(n, iter(edges), dedupe=dedupe)
+    except nh.EdgeListError as exc:
+        return type(exc), str(exc), exc.line
+    if isinstance(out, nh.Graph):
+        assert (out.edges_u.dtype, out.edges_v.dtype) == (np.int32, np.int32)
+        assert out.degrees.dtype == np.int64
+        assert out.labels == tuple(str(i) for i in range(n))
+        return out.edges_u.tolist(), out.edges_v.tolist(), out.degrees.tolist()
+    return out
+
+
+@st.composite
+def small_edge_inputs(draw):
+    """n <= 6 and pairs with out-of-range endpoints, self-loops and repeats."""
+    n = draw(st.integers(0, 6))
+    # most pairs are simple edges, so that the rules are met past the first few
+    outside = st.one_of(st.integers(-2, -1), st.integers(n, n + 1), st.just(2**70))
+    endpoint = st.integers(0, n - 1) if n else outside
+    edges = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["edge"] * 10 + ["repeat"] * 3 + ["loop", "outside"]))
+        if kind == "repeat" and edges:  # an earlier pair again, either way round
+            u, v = draw(st.sampled_from(edges))
+            edges.append(draw(st.sampled_from([(u, v), (v, u)])))
+        elif kind == "loop":
+            u = draw(endpoint)
+            edges.append((u, u))
+        elif kind == "outside":
+            edges.append(tuple(draw(st.permutations([draw(endpoint), draw(outside)]))))
+        else:
+            u = draw(endpoint)
+            edges.append((u, draw(endpoint.filter(lambda v: v != u)) if n > 1 else u))
+    return n, edges
 
 
 class TestLoadEdgeList:
@@ -73,6 +156,20 @@ class TestLoadEdgeList:
             assert int(g.degrees.sum()) == 2 * g.m
 
 
+class TestFromEdges:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(small_edge_inputs(), st.booleans())
+    def test_matches_reference_rule_loop(self, case, dedupe):
+        n, edges = case
+        assert _from_edges_outcome(nh.Graph.from_edges, n, edges, dedupe) == _from_edges_outcome(
+            reference_from_edges, n, edges, dedupe
+        )
+
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=("a", "a", "b"))
+
+
 class TestSummarize:
     def test_k4_two_paths(self, k4):
         s = nh.summarize(k4)
@@ -124,7 +221,7 @@ class TestGammaInvariant:
 
     def test_undefined_below_four_vertices(self, p3):
         assert nh.gamma_invariant(nh.summarize(p3)) is None
-        assert nh.gamma_from_degree_moments(nh.summarize(p3)) is None
+        assert gamma_from_degree_moments(nh.summarize(p3)) is None
 
     def test_two_forms_agree_exactly(self):
         rng = np.random.default_rng(23)
@@ -133,7 +230,7 @@ class TestGammaInvariant:
             g = random_gnp(rng, n, float(rng.uniform(0, 1)))
             s = nh.summarize(g)
             a = nh.gamma_invariant(s)
-            b = nh.gamma_from_degree_moments(s)
+            b = gamma_from_degree_moments(s)
             assert a == b
             assert abs(float(a) - float(b)) <= 1e-12
 
