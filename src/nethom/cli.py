@@ -129,6 +129,13 @@ def _index_block(report) -> dict:
     }
 
 
+def _mean_fields(block: dict) -> dict:
+    """The values of an index block that ``baseline`` averages, keyed as in its means."""
+    j_theta = {f"j_theta.{name}": v for name, v in block["j_theta"].items()}
+    return {"a": block["a"], "r": block["r"], "h": block["h"], **j_theta,
+            "newman_q": block["newman_q"], "descriptive_ratio": block["descriptive_ratio"]}
+
+
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     graph, coloring = _load_pair(args)
@@ -154,7 +161,7 @@ def cmd_analyze(args) -> int:
             },
             "observed": list(report.observed),
             "expected": list(report.mbar),
-            "variance": [float(v) for v in cs.var],
+            "variance": cs.var_f.tolist(),
             "z": list(report.z),
             "indices": _index_block(report),
             "degeneracy": {
@@ -180,13 +187,6 @@ def cmd_baseline(args) -> int:
     profile = coloring.profile
     cs = covariance_structure(summary, profile)
     per_sample = []
-    values: dict[str, list[float]] = {}
-
-    def _tally(key: str, value: float | None) -> None:
-        values.setdefault(key, [])
-        if value is not None:
-            values[key].append(value)
-
     observed = homophilic_counts(graph, coloring)
     seeds = list(range(args.seed, args.seed + args.samples))
     evaluator = IndexEvaluator(
@@ -199,18 +199,12 @@ def cmd_baseline(args) -> int:
         per_sample.append(
             {"seed": seed, "observed": list(rep.observed), "indices": _index_block(rep)}
         )
-        _tally("a", rep.a)
-        _tally("r", rep.r)
-        _tally("h", rep.h)
-        for name, val in rep.j_theta.items():
-            _tally(f"j_theta.{name}", val)
-        _tally("newman_q", rep.newman_q)
-        _tally("descriptive_ratio", rep.descriptive_ratio)
 
     # a mean is reported only when the index was defined on every sample
+    rows = [_mean_fields(row["indices"]) for row in per_sample]
     means = {
-        key: (sum(vals) / len(vals) if len(vals) == args.samples else None)
-        for key, vals in values.items()
+        key: None if any(r[key] is None for r in rows) else sum(r[key] for r in rows) / len(rows)
+        for key in rows[0]
     }
     payload = _jsonable(
         {

@@ -12,6 +12,7 @@ graph alone.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,10 +103,11 @@ class Graph:
     ) -> "Graph":
         """Build a graph from index pairs under the rules of :func:`load_edge_list`.
 
-        Every endpoint must lie in 0..n-1. A self-loop or a repeated edge
-        raises, unless ``dedupe`` is set, which keeps the first copy of each
-        edge; :func:`_simple_edges` is the check. The error names the first
-        bad pair. ``labels``, one distinct id per vertex, default to
+        Every endpoint must be an integer (one that ``operator.index``
+        accepts) in 0..n-1. A self-loop or a repeated edge raises, unless
+        ``dedupe`` is set, which keeps the first copy of each edge;
+        :func:`_simple_edges` is the check. The error names the first bad
+        pair. ``labels``, one distinct id per vertex, default to
         "0".."n-1".
         """
         if n < 0:
@@ -117,13 +119,18 @@ class Graph:
         elif len(set(labels)) != n:
             raise ValueError("labels must be distinct")
         edges = list(edges)
-        try:
-            pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
-        except OverflowError:  # an endpoint beyond int64, so out of range
-            pairs = np.array(edges, dtype=object).reshape(len(edges), 2)
+        pairs = np.array(edges).reshape(len(edges), 2)
+        if pairs.dtype.kind not in "biu":  # a non-integer endpoint, or one beyond int64
+            ints = []
+            for pair in edges:
+                try:
+                    ints.append(tuple(map(operator.index, pair)))
+                except TypeError:
+                    break
+            pairs = np.array(ints, dtype=object).reshape(len(ints), 2)
         outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
-        stop = int(outside[0]) if outside.size else len(edges)
-        # a bad pair above the first out-of-range one is reported first
+        stop = int(outside[0]) if outside.size else len(pairs)
+        # a bad pair above the first out-of-range or non-integer one is reported first
         eu, ev, k = _simple_edges(
             n, pairs[:stop, 0].astype(np.int32), pairs[:stop, 1].astype(np.int32), dedupe
         )
@@ -132,9 +139,12 @@ class Graph:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-        if stop < len(edges):
+        if stop < len(pairs):
             u, v = pairs[stop].tolist()
             raise EdgeListError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if stop < len(edges):
+            u, v = edges[stop]
+            raise EdgeListError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
         return _graph(labels, eu, ev)
 
 

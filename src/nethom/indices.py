@@ -324,7 +324,7 @@ class IndexEvaluator:
         if self._gamma is None:
             notes.append("gamma undefined for n < 4: covariance computed by direct fallback")
         self._notes = tuple(notes)
-        self._mbar = tuple(float(x) for x in cs.mbar)
+        self._mbar = tuple(cs.mbar_f.tolist())
 
     def report(self, counts: Sequence[int], mass: Sequence[int]) -> IndexReport:
         """The report of one row: homophilic ``counts`` and class degree sums ``mass``."""

@@ -12,11 +12,16 @@ coef = -1 and vec = Mbar otherwise (no two vertex-disjoint edges exist, so
 E[M_i M_j] = 0 off the diagonal).
 
 :func:`covariance_structure` returns the one moments object the indices and
-the oracle read: a :class:`CovarianceStructure` holding the exact means and
-variances of :func:`moment_summary`, coef, vec and q, and the active set
-(the classes with positive variance). It evaluates, in O(s) floats, every
-quadratic form the indices need: 1'Sigma 1, w'Sigma w and, on the active
-set with correlation matrix Gamma, 1'Gamma 1 and z'Gamma^-1 z through the
+the oracle read, a :class:`CovarianceStructure`. A class's moments depend on
+the instance only through its size, so the exact ``Fraction`` work runs once
+per *slot*, a distinct class size: :func:`moment_summary` returns per-slot
+tables of exact means and variances and each class's slot, and the structure
+derives q, the common denominator, the Sherman-Morrison denominator and
+every float once per slot. Per class it only gathers references and floats,
+and finds the active set (the classes with positive variance) in one
+vectorized comparison. It evaluates, in O(s) floats, every quadratic form
+the indices need: 1'Sigma 1, w'Sigma w and, on the active set with
+correlation matrix Gamma, 1'Gamma 1 and z'Gamma^-1 z through the
 Sherman-Morrison identity
 
     Sigma^-1 = diag(1/q) - (coef / (1 + coef * vec' diag(1/q) vec)) a a',
@@ -42,12 +47,9 @@ __all__ = [
     "REL_TOL",
     "MomentSummary",
     "CovarianceStructure",
-    "expected_counts",
-    "marginal_variances",
     "moment_summary",
     "covariance_exact",
     "covariance_structure",
-    "active_classes",
 ]
 
 # Degeneracy tolerance, relative to the largest covariance entry. Tiny
@@ -56,69 +58,50 @@ __all__ = [
 REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSummary:
-    """Exact expected counts and variances, one entry per class."""
+    """Exact means and variances per slot, and the slot of every class.
 
+    A slot is a group of classes that share their moments: ``size[k]``,
+    ``mbar[k]`` and ``var[k]`` belong to slot k, and ``slot[i]`` is the slot
+    of class i. :func:`moment_summary` makes one slot per distinct class
+    size. Any grouping is valid, one class per slot included, as long as
+    every slot holds a class.
+    """
+
+    size: tuple[int, ...]
     mbar: tuple[Fraction, ...]
     var: tuple[Fraction, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.mbar)
-
-
-def expected_counts(s: GraphSummary, p: Profile) -> tuple[Fraction, ...]:
-    """Expected homophilic count per class: m * c_i^(2) / n^(2), exact."""
-    n2 = falling_factorial(s.n, 2)
-    if n2 == 0 or s.m == 0:
-        return tuple(Fraction(0) for _ in p.sizes)
-    return tuple(Fraction(s.m * falling_factorial(c, 2), n2) for c in p.sizes)
-
-
-def marginal_variances(s: GraphSummary, p: Profile) -> tuple[Fraction, ...]:
-    """Exact per-class variance of the homophilic count.
-
-    With kappa_i = c_i^(2)/n^(2), r3_i = c_i^(3)/n^(3), r4_i = c_i^(4)/n^(4)
-    (ratios with zero numerator are 0 regardless of the denominator):
-
-        var_i = m*kappa_i*(1 - m*kappa_i)
-                + 2*((r3_i - r4_i)*pi3 + r4_i*C(m, 2))
-    """
-    n, m, pi3 = s.n, s.m, s.pi3
-    n2 = falling_factorial(n, 2)
-    pairs = m * (m - 1) // 2
-    out: list[Fraction] = []
-    for c in p.sizes:
-        if c < 2 or m == 0:
-            out.append(Fraction(0))
-            continue
-        kappa = Fraction(falling_factorial(c, 2), n2)
-        r3 = Fraction(falling_factorial(c, 3), falling_factorial(n, 3)) if c >= 3 else Fraction(0)
-        r4 = Fraction(falling_factorial(c, 4), falling_factorial(n, 4)) if c >= 4 else Fraction(0)
-        mk = m * kappa
-        var = mk * (1 - mk) + 2 * ((r3 - r4) * pi3 + r4 * pairs)
-        if var < 0:
-            raise ArithmeticError(f"negative variance {var} for class size {c}")
-        out.append(var)
-    return tuple(out)
+    slot: np.ndarray
 
 
 def moment_summary(s: GraphSummary, p: Profile) -> MomentSummary:
-    return MomentSummary(mbar=expected_counts(s, p), var=marginal_variances(s, p))
+    """Exact mean and variance of the count of a class, once per distinct size.
 
+    With kappa = c^(2)/n^(2), r3 = c^(3)/n^(3), r4 = c^(4)/n^(4) for class
+    size c (ratios with zero numerator are 0 regardless of the denominator):
 
-def active_classes(var: tuple[Fraction, ...] | np.ndarray) -> tuple[int, ...]:
-    """Indices of classes whose variance exceeds REL_TOL * max variance.
-
-    By Cauchy-Schwarz the largest covariance entry sits on the diagonal.
+        mbar = m*kappa
+        var = m*kappa*(1 - m*kappa) + 2*((r3 - r4)*pi3 + r4*C(m, 2))
     """
-    var_f = [float(v) for v in var]
-    mx = max(var_f, default=0.0)
-    if mx <= 0.0:
-        return ()
-    cut = REL_TOL * mx
-    return tuple(i for i, v in enumerate(var_f) if v > cut)
+    sizes, slot = np.unique(np.array(p.sizes, dtype=np.int64), return_inverse=True)
+    n, m, pi3 = s.n, s.m, s.pi3
+    pairs = m * (m - 1) // 2
+
+    def ratio(c: int, k: int) -> Fraction:
+        num = falling_factorial(c, k)
+        return Fraction(num, falling_factorial(n, k)) if num else Fraction(0)
+
+    mbar: list[Fraction] = []
+    var: list[Fraction] = []
+    for c in sizes.tolist():
+        mk, r3, r4 = m * ratio(c, 2), ratio(c, 3), ratio(c, 4)
+        v = mk * (1 - mk) + 2 * ((r3 - r4) * pi3 + r4 * pairs)
+        if v < 0:
+            raise ArithmeticError(f"negative variance {v} for class size {c}")
+        mbar.append(mk)
+        var.append(v)
+    return MomentSummary(tuple(sizes.tolist()), tuple(mbar), tuple(var), slot)
 
 
 def _pair_sum(x: np.ndarray) -> float:
@@ -129,16 +112,18 @@ def _pair_sum(x: np.ndarray) -> float:
 class CovarianceStructure:
     """Sigma = diag(q) + coef * vec vec' in exact rationals, with O(s) forms.
 
-    Built on a :class:`MomentSummary`, whose exact ``mbar`` and ``var`` it
-    carries; ``mbar[i] == mbar_num[i] / mbar_den`` with integer numerators
-    over one common denominator, so a count deviation is one integer
-    division. ``active`` lists the classes with positive variance and ``sd``
-    holds their float standard deviations.
-    ``gamma`` is None when the n < 4 fallback supplies coef and vec.
-    ``var_total`` = 1'Sigma 1 and ``var_zsum`` = 1'Gamma 1 on the active set
-    are the variances of the total count and of the summed active z-scores.
-    ``degenerate`` is set when the active block is singular at the working
-    tolerance. The dense float views ``sigma`` (s x s), ``corr``,
+    Built from the slot tables of a :class:`MomentSummary` and ``vec``, one
+    entry per slot; each per-class field is a gather by ``ms.slot``. The
+    exact tuples ``mbar``, ``var``, ``vec`` and ``q`` hold one entry per
+    class; ``mbar[i] == mbar_num[i] / mbar_den`` with integer numerators over
+    one common denominator, so a count deviation is one integer division.
+    ``mbar_f`` and ``var_f`` are float arrays. ``active`` lists the
+    classes with positive variance and ``sd`` holds their float standard
+    deviations. ``gamma`` is None when the n < 4 fallback supplies coef and
+    vec. ``var_total`` = 1'Sigma 1 and ``var_zsum`` = 1'Gamma 1 on the
+    active set are the variances of the total count and of the summed active
+    z-scores. ``degenerate`` is set when the active block is singular at the
+    working tolerance. The dense float views ``sigma`` (s x s), ``corr``,
     ``sigma_inv`` and ``corr_inv`` (active set) are built on first access;
     ``corr`` is None without active classes and the inverses when degenerate.
     """
@@ -150,35 +135,42 @@ class CovarianceStructure:
         vec: tuple[int | Fraction, ...],
         ms: MomentSummary,
     ):
-        var = ms.var
+        slot = np.asarray(ms.slot, dtype=np.intp)
+        at = slot.tolist()
+        q = [v - coef * x * x for v, x in zip(ms.var, vec)]
+        den = math.lcm(*(x.denominator for x in ms.mbar))
+        num = [x.numerator * (den // x.denominator) for x in ms.mbar]
         self.gamma = gamma
         self.coef = coef
-        self.vec = vec
-        self.mbar = ms.mbar
-        self.mbar_den = math.lcm(*(x.denominator for x in ms.mbar))
-        self.mbar_num = tuple(x.numerator * (self.mbar_den // x.denominator) for x in ms.mbar)
-        self.var = var
-        self.q = tuple(v - coef * x * x for v, x in zip(var, vec))
-        self.active = active_classes(var)
+        self.mbar_den = den
+        self.mbar, self.var, self.vec, self.q, self.mbar_num = (
+            tuple(map(col.__getitem__, at)) for col in (ms.mbar, ms.var, vec, q, num)
+        )
+        self.mbar_f, self.var_f, self._vec_f, q_f = (
+            np.array([float(x) for x in col])[slot] for col in (ms.mbar, ms.var, vec, q)
+        )
+        self.mbar_f.setflags(write=False)
+        self.var_f.setflags(write=False)
+        cut = REL_TOL * self.var_f.max()  # by Cauchy-Schwarz, the largest entry of Sigma
+        act = np.flatnonzero(self.var_f > cut)
+        self.active = tuple(act.tolist())
         self._coef_f = float(coef)
-        self._var_f = np.array([float(v) for v in var])
-        self._vec_f = np.array([float(x) for x in vec])
-        self.var_total = self.quad(np.ones(len(var)))
+        self.var_total = self.quad(np.ones(len(at)))
 
-        act = list(self.active)
-        self.sd = np.sqrt(self._var_f[act])
+        self.sd = np.sqrt(self.var_f[act])
         self._b = self._vec_f[act] / self.sd  # vec in the correlation geometry
         self.var_zsum = len(act) + 2.0 * self._coef_f * _pair_sum(self._b)
 
         # Sherman-Morrison on the active set: Gamma^-1 = diag(var/q) - k * an an'
         self.degenerate = True
-        q_a = np.array([float(self.q[i]) for i in act])
-        if act and np.all(q_a > REL_TOL * self._var_f.max()):
-            denom = 1 + coef * sum(vec[i] * vec[i] / self.q[i] for i in act)
+        q_a = q_f[act]
+        if act.size and np.all(q_a > cut):
+            per_slot = np.bincount(slot[act], minlength=len(q)).tolist()
+            denom = 1 + coef * sum(c * vec[k] * vec[k] / q[k] for k, c in enumerate(per_slot) if c)
             if abs(float(denom)) > REL_TOL:
                 self.degenerate = False
                 self._k = float(coef / denom)
-                self._inv_qn = self._var_f[act] / q_a
+                self._inv_qn = self.var_f[act] / q_a
                 self._an = self._vec_f[act] / q_a * self.sd
 
     @property
@@ -187,7 +179,7 @@ class CovarianceStructure:
 
     def quad(self, w: np.ndarray) -> float:
         """w' Sigma w for weights over all classes."""
-        return float(self._var_f @ (w * w)) + 2.0 * self._coef_f * _pair_sum(w * self._vec_f)
+        return float(self.var_f @ (w * w)) + 2.0 * self._coef_f * _pair_sum(w * self._vec_f)
 
     def corr_inv_quad(self, z: np.ndarray) -> float:
         """z' Gamma^-1 z for z over the active set; the block must be nondegenerate."""
@@ -205,7 +197,7 @@ class CovarianceStructure:
     @cached_property
     def sigma(self) -> np.ndarray:
         out = self._coef_f * np.outer(self._vec_f, self._vec_f)
-        np.fill_diagonal(out, self._var_f)
+        np.fill_diagonal(out, self.var_f)
         return out
 
     @cached_property
@@ -233,13 +225,15 @@ class CovarianceStructure:
 def covariance_structure(s: GraphSummary, p: Profile) -> CovarianceStructure:
     """Assemble the :class:`CovarianceStructure` for (graph summary, profile).
 
-    Cost is O(s) given the summary; the graph itself is never touched.
+    Exact arithmetic runs once per distinct class size and the per-class
+    work is gathers, so the cost given the summary is O(s) list and array
+    operations; the graph itself is never touched.
     Degeneracy is a reported state, not an error.
     """
     ms = moment_summary(s, p)
     g = gamma_invariant(s)
     if g is not None:
-        u = tuple(falling_factorial(c, 2) for c in p.sizes)
+        u = tuple(falling_factorial(c, 2) for c in ms.size)
         return CovarianceStructure(g, g, u, ms)
     if s.ordered_disjoint_pairs != 0:
         raise AssertionError("n < 4 graphs cannot contain disjoint edge pairs")

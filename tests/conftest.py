@@ -83,3 +83,8 @@ def random_composition(rng: np.random.Generator, n: int, s: int, min_size: int =
     for _ in range(n - s * min_size):
         sizes[int(rng.integers(s))] += 1
     return nh.Profile(tuple(sizes))
+
+
+def per_class_moments(sizes, mbar, var) -> nh.MomentSummary:
+    """Moment tables with one class per slot, for a structure built by hand."""
+    return nh.MomentSummary(tuple(sizes), tuple(mbar), tuple(var), np.arange(len(sizes)))

@@ -154,9 +154,9 @@ def test_criterion_01_oracle_moment_equivalence():
     checked = 0
     for g, s, p, dist in instances:
         mean, cov = nh.exact_moments(dist)
-        ms = nh.moment_summary(s, p)
-        assert mean == ms.mbar, (g.labels, p.sizes)
-        assert tuple(cov[i][i] for i in range(p.s)) == ms.var
+        cs = nh.covariance_structure(s, p)
+        assert mean == cs.mbar, (g.labels, p.sizes)
+        assert tuple(cov[i][i] for i in range(p.s)) == cs.var
         assert cov == nh.covariance_exact(s, p)
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -393,7 +393,7 @@ def test_criterion_08_toy_reproduction(tmp_path):
 
     # mean homophilic fraction, exact
     summary = nh.summarize(nh.matching_graph(500))
-    mbar = nh.expected_counts(summary, nh.Profile((500, 500)))
+    mbar = nh.covariance_structure(summary, nh.Profile((500, 500))).mbar
     assert mbar[0] / 500 == Fraction(499, 1998)
     print(
         f"CRITERION 8: PASS - 500-edge curve in {elapsed*1000:.0f}ms, "

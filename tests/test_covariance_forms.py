@@ -46,9 +46,11 @@ def check_forms(summary, profile, w=None):
     k = profile.s
     pairs = [(i, j) for i in range(k) for j in range(k)]
 
-    # exact fields: the diagonal of the rank-one split and the fallback
-    assert cs.mbar == ms.mbar and cs.var == ms.var
-    assert cs.q == tuple(v - cs.coef * x * x for v, x in zip(ms.var, cs.vec))
+    # exact fields: per-class gathers of the per-size tables, the diagonal of
+    # the rank-one split and the fallback
+    assert cs.mbar == tuple(ms.mbar[k] for k in ms.slot)
+    assert cs.var == tuple(ms.var[k] for k in ms.slot)
+    assert cs.q == tuple(v - cs.coef * x * x for v, x in zip(cs.var, cs.vec))
     assert (cs.gamma is None) == (summary.n < 4)
 
     # 1' Sigma 1
@@ -64,7 +66,7 @@ def check_forms(summary, profile, w=None):
 
     # 1' Gamma 1 on the active set
     act = cs.active
-    sd = {i: math.sqrt(float(ms.var[i])) for i in act}
+    sd = {i: math.sqrt(float(cs.var[i])) for i in act}
     corr = [float(exact[i][j]) / (sd[i] * sd[j]) for i in act for j in act]
     assert abs(cs.var_zsum - math.fsum(corr)) <= 1e-12 * math.fsum(map(abs, corr))
 

@@ -1,6 +1,7 @@
 """Edge-list parsing, graph summaries, and the covariance-scale invariant."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,10 @@ def reference_from_edges(n, edges, dedupe=False):
     seen = set()
     us, vs = [], []
     for u, v in edges:
+        try:
+            operator.index(u), operator.index(v)
+        except TypeError:
+            raise nh.EdgeListError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise nh.EdgeListError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
@@ -70,22 +75,30 @@ def _from_edges_outcome(build, n, edges, dedupe):
 
 @st.composite
 def small_edge_inputs(draw):
-    """n <= 6 and pairs with out-of-range endpoints, self-loops and repeats."""
+    """n <= 6 and pairs with out-of-range or non-integer endpoints, self-loops and repeats."""
     n = draw(st.integers(0, 6))
     # most pairs are simple edges, so that the rules are met past the first few
     outside = st.one_of(st.integers(-2, -1), st.integers(n, n + 1), st.just(2**70))
     endpoint = st.integers(0, n - 1) if n else outside
+    non_integer = st.one_of(
+        st.floats(-1.0, n + 1.0),
+        st.floats(-1.0, n + 1.0).map(np.float64),
+        st.sampled_from(["0", "1", "x"]),
+    )
     edges = []
     for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(["edge"] * 10 + ["repeat"] * 3 + ["loop", "outside"]))
+        kind = draw(
+            st.sampled_from(["edge"] * 10 + ["repeat"] * 3 + ["loop", "outside", "non_integer"])
+        )
         if kind == "repeat" and edges:  # an earlier pair again, either way round
             u, v = draw(st.sampled_from(edges))
             edges.append(draw(st.sampled_from([(u, v), (v, u)])))
         elif kind == "loop":
             u = draw(endpoint)
             edges.append((u, u))
-        elif kind == "outside":
-            edges.append(tuple(draw(st.permutations([draw(endpoint), draw(outside)]))))
+        elif kind in ("outside", "non_integer"):
+            bad = draw(outside if kind == "outside" else non_integer)
+            edges.append(tuple(draw(st.permutations([draw(endpoint), bad]))))
         else:
             u = draw(endpoint)
             edges.append((u, draw(endpoint.filter(lambda v: v != u)) if n > 1 else u))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nethom as nh
-from conftest import random_composition, random_gnp
+from conftest import per_class_moments, random_composition, random_gnp
 
 
 def _setup(graph, sizes):
@@ -25,9 +25,7 @@ class TestZScores:
         assert z[1] == 0.0
 
     def test_observed_equal_to_expectation_scores_zero(self):
-        ms = nh.MomentSummary(
-            mbar=(Fraction(1), Fraction(2)), var=(Fraction(4), Fraction(1))
-        )
+        ms = per_class_moments((2, 3), (Fraction(1), Fraction(2)), (Fraction(4), Fraction(1)))
         cs = nh.CovarianceStructure(None, Fraction(0), (0, 0), ms)
         z = nh.z_scores(nh.ObservedOutcome((1, 2)), cs)
         assert z.tolist() == [0.0, 0.0]
@@ -90,7 +88,7 @@ class TestIndexR:
 
     def test_tiny_exact_deviation_is_not_zero(self):
         # the deviation 1e-13 is exactly nonzero: r = t^2 / (t^2 + t^2) = 1/2
-        ms = nh.MomentSummary(mbar=(1 - Fraction(1, 10**13),), var=(Fraction(1, 10**26),))
+        ms = per_class_moments((2,), (1 - Fraction(1, 10**13),), (Fraction(1, 10**26),))
         cs = nh.CovarianceStructure(None, Fraction(0), (0,), ms)
         assert nh.index_r(nh.ObservedOutcome((1,)), cs) == pytest.approx(0.5, rel=1e-12)
 
@@ -208,7 +206,7 @@ class TestIndexH:
             gamma=None,
             coef=Fraction(0),
             vec=(Fraction(1), Fraction(1)),
-            ms=nh.MomentSummary(mbar=(Fraction(0), Fraction(0)), var=(Fraction(1), Fraction(1))),
+            ms=per_class_moments((2, 2), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),
         )
         assert cs.active == (0, 1)
         z = np.array([math.sqrt(2.0), math.sqrt(2.0)])

@@ -9,41 +9,37 @@ import nethom as nh
 from conftest import random_composition, random_gnp
 
 
+def _structure(g, sizes):
+    return nh.covariance_structure(nh.summarize(g), nh.Profile(sizes))
+
+
 class TestExpectedCounts:
     def test_p3_profile_2_1(self, p3):
         # exhaustive check: colorings (rrb, rbr, brr) give counts 1, 0, 1
-        s = nh.summarize(p3)
-        assert nh.expected_counts(s, nh.Profile((2, 1))) == (Fraction(2, 3), Fraction(0))
+        assert _structure(p3, (2, 1)).mbar == (Fraction(2, 3), Fraction(0))
 
     def test_complete_graph_half_class_pairs(self, k4):
-        s = nh.summarize(k4)
-        assert nh.expected_counts(s, nh.Profile((2, 2))) == (Fraction(1), Fraction(1))
+        assert _structure(k4, (2, 2)).mbar == (Fraction(1), Fraction(1))
 
     def test_empty_graph_zero(self):
         g = nh.load_edge_list("v a\nv b\nv c")
-        s = nh.summarize(g)
-        assert nh.expected_counts(s, nh.Profile((2, 1))) == (Fraction(0), Fraction(0))
+        assert _structure(g, (2, 1)).mbar == (Fraction(0), Fraction(0))
 
 
 class TestMarginalVariances:
     def test_p3_profile_2_1(self, p3):
-        s = nh.summarize(p3)
-        assert nh.marginal_variances(s, nh.Profile((2, 1))) == (Fraction(2, 9), Fraction(0))
+        assert _structure(p3, (2, 1)).var == (Fraction(2, 9), Fraction(0))
 
     def test_complete_graph_constant_outcome(self, k4):
-        s = nh.summarize(k4)
-        assert nh.marginal_variances(s, nh.Profile((2, 2))) == (Fraction(0), Fraction(0))
+        assert _structure(k4, (2, 2)).var == (Fraction(0), Fraction(0))
 
     def test_p4_profile_2_2(self, p4):
-        s = nh.summarize(p4)
-        assert nh.marginal_variances(s, nh.Profile((2, 2))) == (Fraction(1, 4), Fraction(1, 4))
+        assert _structure(p4, (2, 2)).var == (Fraction(1, 4), Fraction(1, 4))
 
     def test_five_cycle_large_class_is_constant(self):
         # removing one vertex from a 5-cycle always leaves 3 edges
         g = nh.load_edge_list("a b\nb c\nc d\nd e\ne a")
-        s = nh.summarize(g)
-        var = nh.marginal_variances(s, nh.Profile((4, 1)))
-        assert var == (Fraction(0), Fraction(0))
+        assert _structure(g, (4, 1)).var == (Fraction(0), Fraction(0))
 
 
 class TestCovarianceStructure:
@@ -177,7 +173,7 @@ class TestOracleEquivalenceSpot:
         p = nh.Profile(profile)
         dist = nh.enumerate_colorings(g, p)
         mean, cov = nh.exact_moments(dist)
-        assert mean == nh.expected_counts(s, p)
+        assert mean == nh.covariance_structure(s, p).mbar
         assert cov == nh.covariance_exact(s, p)
 
     def test_sampled_seven_vertex_instances(self):
@@ -190,5 +186,5 @@ class TestOracleEquivalenceSpot:
                 p = nh.Profile(sizes)
                 dist = nh.enumerate_colorings(g, p)
                 mean, cov = nh.exact_moments(dist)
-                assert mean == nh.expected_counts(s, p)
+                assert mean == nh.covariance_structure(s, p).mbar
                 assert cov == nh.covariance_exact(s, p)

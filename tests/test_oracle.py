@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nethom as nh
+from conftest import per_class_moments
 from nethom.oracle import _sorted_tails, validate
 
 
@@ -80,10 +81,10 @@ class TestExactTail:
     def test_p4_z_mean_tail(self, p4):
         s = nh.summarize(p4)
         p = nh.Profile((2, 2))
-        ms = nh.moment_summary(s, p)
+        cs = nh.covariance_structure(s, p)
         d = nh.enumerate_colorings(p4, p)
-        mbar = [float(x) for x in ms.mbar]
-        sig = [math.sqrt(x) for x in ms.var]
+        mbar = [float(x) for x in cs.mbar]
+        sig = [math.sqrt(x) for x in cs.var]
 
         def z_mean(out):
             return float(np.mean([(out[i] - mbar[i]) / sig[i] for i in range(2)]))
@@ -155,7 +156,7 @@ class TestMatchingTail:
 
     def test_m500_mean_and_window(self):
         s = nh.summarize(nh.matching_graph(500))
-        mbar = nh.expected_counts(s, nh.Profile((500, 500)))
+        mbar = nh.covariance_structure(s, nh.Profile((500, 500))).mbar
         assert mbar[0] / 500 == Fraction(499, 1998)
         tails = nh.matching_tail_table(500)
         assert float(1 - tails[110]) < 0.05
@@ -262,14 +263,14 @@ class TestValidate:
 
     def test_perturbed_mean_fails_moments(self, p4):
         dist, cs = _oracle_instance(p4, (2, 2))
-        bad = nh.MomentSummary((cs.mbar[0] + Fraction(1, 7),) + cs.mbar[1:], cs.var)
+        bad = per_class_moments((2, 2), (cs.mbar[0] + Fraction(1, 7),) + cs.mbar[1:], cs.var)
         cs_bad = nh.CovarianceStructure(cs.gamma, cs.coef, cs.vec, bad)
         statuses = {c["name"]: c["status"] for c in validate(dist, cs_bad)}
         assert statuses["moments"] == "FAIL"
 
     def test_moments_check_reads_the_given_structure(self, p4):
         dist, cs = _oracle_instance(p4, (2, 2))
-        ms = nh.MomentSummary(cs.mbar, cs.var)
+        ms = per_class_moments((2, 2), cs.mbar, cs.var)
         doubled = nh.CovarianceStructure(cs.gamma, 2 * cs.coef, cs.vec, ms)
         statuses = {c["name"]: c["status"] for c in validate(dist, doubled)}
         assert statuses["moments"] == "FAIL"
@@ -280,7 +281,7 @@ class TestValidate:
         # so both shrink by the same factor
         g = _cycle(6) if name == "c6" else request.getfixturevalue(name)
         dist, cs = _oracle_instance(g, sizes)
-        small = nh.MomentSummary(cs.mbar, tuple(v / 100 for v in cs.var))
+        small = per_class_moments(sizes, cs.mbar, tuple(v / 100 for v in cs.var))
         cs_small = nh.CovarianceStructure(cs.gamma, cs.coef / 100, cs.vec, small)
         statuses = {c["name"]: c["status"] for c in validate(dist, cs_small)}
         for check in ("cantelli_index_a", "cantelli_index_r", "chebyshev_index_h"):
