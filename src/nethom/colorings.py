@@ -18,7 +18,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, TextSource, _as_text
+from .graphs import (
+    _SPACE,
+    Graph,
+    TextSource,
+    _decimals,
+    _decode,
+    _first_appearance,
+    _read,
+    _tokenize,
+)
 
 __all__ = [
     "Profile",
@@ -133,15 +142,29 @@ class ObservedOutcome:
 def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     """Parse a TSV coloring file ("vertex-id<TAB>class-label") for ``graph``.
 
-    Every graph vertex must appear exactly once; '#' starts a comment.
-    Class indices are assigned by first appearance of each label. One pass
-    over the lines raises at the first bad one: a line without a tab or
-    with an empty field (:class:`ColoringError`), an id not in the graph
-    (:class:`UnknownVertexError`) or a vertex already assigned
-    (:class:`DuplicateVertexError`); the error names that line. After the
-    pass, unassigned vertices raise :class:`MissingVertexError`.
+    Every graph vertex must appear exactly once; '#' starts a comment. The
+    vertex id is the text before a line's first tab and the class label the
+    text after it, both stripped. Class indices are assigned by first
+    appearance of each label.
+
+    Two paths give the same result. When the graph's labels are canonical
+    decimals (as :func:`~nethom.graphs.load_edge_list` assigns them to an
+    integer-id edge list) and every non-blank line is one canonical-decimal
+    id, blanks holding the line's first tab and one printable-ASCII label,
+    with every vertex named once, :func:`_int_id_coloring` parses the file
+    vectorized, without building ``graph.index``. Any other input takes the
+    general path: one pass over the lines that raises at the first bad one:
+    a line without a tab or with an empty field (:class:`ColoringError`),
+    an id not in the graph (:class:`UnknownVertexError`) or a vertex already
+    assigned (:class:`DuplicateVertexError`); the error names that line.
+    After the pass, unassigned vertices raise :class:`MissingVertexError`.
+    Only the general path raises, so every error comes from it.
     """
-    text = _as_text(source)
+    data = _read(source)
+    fast = _int_id_coloring(data, graph)
+    if fast is not None:
+        return fast
+    text = _decode(data)
     index = graph.index
     class_index: dict[str, int] = {}
     assign = array("i", [-1]) * graph.n  # C ints, which numpy reads in place
@@ -169,6 +192,87 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
         more = "" if missing.size <= 5 else f" (+{missing.size - 5} more)"
         raise MissingVertexError(f"no class assigned to vertex {names}{more}")
     return Coloring(assignment=assignment, class_labels=tuple(class_index))
+
+
+# printable ASCII, with the space, tab, LF and CR
+_TSV_CHARSET = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+_TAB = ord("\t")
+
+
+def _int_id_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
+    """The general path's coloring of an integer-id TSV file, or None.
+
+    Vectorized over the bytes, with no per-line Python loop and no
+    ``graph.index``. It applies only when every graph label is a canonical
+    decimal (:func:`~nethom.graphs._decimals`) and, after comments are
+    removed (:func:`~nethom.graphs._tokenize`), every non-blank line holds a
+    canonical-decimal id of a graph vertex, then blanks holding the line's
+    first tab, then one label of printable ASCII, with each vertex named on
+    exactly one line, and the labels padded to the longest take no more
+    bytes than the file. Any other input, every bad one included, returns
+    None and takes the general path, which raises the error.
+    """
+    n = graph.n
+    labels = "\n".join(graph.labels)
+    if not n or not labels.isascii():
+        return None
+    labels = labels.encode("ascii")
+    # digits and n - 1 separators only: checked before any work on the file
+    if labels.translate(None, b"0123456789\n") or labels.count(b"\n") != n - 1:
+        return None
+    raw = np.frombuffer(labels, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    label_ids = _decimals(raw, np.concatenate(([0], ends + 1)), np.append(ends, raw.size))
+    del labels, raw, ends
+    if label_ids is None:
+        return None
+    tokens = _tokenize(data, _TSV_CHARSET)
+    if tokens is None:
+        return None
+    data, raw, start, stop = tokens
+    del tokens
+    if start.size != 2 * n:  # a vertex is missing, unknown or repeated
+        return None
+    id_start, id_stop, label_start, label_stop = start[0::2], stop[0::2], start[1::2], stop[1::2]
+    ids = _decimals(raw, id_start, id_stop)
+    if ids is None:
+        return None
+    # The tabs and line ends around each id: the one before it must not be a
+    # tab, and the one after it must be a tab before the label.
+    breaks = np.flatnonzero(raw < _SPACE)
+    at = np.searchsorted(breaks, id_start)
+    if not bool((at < breaks.size).all()):
+        return None
+    after, before = breaks[at], breaks[at - 1]  # at - 1 wraps where at == 0, which is masked
+    ok = (raw[after] == _TAB) & (after < label_start) & ((at == 0) | (raw[before] != _TAB))
+    if not bool(ok.all()):
+        return None
+    del breaks, at, after, before, ok
+    # the labels come first, so an id is a graph vertex exactly when its index is below n
+    vertex = _first_appearance(np.concatenate((label_ids, ids)))[1][n:]
+    if not bool((vertex < n).all()):
+        return None
+    seen = np.zeros(n, dtype=bool)
+    seen[vertex] = True
+    if not bool(seen.all()):  # n ids, all in the graph: a repeat leaves a vertex unnamed
+        return None
+    if n * int((label_stop - label_start).max()) > raw.size:  # the padded labels outgrow the file
+        return None
+    names, classes = _first_appearance(_fixed_width(raw, label_start, label_stop))
+    assignment = np.empty(n, dtype=np.int32)
+    assignment[vertex] = classes
+    class_labels = tuple(name.decode("ascii") for name in names.tolist())
+    return Coloring(assignment=assignment, class_labels=class_labels)
+
+
+def _fixed_width(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The tokens ``raw[start:stop]`` as a fixed-width bytes array, zero-padded."""
+    length = stop - start
+    width = int(length.max())
+    cells = np.zeros((length.size, width), dtype=np.uint8)
+    for j in range(width):
+        cells[:, j] = np.where(length > j, raw.take(start + j, mode="clip"), 0)
+    return cells.view(f"S{width}")[:, 0]
 
 
 def homophilic_counts(g: Graph, f: Coloring) -> ObservedOutcome:

@@ -107,8 +107,9 @@ class Graph:
         accepts) in 0..n-1. A self-loop or a repeated edge raises, unless
         ``dedupe`` is set, which keeps the first copy of each edge;
         :func:`_simple_edges` is the check. The error names the first bad
-        pair. ``labels``, one distinct id per vertex, default to
-        "0".."n-1".
+        pair. An (m, 2) array of integer dtype is checked as it is; any
+        other ``edges`` is read pair by pair. ``labels``, one distinct id per
+        vertex, default to "0".."n-1".
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
@@ -118,8 +119,12 @@ class Graph:
             raise ValueError("labels must have length n")
         elif len(set(labels)) != n:
             raise ValueError("labels must be distinct")
-        edges = list(edges)
-        pairs = np.array(edges).reshape(len(edges), 2)
+        pairs = edges  # an (m, 2) integer array is checked as it is
+        if not (
+            isinstance(edges, np.ndarray) and edges.dtype.kind in "biu" and edges.shape[1:] == (2,)
+        ):
+            edges = list(edges)
+            pairs = np.array(edges).reshape(len(edges), 2)
         if pairs.dtype.kind not in "biu":  # a non-integer endpoint, or one beyond int64
             ints = []
             for pair in edges:
@@ -189,10 +194,6 @@ def _decode(data: str | bytes) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-def _as_text(source: TextSource) -> str:
-    return _decode(_read(source))
-
-
 def _scan(text: str, lines: list[int] | None = None) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Apply the edge-list line grammar to every line of ``text``.
 
@@ -231,20 +232,22 @@ def _scan(text: str, lines: list[int] | None = None) -> tuple[tuple[str, ...], n
 # A comment runs to the next byte that str.splitlines() treats as a line end.
 _COMMENT = re.compile(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*")
 _INT_GRAMMAR = b"0123456789v \t\n\r"
-_V, _ZERO = ord("v"), ord("0")
+_SPACE, _V, _ZERO = ord(" "), ord("v"), ord("0")
 _MAX_DIGITS = 18  # every canonical id of up to 18 digits fits in int64
 
 
-def _int_id_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
-    """The general pass's result for an edge list of canonical integer ids, or None.
+def _tokenize(
+    data: str | bytes, charset: bytes
+) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Token bounds of a text whose every line holds zero or two tokens, or None.
 
-    Vectorized over the raw bytes, with no per-line Python loop. It applies
-    only when, after comments are removed, the input is ASCII digits, "v",
-    spaces, tabs, LF and CR; every non-blank line holds exactly two tokens;
-    "v" appears only as a lone first token; and every other token is a
-    decimal of at most 18 digits with no leading zero, so that an id and its
-    label determine each other. Any other input returns None and takes the
-    general path, which also raises every error.
+    The byte-level steps both vectorized loaders share. The text must be
+    ASCII; '#' comments are removed, and what remains must use only the
+    bytes of ``charset``, which holds no byte below the space but tab, LF
+    and CR. LF and CR end lines, and a token is a run of bytes above the
+    space. Returns the bytes without comments, a uint8 view of them, and
+    the start and stop offsets of every token. Any other input, including
+    one with a line of one or three tokens, returns None.
     """
     if not data.isascii():
         return None
@@ -252,10 +255,10 @@ def _int_id_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.nd
         data = data.encode("ascii")
     if b"#" in data:
         data = _COMMENT.sub(b"", data)
-    if data.translate(None, _INT_GRAMMAR):
+    if data.translate(None, charset):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
-    tok = raw >= _ZERO  # digits and "v"; blanks and line ends sort below "0"
+    tok = raw > _SPACE  # blanks and line ends sort at or below the space
     start = np.flatnonzero(tok[1:] > tok[:-1])
     start += 1
     stop = np.flatnonzero(tok[:-1] > tok[1:])
@@ -265,15 +268,38 @@ def _int_id_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.nd
     if tok.size and tok[-1]:
         stop = np.append(stop, tok.size)
     del tok
-    line_end = raw == ord("\n")
+    # Tokens per line, from the token starts before each line end: 0 or 2 on
+    # every line. Each array is freed once the next is built, which keeps the
+    # peak memory of a large edge list down.
+    ends = raw == ord("\n")
     if b"\r" in data:
-        line_end |= raw == ord("\r")
-    # tokens per line, from the token starts before each line end: 0 or 2 on every line
-    per_line = np.diff(np.searchsorted(start, np.flatnonzero(line_end)), prepend=0, append=start.size)
-    del line_end
+        ends |= raw == ord("\r")
+    ends = np.flatnonzero(ends)
+    before = np.searchsorted(start, ends)
+    del ends
+    per_line = np.diff(before, prepend=0, append=start.size)
+    del before
     if not bool(((per_line == 0) | (per_line == 2)).all()):
         return None
-    del per_line
+    return data, raw, start, stop
+
+
+def _int_id_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
+    """The general pass's result for an edge list of canonical integer ids, or None.
+
+    Vectorized over the raw bytes by :func:`_tokenize`, with no per-line
+    Python loop. It applies only when, after comments are removed, the input
+    is ASCII digits, "v", spaces, tabs, LF and CR; every non-blank line
+    holds exactly two tokens; "v" appears only as a lone first token; and
+    every other token is a decimal of at most 18 digits with no leading
+    zero, so that an id and its label determine each other. Any other input
+    returns None and takes the general path, which also raises every error.
+    """
+    tokens = _tokenize(data, _INT_GRAMMAR)
+    if tokens is None:
+        return None
+    data, raw, start, stop = tokens
+    del tokens
     length = stop - start
     first = raw[start]
     if bool((length > _MAX_DIGITS).any()) or bool(((first == _ZERO) & (length > 1)).any()):
@@ -299,18 +325,49 @@ def _int_id_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.nd
     return tuple(map(str, order.tolist())), dense[0::2].copy(), dense[1::2].copy()
 
 
+def _decimals(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
+    """The int64 value of every token ``raw[start:stop]``, or None.
+
+    None unless every token is a canonical decimal: 1 to 18 ASCII digits
+    with no leading zero, so that a value and its text determine each
+    other. The digits are accumulated one column at a time, vectorized over
+    the tokens.
+    """
+    length = stop - start
+    if not length.size:
+        return np.empty(0, dtype=np.int64)
+    if not 1 <= int(length.min()) <= int(length.max()) <= _MAX_DIGITS:
+        return None
+    if bool(((raw[start] == _ZERO) & (length > 1)).any()):
+        return None
+    values = np.zeros(length.size, dtype=np.int64)
+    for j in range(int(length.max())):
+        live = length > j
+        digit = raw.take(start + j, mode="clip") - _ZERO  # uint8: a byte below "0" wraps above 9
+        if bool((live & (digit > 9)).any()):
+            return None
+        values = np.where(live, values * 10 + digit, values)
+    return values
+
+
 def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ``ids`` in first-appearance order, and each id's index in it (int32)."""
+    """Distinct ``ids`` in first-appearance order, and each id's index in it (int32).
+
+    Integer ids go through a lookup table when it needs at most about 4
+    entries per id; other ids, fixed-width bytes among them, are sorted by
+    ``np.unique``.
+    """
     k = ids.size
-    top = int(ids.max()) + 1 if k else 0
-    if top <= 4 * k + 1024:  # dense ids: a lookup table of at most 4 entries per token
-        first = np.full(top, k, dtype=np.int32)
-        np.minimum.at(first, ids, np.arange(k, dtype=np.int32))
-        order = ids[first[ids] == np.arange(k, dtype=np.int32)]
-        del first
-        table = np.empty(top, dtype=np.int32)
-        table[order] = np.arange(order.size, dtype=np.int32)
-        return order, table[ids]
+    if ids.dtype.kind in "iu":
+        top = int(ids.max()) + 1 if k else 0
+        if top <= 4 * k + 1024:  # dense ids: a lookup table of at most 4 entries per token
+            first = np.full(top, k, dtype=np.int32)
+            np.minimum.at(first, ids, np.arange(k, dtype=np.int32))
+            order = ids[first[ids] == np.arange(k, dtype=np.int32)]
+            del first
+            table = np.empty(top, dtype=np.int32)
+            table[order] = np.arange(order.size, dtype=np.int32)
+            return order, table[ids]
     uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     rank = np.empty(uniq.size, dtype=np.int32)
     by_first = np.argsort(first)

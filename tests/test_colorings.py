@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nethom as nh
+from nethom import colorings
 from conftest import monochrome_edge_scan, random_gnp
 
 
@@ -161,6 +163,41 @@ class TestLoadColoring:
     def test_comments_and_blank_lines(self, p3):
         f = nh.load_coloring("# hi\n\na\tred\nb\tred\nc\tblue # inline\n", p3)
         assert f.profile.sizes == (2, 1)
+
+
+def _general_load(text, graph):
+    with mock.patch.object(colorings, "_int_id_coloring", return_value=None):
+        return nh.load_coloring(text, graph)
+
+
+class TestIntegerIdPath:
+    def test_leaves_the_graph_index_unbuilt(self):
+        g = nh.load_edge_list(b"# ids\n5\t12\n12\t0\nv 7\n")
+        f = nh.load_coloring(b"0\tb\n5\ta\r\n# c\n12\ta\n7\tc # last\n", g)
+        assert "index" not in g.__dict__
+        assert f.assignment.tolist() == [1, 1, 0, 2]
+        assert f.class_labels == ("b", "a", "c")
+
+    @pytest.mark.parametrize(
+        "graph,text",
+        [
+            (nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=("00", "1", "2")), "00\tx\n1\ty\n2\tx\n"),
+            (nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=("00", "1", "2")), "0\tx\n1\ty\n2\tx\n"),
+            (nh.Graph.from_edges(2, [(0, 1)], labels=("1\n2", "3")), "3\tx\n"),
+            (nh.Graph.from_edges(2, [(0, 1)], labels=("", "3")), "3\tx\n"),
+            (nh.load_edge_list("007 7\n7 8\n"), "007\ta\n7\tb\n8\ta\n"),
+            (nh.load_edge_list("007 7\n7 8\n"), "7\ta\n8\tb\n7\ta\n"),
+            (nh.load_edge_list("007 7\n7 8\n"), "7\ta\n8\tb\n"),
+        ],
+    )
+    def test_non_canonical_graph_labels_take_the_general_path(self, graph, text):
+        assert colorings._int_id_coloring(text, graph) is None
+        assert _coloring_outcome(nh.load_coloring, text, graph) == _coloring_outcome(
+            _general_load, text, graph
+        )
+        assert _coloring_outcome(nh.load_coloring, text, graph) == _coloring_outcome(
+            reference_load_coloring, text, graph
+        )
 
 
 class TestHomophilicCounts:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nethom as nh
@@ -59,10 +59,11 @@ def reference_from_edges(n, edges, dedupe=False):
 def _from_edges_outcome(build, n, edges, dedupe):
     """Edges and degrees as lists, or the error's class, message and line.
 
-    The pairs are passed as an iterator, which ``from_edges`` accepts.
+    A list of pairs is passed as an iterator, which ``from_edges`` accepts;
+    an array is passed as it is.
     """
     try:
-        out = build(n, iter(edges), dedupe=dedupe)
+        out = build(n, iter(edges) if isinstance(edges, list) else edges, dedupe=dedupe)
     except nh.EdgeListError as exc:
         return type(exc), str(exc), exc.line
     if isinstance(out, nh.Graph):
@@ -172,11 +173,22 @@ class TestLoadEdgeList:
 class TestFromEdges:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(small_edge_inputs(), st.booleans())
+    @example((3, []), False)
     def test_matches_reference_rule_loop(self, case, dedupe):
         n, edges = case
-        assert _from_edges_outcome(nh.Graph.from_edges, n, edges, dedupe) == _from_edges_outcome(
-            reference_from_edges, n, edges, dedupe
-        )
+        expected = _from_edges_outcome(reference_from_edges, n, edges, dedupe)
+        assert _from_edges_outcome(nh.Graph.from_edges, n, edges, dedupe) == expected
+        # the same pairs as (m, 2) integer arrays, when every endpoint fits in int32
+        if all(type(x) is int and abs(x) < 2**31 for pair in edges for x in pair):
+            for dtype in (np.int64, np.int32):
+                pairs = np.array(edges, dtype=dtype).reshape(len(edges), 2)
+                assert _from_edges_outcome(nh.Graph.from_edges, n, pairs, dedupe) == expected
+
+    def test_integer_array_is_not_aliased(self):
+        pairs = np.array([[0, 1], [1, 2]], dtype=np.int32)
+        g = nh.Graph.from_edges(3, pairs)
+        assert not np.shares_memory(g.edges_u, pairs) and not np.shares_memory(g.edges_v, pairs)
+        assert pairs.flags.writeable
 
     def test_repeated_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
