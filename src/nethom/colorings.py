@@ -22,10 +22,11 @@ from .graphs import (
     _SPACE,
     Graph,
     TextSource,
-    _decimals,
     _decode,
     _first_appearance,
+    _keys,
     _read,
+    _texts,
     _tokenize,
 )
 
@@ -147,12 +148,12 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     text after it, both stripped. Class indices are assigned by first
     appearance of each label.
 
-    Two paths give the same result. When the graph's labels are canonical
-    decimals (as :func:`~nethom.graphs.load_edge_list` assigns them to an
-    integer-id edge list) and every non-blank line is one canonical-decimal
-    id, blanks holding the line's first tab and one printable-ASCII label,
-    with every vertex named once, :func:`_int_id_coloring` parses the file
-    vectorized, without building ``graph.index``. Any other input takes the
+    Two paths give the same result. When every graph label is one token of
+    printable ASCII (as :func:`~nethom.graphs.load_edge_list` assigns them
+    on its vectorized path) and every non-blank line is one such id, blanks
+    holding the line's first tab and one printable-ASCII label, with every
+    vertex named once, :func:`_token_coloring` parses the file vectorized,
+    without building ``graph.index``. Any other input takes the
     general path: one pass over the lines that raises at the first bad one:
     a line without a tab or with an empty field (:class:`ColoringError`),
     an id not in the graph (:class:`UnknownVertexError`) or a vertex already
@@ -161,7 +162,7 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     Only the general path raises, so every error comes from it.
     """
     data = _read(source)
-    fast = _int_id_coloring(data, graph)
+    fast = _token_coloring(data, graph)
     if fast is not None:
         return fast
     text = _decode(data)
@@ -194,49 +195,42 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     return Coloring(assignment=assignment, class_labels=tuple(class_index))
 
 
-# printable ASCII, with the space, tab, LF and CR
-_TSV_CHARSET = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 _TAB = ord("\t")
+# the bytes of graph labels the vectorized path takes: printable tokens, one per line
+_LABEL_BYTES = bytes(range(_SPACE + 1, 0x7F)) + b"\n"
 
 
-def _int_id_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
-    """The general path's coloring of an integer-id TSV file, or None.
+def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
+    """The general path's coloring of a TSV file of printable-ASCII tokens, or None.
 
     Vectorized over the bytes, with no per-line Python loop and no
-    ``graph.index``. It applies only when every graph label is a canonical
-    decimal (:func:`~nethom.graphs._decimals`) and, after comments are
-    removed (:func:`~nethom.graphs._tokenize`), every non-blank line holds a
-    canonical-decimal id of a graph vertex, then blanks holding the line's
-    first tab, then one label of printable ASCII, with each vertex named on
-    exactly one line, and the labels padded to the longest take no more
-    bytes than the file. Any other input, every bad one included, returns
-    None and takes the general path, which raises the error.
+    ``graph.index``. It applies only when every graph label is one
+    nonempty token of printable ASCII without blanks and, after comments
+    are removed (:func:`~nethom.graphs._tokenize`), every non-blank line
+    holds the id of a graph vertex, then blanks holding the line's first
+    tab, then one label of printable ASCII, with each vertex named on
+    exactly one line. The graph's labels followed by the file's ids are
+    keyed as one token array by :func:`~nethom.graphs._keys`, so both get
+    the same encoding, and so are the class labels. Any other input, every
+    bad one included, and any tokens :func:`~nethom.graphs._keys` declines
+    return None and take the general path, which raises the error.
     """
     n = graph.n
     labels = "\n".join(graph.labels)
     if not n or not labels.isascii():
         return None
     labels = labels.encode("ascii")
-    # digits and n - 1 separators only: checked before any work on the file
-    if labels.translate(None, b"0123456789\n") or labels.count(b"\n") != n - 1:
+    # printable tokens and n - 1 separators only: checked before any work on the file
+    if labels.translate(None, _LABEL_BYTES) or labels.count(b"\n") != n - 1:
         return None
-    raw = np.frombuffer(labels, dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    label_ids = _decimals(raw, np.concatenate(([0], ends + 1)), np.append(ends, raw.size))
-    del labels, raw, ends
-    if label_ids is None:
-        return None
-    tokens = _tokenize(data, _TSV_CHARSET)
+    tokens = _tokenize(data)
     if tokens is None:
         return None
-    data, raw, start, stop = tokens
+    data, raw, start, stop, _ = tokens
     del tokens
     if start.size != 2 * n:  # a vertex is missing, unknown or repeated
         return None
     id_start, id_stop, label_start, label_stop = start[0::2], stop[0::2], start[1::2], stop[1::2]
-    ids = _decimals(raw, id_start, id_stop)
-    if ids is None:
-        return None
     # The tabs and line ends around each id: the one before it must not be a
     # tab, and the one after it must be a tab before the label.
     breaks = np.flatnonzero(raw < _SPACE)
@@ -248,31 +242,34 @@ def _int_id_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     if not bool(ok.all()):
         return None
     del breaks, at, after, before, ok
-    # the labels come first, so an id is a graph vertex exactly when its index is below n
-    vertex = _first_appearance(np.concatenate((label_ids, ids)))[1][n:]
+    # The graph's labels, then a line end, then the file: the labels' tokens
+    # and the ids are keyed together, the labels first, so an id is a graph
+    # vertex exactly when its index is below n.
+    ends = np.flatnonzero(np.frombuffer(labels, dtype=np.uint8) == ord("\n"))
+    shift = len(labels) + 1
+    vertex_start = np.concatenate(([0], ends + 1, id_start + shift))
+    vertex_stop = np.concatenate((ends, [len(labels)], id_stop + shift))
+    del ends
+    # an empty graph label keys as zeros, which no id does: its vertex goes unnamed below
+    keys = _keys(np.frombuffer(b"\n".join((labels, data)), dtype=np.uint8), vertex_start, vertex_stop)
+    del labels, vertex_start, vertex_stop
+    if keys is None:
+        return None
+    vertex = _first_appearance(keys)[1][n:]
+    del keys
     if not bool((vertex < n).all()):
         return None
     seen = np.zeros(n, dtype=bool)
     seen[vertex] = True
     if not bool(seen.all()):  # n ids, all in the graph: a repeat leaves a vertex unnamed
         return None
-    if n * int((label_stop - label_start).max()) > raw.size:  # the padded labels outgrow the file
+    keys = _keys(raw, label_start, label_stop)
+    if keys is None:
         return None
-    names, classes = _first_appearance(_fixed_width(raw, label_start, label_stop))
+    names, classes = _first_appearance(keys)
     assignment = np.empty(n, dtype=np.int32)
     assignment[vertex] = classes
-    class_labels = tuple(name.decode("ascii") for name in names.tolist())
-    return Coloring(assignment=assignment, class_labels=class_labels)
-
-
-def _fixed_width(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The tokens ``raw[start:stop]`` as a fixed-width bytes array, zero-padded."""
-    length = stop - start
-    width = int(length.max())
-    cells = np.zeros((length.size, width), dtype=np.uint8)
-    for j in range(width):
-        cells[:, j] = np.where(length > j, raw.take(start + j, mode="clip"), 0)
-    return cells.view(f"S{width}")[:, 0]
+    return Coloring(assignment=assignment, class_labels=_texts(names))
 
 
 def homophilic_counts(g: Graph, f: Coloring) -> ObservedOutcome:

@@ -231,23 +231,24 @@ def _scan(text: str, lines: list[int] | None = None) -> tuple[tuple[str, ...], n
 
 # A comment runs to the next byte that str.splitlines() treats as a line end.
 _COMMENT = re.compile(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*")
+_PRINTABLE = bytes(range(0x20, 0x7F)) + b"\t\n\r"  # printable ASCII, the space, tab, LF and CR
 _INT_GRAMMAR = b"0123456789v \t\n\r"
 _SPACE, _V, _ZERO = ord(" "), ord("v"), ord("0")
 _MAX_DIGITS = 18  # every canonical id of up to 18 digits fits in int64
+_KEY_BYTES = 8  # a token of at most 8 bytes is keyed as one uint64
 
 
-def _tokenize(
-    data: str | bytes, charset: bytes
-) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None:
+def _tokenize(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray, bool] | None:
     """Token bounds of a text whose every line holds zero or two tokens, or None.
 
     The byte-level steps both vectorized loaders share. The text must be
-    ASCII; '#' comments are removed, and what remains must use only the
-    bytes of ``charset``, which holds no byte below the space but tab, LF
-    and CR. LF and CR end lines, and a token is a run of bytes above the
-    space. Returns the bytes without comments, a uint8 view of them, and
-    the start and stop offsets of every token. Any other input, including
-    one with a line of one or three tokens, returns None.
+    ASCII; '#' comments are removed, and what remains must be printable
+    ASCII, spaces, tabs, LF and CR. LF and CR end lines, and a token is a
+    run of bytes above the space. Returns the bytes without comments, a
+    uint8 view of them, the start and stop offsets of every token, and
+    whether those bytes are all digits, "v", blanks and line ends. Any
+    other input, including one with a line of one or three tokens, returns
+    None.
     """
     if not data.isascii():
         return None
@@ -255,8 +256,13 @@ def _tokenize(
         data = data.encode("ascii")
     if b"#" in data:
         data = _COMMENT.sub(b"", data)
-    if data.translate(None, charset):
+    # The charset is checked on what is left once the integer grammar's bytes
+    # are removed, so a text of integer ids is scanned once.
+    other = data.translate(None, _INT_GRAMMAR)
+    if other.translate(None, _PRINTABLE):
         return None
+    digits = not other
+    del other
     raw = np.frombuffer(data, dtype=np.uint8)
     tok = raw > _SPACE  # blanks and line ends sort at or below the space
     start = np.flatnonzero(tok[1:] > tok[:-1])
@@ -281,48 +287,60 @@ def _tokenize(
     del before
     if not bool(((per_line == 0) | (per_line == 2)).all()):
         return None
-    return data, raw, start, stop
+    return data, raw, start, stop, digits
 
 
-def _int_id_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
-    """The general pass's result for an edge list of canonical integer ids, or None.
+def _token_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
+    """The general pass's result for an edge list of printable-ASCII ids, or None.
 
     Vectorized over the raw bytes by :func:`_tokenize`, with no per-line
-    Python loop. It applies only when, after comments are removed, the input
-    is ASCII digits, "v", spaces, tabs, LF and CR; every non-blank line
-    holds exactly two tokens; "v" appears only as a lone first token; and
-    every other token is a decimal of at most 18 digits with no leading
-    zero, so that an id and its label determine each other. Any other input
-    returns None and takes the general path, which also raises every error.
+    Python loop. It applies when, after comments are removed, the input is
+    printable ASCII, spaces, tabs, LF and CR, and every non-blank line holds
+    exactly two tokens: "v <id>" declares a vertex and any other line is an
+    edge, so a "v" in second position is an id. A file of canonical decimals
+    and declaring "v"s only is read by ``np.fromstring``, which holds the
+    least memory; any other ids are keyed by :func:`_keys`. Any other input,
+    or ids :func:`_keys` declines, returns None and takes the general path,
+    which also raises every error.
     """
-    tokens = _tokenize(data, _INT_GRAMMAR)
+    tokens = _tokenize(data)
     if tokens is None:
         return None
-    data, raw, start, stop = tokens
+    data, raw, start, stop, digits = tokens
     del tokens
     length = stop - start
     first = raw[start]
-    if bool((length > _MAX_DIGITS).any()) or bool(((first == _ZERO) & (length > 1)).any()):
-        return None
-    declared = first == _V
-    if declared[1::2].any():
-        return None
-    del raw, start, stop, length, first
-    n_v = data.count(b"v")
-    if n_v:
-        data = data.translate(bytes.maketrans(b"v", b" "))
-    # sep=" " matches any run of whitespace; a blank input would parse as [0]
-    ids = np.fromstring(data, dtype=np.int64, sep=" ") if declared.size else np.empty(0, np.int64)
+    decimal = (
+        digits
+        and int(length.max(initial=0)) <= _MAX_DIGITS
+        and not bool((length[first == _ZERO] > 1).any())
+    )
+    declared = (first[0::2] == _V) & (length[0::2] == 1)  # one entry per line
+    del length, first
+    n_v = int(np.count_nonzero(declared))
+    if n_v:  # the id tokens: all but the declaring "v"s
+        keep = np.ones(start.size, dtype=bool)
+        keep[0::2] = ~declared
+    if decimal and data.count(b"v") == n_v:  # every id is a canonical decimal
+        del raw, start, stop
+        if n_v:
+            data = data.translate(bytes.maketrans(b"v", b" "))
+        # sep=" " matches any run of whitespace; a blank input would parse as [0]
+        ids = np.fromstring(data, dtype=np.int64, sep=" ") if declared.size else np.empty(0, np.int64)
+    else:
+        if n_v:  # one array at a time, so that each copy frees its original
+            start = start[keep]
+            stop = stop[keep]
+        ids = _keys(raw, start, stop)
+        del raw, start, stop
+        if ids is None:
+            return None
     del data
-    # a token yields one id per run of digits once "v" is blanked, so this count
-    # holds exactly when every token is all digits or a lone "v"
-    if ids.size != declared.size - n_v:
-        return None
     order, dense = _first_appearance(ids)
     del ids
     if n_v:  # endpoints are the ids not on a "v" line
-        dense = dense[~np.repeat(declared[0::2], 2)[~declared]]
-    return tuple(map(str, order.tolist())), dense[0::2].copy(), dense[1::2].copy()
+        dense = dense[np.repeat(~declared, 2)[keep]]
+    return _texts(order), dense[0::2].copy(), dense[1::2].copy()
 
 
 def _decimals(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
@@ -338,41 +356,88 @@ def _decimals(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
         return np.empty(0, dtype=np.int64)
     if not 1 <= int(length.min()) <= int(length.max()) <= _MAX_DIGITS:
         return None
-    if bool(((raw[start] == _ZERO) & (length > 1)).any()):
+    digit = raw[start] - _ZERO  # uint8: a byte below "0" wraps above 9
+    if bool((digit > 9).any()) or bool(((digit == 0) & (length > 1)).any()):
         return None
-    values = np.zeros(length.size, dtype=np.int64)
-    for j in range(int(length.max())):
+    values = digit.astype(np.int64)
+    for j in range(1, int(length.max())):
         live = length > j
         digit = raw.take(start + j, mode="clip") - _ZERO  # uint8: a byte below "0" wraps above 9
         if bool((live & (digit > 9)).any()):
             return None
-        values = np.where(live, values * 10 + digit, values)
+        np.multiply(values, 10, out=values, where=live)
+        np.add(values, digit, out=values, where=live)
     return values
 
 
-def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ``ids`` in first-appearance order, and each id's index in it (int32).
+def _keys(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
+    """One key per token ``raw[start:stop]``, equal exactly when the tokens are, or None.
 
-    Integer ids go through a lookup table when it needs at most about 4
-    entries per id; other ids, fixed-width bytes among them, are sorted by
-    ``np.unique``.
+    Canonical decimals (:func:`_decimals`) are keyed by their int64 values.
+    Any other tokens are zero-padded to the longest of them, or to 8 bytes
+    if none is longer, and keyed as one uint64 per token of at most 8 bytes,
+    or else as fixed-width bytes; no token holds a NUL byte, so padding
+    keeps distinct tokens apart. Fixed-width keys wider than 8 bytes that
+    would take more bytes than ``raw`` return None.
     """
-    k = ids.size
-    if ids.dtype.kind in "iu":
-        top = int(ids.max()) + 1 if k else 0
-        if top <= 4 * k + 1024:  # dense ids: a lookup table of at most 4 entries per token
-            first = np.full(top, k, dtype=np.int32)
-            np.minimum.at(first, ids, np.arange(k, dtype=np.int32))
-            order = ids[first[ids] == np.arange(k, dtype=np.int32)]
-            del first
-            table = np.empty(top, dtype=np.int32)
-            table[order] = np.arange(order.size, dtype=np.int32)
-            return order, table[ids]
-    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    rank = np.empty(uniq.size, dtype=np.int32)
-    by_first = np.argsort(first)
-    rank[by_first] = np.arange(uniq.size, dtype=np.int32)
-    return uniq[by_first], rank[inverse]
+    keys = _decimals(raw, start, stop)
+    if keys is not None:
+        return keys
+    length = stop - start
+    width = max(int(length.max()), _KEY_BYTES)
+    if width > _KEY_BYTES and width * length.size > raw.size:
+        return None
+    padded = np.zeros(raw.size + width, dtype=np.uint8)
+    padded[: raw.size] = raw
+    # the width bytes from each token's start: one item per byte offset, gathered
+    cells = np.ndarray((raw.size,), dtype=f"V{width}", buffer=padded, strides=(1,))[start]
+    del padded
+    cells = cells.view(np.uint8).reshape(-1, width)
+    for j in range(1, width):  # zero the bytes past each token
+        np.multiply(cells[:, j], length > j, out=cells[:, j])
+    return cells.view(np.uint64 if width == _KEY_BYTES else f"S{width}")[:, 0]
+
+
+def _texts(keys: np.ndarray) -> tuple[str, ...]:
+    """The token of every key that :func:`_keys` gives."""
+    if keys.dtype.kind == "i":
+        return tuple(map(str, keys.tolist()))
+    if keys.dtype == np.uint64:
+        keys = keys.view(f"S{_KEY_BYTES}")  # bytes_ items drop the NUL padding
+    return tuple(b"\n".join(keys.tolist()).decode("ascii").split("\n"))
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``keys`` in first-appearance order, and each key's index in it (int32).
+
+    Signed integer keys go through a lookup table when it needs at most
+    about 4 entries per key. Any other keys are first numbered in sorted
+    order, as ``np.unique(keys, return_inverse=True)`` would number them
+    but with int32 numbers and no copy of ``keys``, and the table runs over
+    those numbers.
+    """
+    k = keys.size
+    top = int(keys.max()) + 1 if k and keys.dtype.kind == "i" else 0
+    if keys.dtype.kind != "i" or top > 4 * k + 1024:
+        perm = keys.argsort()
+        ranked = keys[perm]
+        new = np.empty(k, dtype=bool)
+        new[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+        uniq = ranked[new]
+        del ranked
+        number = np.empty(k, dtype=np.int32)
+        number[perm] = np.cumsum(new, dtype=np.int32) - 1
+        del perm, new
+        order, dense = _first_appearance(number)
+        return uniq[order], dense
+    first = np.full(top, k, dtype=np.int32)
+    np.minimum.at(first, keys, np.arange(k, dtype=np.int32))
+    order = keys[first[keys] == np.arange(k, dtype=np.int32)]
+    del first
+    table = np.empty(top, dtype=np.int32)
+    table[order] = np.arange(order.size, dtype=np.int32)
+    return order, table[keys]
 
 
 def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
@@ -389,13 +454,14 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
     edge :class:`DuplicateEdgeError`, unless ``dedupe`` is set, which keeps
     the first copy of each edge. A line with one token raises
     :class:`MalformedLineError`. Each error names the first bad line.
-    Files whose ids are all canonical non-negative decimals are tokenized
-    vectorized (:func:`_int_id_edges`); any other input takes the general
-    pass, :func:`_scan`, with the same result. The line of a bad edge is
-    found by a second scan, run only when an error is raised.
+    Files of printable-ASCII ids with exactly two tokens on every
+    non-blank line are tokenized vectorized (:func:`_token_edges`), whether
+    the ids are integers or not; any other input takes the general pass,
+    :func:`_scan`, with the same result. The line of a bad edge is found by
+    a second scan, run only when an error is raised.
     """
     data = _read(source)
-    parsed = _int_id_edges(data)
+    parsed = _token_edges(data)
     if parsed is None:
         text = _decode(data)
         try:

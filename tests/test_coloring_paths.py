@@ -1,11 +1,11 @@
-"""The vectorized integer-id coloring path against the general line loop.
+"""The vectorized token path of the coloring loader against the general line loop.
 
-``load_coloring`` takes the integer path when the graph's labels and every
-vertex id are canonical decimals; patching ``_int_id_coloring`` to decline
-forces the general path on the same bytes, so the two can be compared on any
-input. Both are also compared with ``reference_load_coloring`` from
-``test_colorings.py``, a line-by-line rule loop that shares no code with the
-library.
+``load_coloring`` takes the token path when every graph label is one token
+of printable ASCII and every line is one such id, a tab and one label;
+patching ``_token_coloring`` to decline forces the general path on the same
+bytes, so the two can be compared on any input. Both are also compared with
+``reference_load_coloring`` from ``test_colorings.py``, a line-by-line rule
+loop that shares no code with the library.
 """
 
 from unittest import mock
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nethom as nh
-from nethom import colorings
+from nethom import colorings, graphs
 from test_colorings import reference_load_coloring
 
 PATHS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -34,7 +34,7 @@ def _graph():
 
 
 def _general(data, graph):
-    with mock.patch.object(colorings, "_int_id_coloring", return_value=None):
+    with mock.patch.object(colorings, "_token_coloring", return_value=None):
         return nh.load_coloring(data, graph)
 
 
@@ -42,10 +42,13 @@ def _reference(data, graph):
     return reference_load_coloring(data.decode("utf-8") if isinstance(data, bytes) else data, graph)
 
 
-def _outcome(load, data):
-    """The assignment and class labels, or the error's class, message and line."""
+def _outcome(load, data, graph=_graph):
+    """The assignment and class labels, or the error's class, message and line.
+
+    ``graph`` makes a fresh graph for the load.
+    """
     try:
-        f = load(data, _graph())
+        f = load(data, graph())
     except (nh.ColoringError, UnicodeDecodeError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     if isinstance(f, nh.Coloring):
@@ -63,7 +66,7 @@ BLANK = st.sampled_from(["", " ", "\t", " \t "])
 COMMENT = st.text(alphabet="ab 0\t#", max_size=6).map(lambda t: "#" + t)
 LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
 
-# Ways to rewrite the line of vertex v with label lab that the integer path must decline.
+# Ways to rewrite the line of vertex v with label lab that the token path must decline.
 SPOILERS = {
     "leading-zero id": lambda v, lab: "0" + v + "\t" + lab,
     "unknown id": lambda v, lab: "99\t" + lab,
@@ -80,7 +83,7 @@ SPOILERS = {
     "non-ASCII label": lambda v, lab: v + "\tcaf\xe9",
     "unit separator after the label": lambda v, lab: v + "\t" + lab + "\x1f",
 }
-# Line ends str.splitlines() knows that the integer path declines.
+# Line ends str.splitlines() knows that the token path declines.
 ODD_LINE_ENDS = ["\x0b", "\x0c", "\x1c"]
 
 # Every way to spoil a text; None leaves it clean.
@@ -91,7 +94,7 @@ KINDS = [None] + sorted(SPOILERS) + ["odd line end", "missing", "repeated", "ren
 def coloring_texts(draw, kind):
     """Text of a coloring of ``VIDS``, spoiled as ``kind`` says.
 
-    A clean text is a complete coloring in the integer grammar, with
+    A clean text is a complete coloring the token path takes, with
     blanks, comments and any of LF, CRLF and CR. A spoiled one changes one
     thing: a line from ``SPOILERS``, an odd line end, missing vertices, a
     repeated vertex, or one vertex named in place of another.
@@ -131,8 +134,8 @@ def test_three_loaders_agree(kind, data):
     text = data.draw(coloring_texts(kind), label="text")
     encoded = text.encode("utf-8") if data.draw(st.booleans(), label="as bytes") else text
     g = _graph()
-    # the integer path takes exactly the clean texts, and never builds the index
-    assert (colorings._int_id_coloring(encoded, g) is not None) == (kind is None)
+    # the token path takes exactly the clean texts, and never builds the index
+    assert (colorings._token_coloring(encoded, g) is not None) == (kind is None)
     assert "index" not in g.__dict__
     expected = _outcome(_reference, encoded)
     assert _outcome(nh.load_coloring, encoded) == expected
@@ -141,6 +144,94 @@ def test_three_loaders_agree(kind, data):
 
 @pytest.mark.parametrize("text", ["", "3\t0\n10\t0\n0\t0\n7\t0\n12\t0\n5\t0\n100\t0\n1\t0"])
 def test_empty_file_and_one_class(text):
-    assert (colorings._int_id_coloring(text, _graph()) is not None) == bool(text)
+    assert (colorings._token_coloring(text, _graph()) is not None) == bool(text)
     expected = _outcome(_reference, text)
     assert _outcome(nh.load_coloring, text) == expected == _outcome(_general, text)
+
+
+# Graph labels of printable ASCII, on both sides of 8 bytes, and labels the
+# token path must decline: one with a space, an empty one, a non-ASCII one.
+TOKEN_LABELS = st.one_of(
+    st.text(alphabet=[chr(b) for b in range(0x21, 0x7F) if chr(b) != "#"], min_size=1, max_size=12),
+    st.integers(0, 10**4).map(lambda k: f"u{k}"),
+    st.sampled_from(["v", "007", "7", "abcdefgh", "abcdefghi"]),
+)
+DECLINED_LABELS = ["a b", "", "caf\xe9"]
+CLASSES = st.sampled_from(["red", "c1", "0", "007", "abcdefgh", "abcdefghi", "community-12"])
+STRING_KINDS = [None, "missing", "repeated", "unknown id", "missing tab"]
+
+
+@st.composite
+def string_colorings(draw):
+    """A graph's labels, a coloring text for it, and whether the token path must take it.
+
+    The labels are distinct printable-ASCII tokens, or hold one label from
+    ``DECLINED_LABELS``. The text names every vertex once, with blanks,
+    comments and any of LF, CRLF and CR, or is spoiled as one of
+    ``STRING_KINDS`` says. The token path must take a clean text for a
+    graph of tokens when no label or id is longer than 8 bytes, and decline
+    every spoiled text and every graph with a declined label; None leaves
+    the others to its size guard.
+    """
+    labels = draw(st.lists(TOKEN_LABELS, min_size=1, max_size=8, unique=True))
+    declined = draw(st.sampled_from([None, None, None] + DECLINED_LABELS))
+    if declined is not None and declined not in labels:
+        labels[draw(st.integers(0, len(labels) - 1))] = declined
+    kind = draw(st.sampled_from(STRING_KINDS))
+    vids = draw(st.permutations(labels))
+    classes = [draw(CLASSES) for _ in vids]
+    lines = [draw(LEAD) + v + draw(MID) + c + draw(TRAIL) for v, c in zip(vids, classes)]
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "missing":
+        del lines[at]
+    elif kind == "repeated":
+        lines.insert(draw(st.integers(0, len(lines))), vids[at] + "\t" + classes[at])
+    elif kind == "unknown id":
+        lines[at] = "zz" + vids[at] + "zz\t" + classes[at]
+    elif kind == "missing tab":
+        lines[at] = vids[at] + " " + classes[at]
+    text = ""
+    for line in lines:
+        if draw(st.booleans()):
+            line += draw(BLANK) + draw(COMMENT)
+        text += line + draw(LINE_END)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if declined is not None or kind is not None:
+        return tuple(labels), text, False
+    return tuple(labels), text, all(len(t) <= 8 for t in labels + classes) or None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(string_colorings(), st.booleans())
+def test_string_id_graphs_three_loaders_agree(case, as_bytes):
+    labels, text, accept = case
+    encoded = text.encode("utf-8") if as_bytes else text
+
+    def graph():
+        return nh.Graph.from_edges(len(labels), [], labels=labels)
+
+    g = graph()
+    taken = colorings._token_coloring(encoded, g)
+    assert "index" not in g.__dict__
+    if accept is not None:
+        assert (taken is not None) == accept, (labels, text)
+    expected = _outcome(_reference, encoded, graph)
+    assert _outcome(nh.load_coloring, encoded, graph) == expected
+    assert _outcome(_general, encoded, graph) == expected
+
+
+def test_string_ids_never_reach_a_line_loop():
+    """A small ``u<k>`` edge list and coloring load with both line loops disabled."""
+    edges = "".join(f"u{i} u{i + 1}\n" for i in range(12)) + "v loner\n"
+    text = "".join(f"u{i}\tclass-{i % 3}\n" for i in range(13)) + "loner\tsolo-vertex\n"
+
+    def refuse(*args):
+        raise AssertionError("a line loop ran")
+
+    with mock.patch.object(graphs, "_scan", refuse), mock.patch.object(nh.Graph, "index", property(refuse)):
+        g = nh.load_edge_list(edges)
+        f = nh.load_coloring(text, g)
+    assert g.labels == tuple(f"u{i}" for i in range(13)) + ("loner",)
+    assert f.class_labels == ("class-0", "class-1", "class-2", "solo-vertex")
+    assert f.assignment.tolist() == [i % 3 for i in range(13)] + [3]

@@ -166,7 +166,7 @@ class TestLoadColoring:
 
 
 def _general_load(text, graph):
-    with mock.patch.object(colorings, "_int_id_coloring", return_value=None):
+    with mock.patch.object(colorings, "_token_coloring", return_value=None):
         return nh.load_coloring(text, graph)
 
 
@@ -178,20 +178,39 @@ class TestIntegerIdPath:
         assert f.assignment.tolist() == [1, 1, 0, 2]
         assert f.class_labels == ("b", "a", "c")
 
+    # A graph label is non-canonical for the vectorized path unless it is one
+    # nonempty token of printable ASCII: "2 " and "8\xe9" are not.
     @pytest.mark.parametrize(
         "graph,text",
         [
-            (nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=("00", "1", "2")), "00\tx\n1\ty\n2\tx\n"),
+            (nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=("00", "1", "2 ")), "00\tx\n1\ty\n2\tx\n"),
             (nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=("00", "1", "2")), "0\tx\n1\ty\n2\tx\n"),
             (nh.Graph.from_edges(2, [(0, 1)], labels=("1\n2", "3")), "3\tx\n"),
             (nh.Graph.from_edges(2, [(0, 1)], labels=("", "3")), "3\tx\n"),
-            (nh.load_edge_list("007 7\n7 8\n"), "007\ta\n7\tb\n8\ta\n"),
+            (nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=("007", "7", "8\xe9")), "007\ta\n7\tb\n8\ta\n"),
             (nh.load_edge_list("007 7\n7 8\n"), "7\ta\n8\tb\n7\ta\n"),
             (nh.load_edge_list("007 7\n7 8\n"), "7\ta\n8\tb\n"),
         ],
     )
     def test_non_canonical_graph_labels_take_the_general_path(self, graph, text):
-        assert colorings._int_id_coloring(text, graph) is None
+        assert colorings._token_coloring(text, graph) is None
+        assert _coloring_outcome(nh.load_coloring, text, graph) == _coloring_outcome(
+            _general_load, text, graph
+        )
+        assert _coloring_outcome(nh.load_coloring, text, graph) == _coloring_outcome(
+            reference_load_coloring, text, graph
+        )
+
+    @pytest.mark.parametrize(
+        "graph,text",
+        [
+            (nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=("00", "1", "2")), "00\tx\n1\ty\n2\tx\n"),
+            (nh.load_edge_list("007 7\n7 8\n"), "007\ta\n7\tb\n8\ta\n"),
+        ],
+    )
+    def test_non_canonical_decimal_labels_take_the_token_path(self, graph, text):
+        assert colorings._token_coloring(text, graph) is not None
+        assert "index" not in graph.__dict__
         assert _coloring_outcome(nh.load_coloring, text, graph) == _coloring_outcome(
             _general_load, text, graph
         )
