@@ -242,17 +242,24 @@ def _tokenize(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndar
     """Token bounds of a text whose every line holds zero or two tokens, or None.
 
     The byte-level steps both vectorized loaders share. The text must be
-    ASCII; '#' comments are removed, and what remains must be printable
-    ASCII, spaces, tabs, LF and CR. LF and CR end lines, and a token is a
-    run of bytes above the space. Returns the bytes without comments, a
-    uint8 view of them, the start and stop offsets of every token, and
-    whether those bytes are all digits, "v", blanks and line ends. Any
-    other input, including one with a line of one or three tokens, returns
-    None.
+    UTF-8 without U+0085, U+2028 or U+2029 (line ends to ``str.splitlines()``
+    but not to :data:`_COMMENT`); '#' comments are removed, and what remains
+    must be printable ASCII, spaces, tabs, LF and CR. LF and CR end lines,
+    and a token is a run of bytes above the space. Returns the bytes without
+    comments, a uint8 view of them, the start and stop offsets of every
+    token, and whether those bytes are all digits, "v", blanks and line ends.
+    Any other input, including one with a line of one or three tokens,
+    returns None.
     """
-    if not data.isascii():
-        return None
-    if isinstance(data, str):
+    if not data.isascii():  # other characters may stand only in comments
+        try:
+            text = _decode(data)
+            data = text.encode("utf-8")
+        except UnicodeError:  # not UTF-8: left to the general path
+            return None
+        if "\x85" in text or "\u2028" in text or "\u2029" in text:
+            return None
+    elif isinstance(data, str):
         data = data.encode("ascii")
     if b"#" in data:
         data = _COMMENT.sub(b"", data)

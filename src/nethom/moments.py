@@ -27,15 +27,15 @@ Sherman-Morrison identity
     Sigma^-1 = diag(1/q) - (coef / (1 + coef * vec' diag(1/q) vec)) a a',
     a = diag(1/q) vec.
 
-Dense s x s matrices are built only when read. Everything here is a pure
-function of immutable inputs.
+No s x s float matrix is ever built: :meth:`CovarianceStructure.exact` is
+the one dense form, in exact rationals. Everything here is a pure function
+of immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -123,9 +123,8 @@ class CovarianceStructure:
     vec. ``var_total`` = 1'Sigma 1 and ``var_zsum`` = 1'Gamma 1 on the
     active set are the variances of the total count and of the summed active
     z-scores. ``degenerate`` is set when the active block is singular at the
-    working tolerance. The dense float views ``sigma`` (s x s), ``corr``,
-    ``sigma_inv`` and ``corr_inv`` (active set) are built on first access;
-    ``corr`` is None without active classes and the inverses when degenerate.
+    working tolerance; :meth:`corr_inv_quad` then raises. The only matrix
+    is the exact one :meth:`exact` returns.
     """
 
     def __init__(
@@ -158,8 +157,8 @@ class CovarianceStructure:
         self.var_total = self.quad(np.ones(len(at)))
 
         self.sd = np.sqrt(self.var_f[act])
-        self._b = self._vec_f[act] / self.sd  # vec in the correlation geometry
-        self.var_zsum = len(act) + 2.0 * self._coef_f * _pair_sum(self._b)
+        b = self._vec_f[act] / self.sd  # vec in the correlation geometry
+        self.var_zsum = len(act) + 2.0 * self._coef_f * _pair_sum(b)
 
         # Sherman-Morrison on the active set: Gamma^-1 = diag(var/q) - k * an an'
         self.degenerate = True
@@ -190,36 +189,9 @@ class CovarianceStructure:
     def exact(self) -> list[list[Fraction]]:
         """Sigma as an exact matrix: variances on the diagonal, coef * vec_i * vec_j off it."""
         return [
-            [v if i == j else self.coef * x * y for j, y in enumerate(self.vec)]
-            for i, (v, x) in enumerate(zip(self.var, self.vec))
+            [v if i == j else cx * y for j, y in enumerate(self.vec)]
+            for i, (v, cx) in enumerate(zip(self.var, (self.coef * x for x in self.vec)))
         ]
-
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        out = self._coef_f * np.outer(self._vec_f, self._vec_f)
-        np.fill_diagonal(out, self.var_f)
-        return out
-
-    @cached_property
-    def corr(self) -> np.ndarray | None:
-        if not self.active:
-            return None
-        out = self._coef_f * np.outer(self._b, self._b)
-        np.fill_diagonal(out, 1.0)
-        return out
-
-    @cached_property
-    def sigma_inv(self) -> np.ndarray | None:
-        if self.degenerate:
-            return None
-        a = self._an / self.sd
-        return np.diag(self._inv_qn / self.sd**2) - self._k * np.outer(a, a)
-
-    @cached_property
-    def corr_inv(self) -> np.ndarray | None:
-        if self.degenerate:
-            return None
-        return np.diag(self._inv_qn) - self._k * np.outer(self._an, self._an)
 
 
 def covariance_structure(s: GraphSummary, p: Profile) -> CovarianceStructure:

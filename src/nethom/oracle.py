@@ -9,19 +9,19 @@ tail formula evaluated in exact arbitrary-precision rationals, with a
 log-space variant for very large instances.
 
 :func:`validate` is the one place that compares the closed forms, the
-bounds behind the indices and the Sherman-Morrison inverse with them.
+bounds behind the indices, the sign of the covariances and the
+Sherman-Morrison inverse with them, each against the enumerated law.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
 
 from .colorings import ColoringError, ObservedOutcome, Profile, sample_counts
 from .graphs import Graph, _gamma_from_counts
@@ -152,13 +152,9 @@ def exact_moments(
             for j in range(i, s):
                 row[j] += ci * out[j]
     mean = tuple(Fraction(x, total) for x in sum1)
-    cov = [[Fraction(0)] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(i, s):
-            val = Fraction(sum2[i][j], total) - mean[i] * mean[j]
-            cov[i][j] = val
-            cov[j][i] = val
-    return tuple(mean), cov
+    cov = [[Fraction(sum2[min(i, j)][max(i, j)], total) - mean[i] * mean[j] for j in range(s)]
+           for i in range(s)]
+    return mean, cov
 
 
 def exact_tail(
@@ -173,18 +169,10 @@ def exact_tail(
     support point; comparisons are taken as given, so callers wanting exact
     tie handling should compute the threshold with the same statistic.
     """
-    if side not in ("ge", "le"):
+    keep = {"ge": operator.ge, "le": operator.le}.get(side)
+    if keep is None:
         raise ValueError("side must be 'ge' or 'le'")
-    mass = Fraction(0)
-    if side == "ge":
-        for out, pr in d.support.items():
-            if statistic(out) >= threshold:
-                mass += pr
-    else:
-        for out, pr in d.support.items():
-            if statistic(out) <= threshold:
-                mass += pr
-    return mass
+    return sum((pr for out, pr in d.support.items() if keep(statistic(out), threshold)), Fraction(0))
 
 
 def _sorted_tails(d: ExactDistribution, values: Sequence) -> Callable[..., Fraction]:
@@ -222,13 +210,32 @@ def _check(name: str, ok: bool | None, detail: str) -> dict:
     return {"name": name, "status": status, "detail": detail}
 
 
+def _inverse(a: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Inverse of a square matrix by exact Gauss-Jordan elimination, or None if singular."""
+    k = len(a)
+    rows = [[*row, *(Fraction(i == j) for j in range(k))] for i, row in enumerate(a)]
+    for c in range(k):
+        p = next((r for r in range(c, k) if rows[r][c]), None)
+        if p is None:
+            return None
+        top = [x / rows[p][c] for x in rows[p]]
+        rows[p] = rows[c]
+        rows = [top if r == c else [x - row[c] * y for x, y in zip(row, top)]
+                for r, row in enumerate(rows)]
+    return [row[k:] for row in rows]
+
+
 def validate(d: ExactDistribution, cs: CovarianceStructure) -> list[dict]:
     """Check the closed forms in ``cs`` for ``d.profile`` against the exact law ``d``.
 
     Returns ``{name, status, detail}`` records (PASS, FAIL or SKIPPED) for
     ``moments``, ``cantelli_index_a``, ``cantelli_index_r``,
     ``chebyshev_index_h``, ``sign_structure`` and ``sherman_morrison``, in that
-    order. The tail checks use the statistics the indices score.
+    order. The tail checks use the statistics the indices score. The last two
+    read the enumerated covariance C: every off-diagonal entry must have the
+    sign of gamma, and be 0 exactly when gamma is 0 or a class has fewer than
+    two vertices; and ``cs.corr_inv_quad(z)`` must equal the exact d'C^-1 d on
+    the active set at every support point, to 1e-9 relative.
     """
     act = list(cs.active)
     mean, cov = exact_moments(d)
@@ -256,20 +263,32 @@ def validate(d: ExactDistribution, cs: CovarianceStructure) -> list[dict]:
         checks.append(_check("chebyshev_index_h", None, "degenerate correlation block"))
 
     if cs.gamma is not None and cs.s >= 2:
-        gam = float(cs.gamma)
-        offs = cs.sigma[~np.eye(cs.s, dtype=bool)]
-        sign_ok = bool(np.all(offs >= 0 if gam > 0 else offs <= 0 if gam < 0 else offs == 0))
-        checks.append(_check("sign_structure", sign_ok, f"gamma = {gam:.6g}"))
+        sign = (cs.gamma > 0) - (cs.gamma < 0)
+        big = [c >= 2 for c in d.profile.sizes]
+        sign_ok = all((x > 0) - (x < 0) == sign * (big[i] and big[j])
+                      for i, row in enumerate(cov) for j, x in enumerate(row) if i != j)
+        checks.append(_check("sign_structure", sign_ok, f"gamma = {float(cs.gamma):.6g}"))
     else:
         checks.append(_check("sign_structure", None, "gamma undefined or single class"))
 
-    if not cs.degenerate:
-        block = cs.sigma[np.ix_(act, act)]
-        resid = float(np.max(np.abs(block @ cs.sigma_inv - np.eye(len(act)))))
-        checks.append(_check("sherman_morrison", resid <= 1e-9, f"residual {resid:.3g}"))
-    else:
-        checks.append(_check("sherman_morrison", None, "degenerate"))
-    return checks
+    if cs.degenerate:
+        return checks + [_check("sherman_morrison", None, "degenerate")]
+    inv = _inverse([[cov[i][j] for j in act] for i in act])
+    if inv is None:
+        detail = "enumerated covariance is singular on the active set"
+        return checks + [_check("sherman_morrison", False, detail)]
+    # d'C^-1 d = e'Ne / scale for the integers e = total * d and N = den * C^-1
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    num = [[x.numerator * (den // x.denominator) for x in row] for row in inv]
+    sums = [(mean[i] * d.total).numerator for i in act]
+    scale = den * d.total**2
+    worst = 0.0
+    for out, norm in zip(d.outcome_counts, norms):
+        e = [out[i] * d.total - t for i, t in zip(act, sums)]
+        exact = sum(x * sum(map(operator.mul, row, e)) for x, row in zip(e, num)) / scale
+        worst = max(worst, abs(norm - exact) / max(1.0, exact))
+    detail = f"max relative gap {worst:.3g} to the exact d'C^-1 d"
+    return checks + [_check("sherman_morrison", worst <= 1e-9, detail)]
 
 
 @dataclass(frozen=True)

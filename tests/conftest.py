@@ -88,3 +88,40 @@ def random_composition(rng: np.random.Generator, n: int, s: int, min_size: int =
 def per_class_moments(sizes, mbar, var) -> nh.MomentSummary:
     """Moment tables with one class per slot, for a structure built by hand."""
     return nh.MomentSummary(tuple(sizes), tuple(mbar), tuple(var), np.arange(len(sizes)))
+
+
+# --- dense matrices of a covariance structure --------------------------------
+# The structure keeps no float matrix. Sigma and Gamma come from its exact
+# matrix; the inverses are read off its own quadratic form corr_inv_quad.
+
+def dense_sigma(cs: nh.CovarianceStructure) -> np.ndarray:
+    """float() of the exact covariance matrix."""
+    return np.array(cs.exact(), dtype=float)
+
+
+def dense_corr(cs: nh.CovarianceStructure) -> np.ndarray | None:
+    """The correlation matrix on the active set from the exact matrix, or None without one."""
+    act = list(cs.active)
+    if not act:
+        return None
+    out = dense_sigma(cs)[np.ix_(act, act)] / np.outer(cs.sd, cs.sd)
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+def corr_inverse(cs: nh.CovarianceStructure) -> np.ndarray | None:
+    """Gamma^-1 on the active set, entry by entry from ``cs.corr_inv_quad`` by
+    polarization (M_ij = (Q(e_i + e_j) - Q(e_i) - Q(e_j)) / 2), or None when degenerate."""
+    if cs.degenerate:
+        return None
+    e = np.eye(len(cs.active))
+    out = np.diag([cs.corr_inv_quad(x) for x in e])
+    for i, j in combinations(range(len(e)), 2):
+        out[i, j] = out[j, i] = (cs.corr_inv_quad(e[i] + e[j]) - out[i, i] - out[j, j]) / 2
+    return out
+
+
+def sigma_inverse(cs: nh.CovarianceStructure) -> np.ndarray | None:
+    """Sigma^-1 on the active set, from :func:`corr_inverse` (Gamma = D^-1 Sigma D^-1)."""
+    inv = corr_inverse(cs)
+    return None if inv is None else inv / np.outer(cs.sd, cs.sd)

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import nethom as nh
+from conftest import corr_inverse, dense_corr, dense_sigma, sigma_inverse
 from nethom.cli import main
 from nethom.oracle import validate
 
@@ -239,7 +240,7 @@ def test_criterion_05_bound_validity():
         # Cantelli behind index a (z-mean score, active classes only)
         if act:
             zsum = [float(sum((o[i] - mbar[i]) / sig[i] for i in act)) for o in outcomes]
-            g_corr = float(cs.corr.sum())
+            g_corr = float(dense_corr(cs).sum())
             for val, _ in zip(zsum, outcomes):
                 if abs(val) <= 1e-12:  # mathematically zero up to float noise
                     continue
@@ -251,7 +252,8 @@ def test_criterion_05_bound_validity():
         # Cantelli behind index r (count-sum score, exact integer statistic)
         tsum = [sum(o) for o in outcomes]
         mean_total = sum(cs.mbar)
-        g_sig = float(cs.sigma.sum())
+        sigma = dense_sigma(cs)
+        g_sig = float(sigma.sum())
         for tv in set(tsum):
             dev = float(Fraction(tv) - mean_total)
             if dev == 0.0:
@@ -269,7 +271,7 @@ def test_criterion_05_bound_validity():
                 continue
             wvals = [float(w.w @ np.array(o, dtype=float)) for o in outcomes]
             w_mean = float(w.w @ mbar)
-            spread = float(w.w @ cs.sigma @ w.w)
+            spread = float(w.w @ sigma @ w.w)
             for wv in set(wvals):
                 dev = wv - w_mean
                 if abs(dev) <= 1e-12:  # mathematically zero up to float noise
@@ -280,11 +282,12 @@ def test_criterion_05_bound_validity():
                 checks += 1
 
         # Chebyshev behind index h (needs an invertible correlation block)
-        if act and cs.corr_inv is not None:
+        corr_inv = corr_inverse(cs)
+        if act and corr_inv is not None:
 
             def mahal(o):
                 za = np.array([(o[i] - mbar[i]) / sig[i] for i in act])
-                return float(za @ cs.corr_inv @ za)
+                return float(za @ corr_inv @ za)
 
             mvals = [mahal(o) for o in outcomes]
             for mv in set(mvals):
@@ -334,13 +337,13 @@ def test_criterion_06_sherman_morrison():
     assert len(pool) == 500
     worst = 0.0
     for summary, profile, cs in pool:
-        resid = float(np.max(np.abs(cs.sigma @ cs.sigma_inv - np.eye(profile.s))))
+        resid = float(np.max(np.abs(dense_sigma(cs) @ sigma_inverse(cs) - np.eye(profile.s))))
         worst = max(worst, resid)
         assert resid <= 1e-9, (profile.sizes, resid)
 
     p4 = nh.load_edge_list("a b\nb c\nc d")
     cs4 = nh.covariance_structure(nh.summarize(p4), nh.Profile((2, 2)))
-    assert np.max(np.abs(cs4.sigma_inv - np.array([[4.5, -1.5], [-1.5, 4.5]]))) <= 1e-12
+    assert np.max(np.abs(sigma_inverse(cs4) - np.array([[4.5, -1.5], [-1.5, 4.5]]))) <= 1e-12
     print(f"CRITERION 6: PASS - 500 instances, worst |Sigma Sigma^-1 - I| = {worst:.2e}")
 
 
@@ -350,7 +353,8 @@ def test_criterion_07_sign_structure():
     for summary, profile, cs in pool:
         gamma = float(cs.gamma)
         off_mask = ~np.eye(profile.s, dtype=bool)
-        offs = cs.sigma[off_mask]
+        sigma, sigma_inv = dense_sigma(cs), sigma_inverse(cs)
+        offs = sigma[off_mask]
         if gamma > 0:
             assert np.all(offs >= 0)
         elif gamma < 0:
@@ -358,11 +362,11 @@ def test_criterion_07_sign_structure():
         else:
             assert np.all(offs == 0)
         if gamma <= 0:
-            assert np.all(cs.sigma_inv >= -1e-10)
+            assert np.all(sigma_inv >= -1e-10)
             neg += 1
         if gamma >= 0:
-            assert np.all(cs.sigma >= 0)
-            assert np.all(cs.sigma_inv[off_mask] <= 1e-10)
+            assert np.all(sigma >= 0)
+            assert np.all(sigma_inv[off_mask] <= 1e-10)
             pos += 1
     assert neg and pos, "pool must exercise both gamma regimes"
     print(

@@ -217,6 +217,35 @@ class TestOracleCheck:
         assert statuses["sherman_morrison"] == "SKIPPED"
         assert statuses["chebyshev_index_h"] == "SKIPPED"
 
+    # Every SKIPPED branch and the zero-entry rule of sign_structure. Statuses
+    # in check order: moments, cantelli_index_a, cantelli_index_r,
+    # chebyshev_index_h, sign_structure, sherman_morrison.
+    @pytest.mark.parametrize(
+        "edges,profile,statuses",
+        [
+            ("v a\n", "1", "PSPSSS"),  # single vertex
+            ("v a\nv b\nv c\nv d\n", "2,2", "PSPSPS"),  # edgeless: gamma = 0, zero covariances
+            ("v a\nv b\nv c\nv d\n", "4", "PSPSSS"),
+            (P4_EDGES, "4", "PSPSSS"),  # one class
+            ("a b\nb c\n", "1,2", "PPPPSP"),  # n < 4: gamma undefined
+            ("a b\nb c\n", "1,1,1", "PSPSSS"),
+            (K4_EDGES, "2,2", "PSPSPS"),  # constant counts
+            ("a b\nb c\nc d\nd a\n", "1,1,1,1", "PSPSPS"),  # C4, singleton classes
+        ],
+    )
+    def test_degenerate_instances(self, tmp_path, capsys, edges, profile, statuses):
+        graph = tmp_path / "g.edges"
+        graph.write_text(edges)
+        assert main(["oracle-check", "--graph", str(graph), "--profile", profile]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert "".join(c["status"][0] for c in checks) == statuses
+
+    def test_empty_graph_exits_2(self, tmp_path, capsys):
+        graph = tmp_path / "empty.edges"
+        graph.write_text("")
+        assert main(["oracle-check", "--graph", str(graph), "--profile", "1"]) == 2
+        assert "profile sums to 1 but the graph has 0 vertices" in capsys.readouterr().err
+
     def test_random_n8_within_a_second(self, tmp_path, capsys):
         import time
 

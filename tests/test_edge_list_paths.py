@@ -116,13 +116,15 @@ SPOILERS = {
     "no-break space": lambda a, b, c, sep: a + "\xa0" + b,
     "next line": lambda a, b, c, sep: a + sep + b + "\x85" + c + sep + a,
     "non-ASCII comment": lambda a, b, c, sep: a + sep + b + " # caf\xe9",
+    "line separator in a comment": lambda a, b, c, sep: a + sep + b + " # c\u2028" + c + sep + a,
 }
-# The spoilers that keep two printable-ASCII tokens on every line: the token
-# path keys their ids as bytes. It must take the list when no id is longer
-# than 8 bytes; beyond that its size guard decides.
+# The spoilers that keep two printable-ASCII tokens on every line once
+# comments are removed: the token path keys their ids as bytes. It must take
+# the list when no id is longer than 8 bytes; beyond that its size guard
+# decides.
 KEYED = {
     "v second", "007 beside 7", "leading zero", "19 digits", "20 digits", "letter id",
-    "v leading a token", "v ending a token", "v twice", "sign",
+    "v leading a token", "v ending a token", "v twice", "sign", "non-ASCII comment",
 }
 
 

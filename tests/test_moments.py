@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import nethom as nh
-from conftest import random_composition, random_gnp
+from conftest import (
+    corr_inverse,
+    dense_corr,
+    dense_sigma,
+    random_composition,
+    random_gnp,
+    sigma_inverse,
+)
 
 
 def _structure(g, sizes):
@@ -48,18 +55,21 @@ class TestCovarianceStructure:
         p = nh.Profile((2, 2))
         cs = nh.covariance_structure(s, p)
         assert cs.gamma == Fraction(1, 18)
-        assert cs.sigma[0, 1] == pytest.approx(2 / 9, abs=1e-15)
+        assert dense_sigma(cs)[0, 1] == pytest.approx(2 / 9, abs=1e-15)
         assert cs.q == (0.0, 0.0)
         assert cs.degenerate
-        assert cs.sigma_inv is None and cs.corr_inv is None
-        assert cs.corr[0, 1] == pytest.approx(1.0, abs=1e-15)
+        assert sigma_inverse(cs) is None and corr_inverse(cs) is None
+        with pytest.raises(ValueError):
+            cs.corr_inv_quad(np.zeros(2))
+        assert dense_corr(cs)[0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_p4_sigma_and_inverse_pinned(self, p4):
         s = nh.summarize(p4)
         cs = nh.covariance_structure(s, nh.Profile((2, 2)))
-        assert np.allclose(cs.sigma, [[0.25, 1 / 12], [1 / 12, 0.25]], atol=1e-15)
-        assert np.allclose(cs.sigma_inv, [[4.5, -1.5], [-1.5, 4.5]], atol=1e-12)
-        assert np.max(np.abs(cs.sigma @ cs.sigma_inv - np.eye(2))) <= 1e-9
+        sigma, sigma_inv = dense_sigma(cs), sigma_inverse(cs)
+        assert np.allclose(sigma, [[0.25, 1 / 12], [1 / 12, 0.25]], atol=1e-15)
+        assert np.allclose(sigma_inv, [[4.5, -1.5], [-1.5, 4.5]], atol=1e-12)
+        assert np.max(np.abs(sigma @ sigma_inv - np.eye(2))) <= 1e-9
 
     def test_star_negative_covariance(self, star4):
         # both classes would need the center vertex, so E[M1*M2] = 0
@@ -79,7 +89,7 @@ class TestCovarianceStructure:
             gamma = float(cs.gamma)
             vec = [float(x) for x in cs.vec]
             rebuilt = np.diag([float(x) for x in cs.q]) + gamma * np.outer(vec, vec)
-            assert np.allclose(rebuilt, cs.sigma, atol=1e-11)
+            assert np.allclose(rebuilt, dense_sigma(cs), atol=1e-11)
 
     def test_off_diagonals_share_gamma_sign(self):
         rng = np.random.default_rng(101)
@@ -89,7 +99,7 @@ class TestCovarianceStructure:
             s = nh.summarize(g)
             p = random_composition(rng, n, int(rng.integers(2, min(7, n))), min_size=1)
             cs = nh.covariance_structure(s, p)
-            offs = cs.sigma[~np.eye(p.s, dtype=bool)]
+            offs = dense_sigma(cs)[~np.eye(p.s, dtype=bool)]
             gamma = float(cs.gamma)
             if gamma > 0:
                 assert np.all(offs >= 0)
@@ -110,8 +120,8 @@ class TestCovarianceStructure:
             cs = nh.covariance_structure(s, p)
             if cs.degenerate or len(cs.active) != p.s:
                 continue
-            dense = np.linalg.inv(cs.sigma)
-            assert np.max(np.abs(dense - cs.sigma_inv)) <= 1e-9 * max(
+            dense = np.linalg.inv(dense_sigma(cs))
+            assert np.max(np.abs(dense - sigma_inverse(cs))) <= 1e-9 * max(
                 1.0, np.max(np.abs(dense))
             )
             done += 1
@@ -135,12 +145,12 @@ class TestCovarianceStructure:
             gamma = float(cs.gamma)
             if gamma <= 0 and done_neg < 10:
                 # Z-matrix with nonnegative inverse
-                assert np.all(cs.sigma_inv >= -1e-10)
+                assert np.all(sigma_inverse(cs) >= -1e-10)
                 done_neg += 1
             elif gamma >= 0 and done_pos < 10:
-                off = cs.sigma_inv[~np.eye(p.s, dtype=bool)]
+                off = sigma_inverse(cs)[~np.eye(p.s, dtype=bool)]
                 assert np.all(off <= 1e-10)
-                assert np.all(cs.sigma >= 0)
+                assert np.all(dense_sigma(cs) >= 0)
                 done_pos += 1
 
     def test_all_degenerate_has_empty_active_set(self, k4):
@@ -148,7 +158,7 @@ class TestCovarianceStructure:
         cs = nh.covariance_structure(s, nh.Profile((2, 2)))
         assert cs.active == ()
         assert cs.degenerate
-        assert cs.corr is None
+        assert dense_corr(cs) is None
 
 
 class TestOracleEquivalenceSpot:

@@ -8,7 +8,8 @@ import pytest
 
 import nethom as nh
 from conftest import per_class_moments
-from nethom.oracle import _sorted_tails, validate
+from nethom import oracle
+from nethom.oracle import _sorted_tails, exact_moments, validate
 
 
 class TestEnumerateColorings:
@@ -227,6 +228,14 @@ def _cycle(n):
     return nh.Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def _named(request, name):
+    if name == "c6":
+        return _cycle(6)
+    if name == "star5":
+        return nh.load_edge_list("x a\nx b\nx c\nx d")
+    return request.getfixturevalue(name)
+
+
 class TestSortedTails:
     @pytest.mark.parametrize("name,sizes", _TIED_INSTANCES)
     def test_matches_exact_tail_on_every_value(self, request, name, sizes):
@@ -274,6 +283,55 @@ class TestValidate:
         doubled = nh.CovarianceStructure(cs.gamma, 2 * cs.coef, cs.vec, ms)
         statuses = {c["name"]: c["status"] for c in validate(dist, doubled)}
         assert statuses["moments"] == "FAIL"
+
+    # gamma > 0, gamma > 0, and gamma < 0 with a singleton class
+    MUTANT_INSTANCES = [("p4", (2, 2)), ("c6", (2, 2, 2)), ("star5", (2, 2, 1))]
+
+    @pytest.mark.parametrize("name,sizes", MUTANT_INSTANCES)
+    def test_flipped_covariance_sign_fails_sign_structure(self, request, monkeypatch, name, sizes):
+        # the check reads the enumerated covariance, not the closed form
+        dist, cs = _oracle_instance(_named(request, name), sizes)
+        assert validate(dist, cs)[4]["status"] == "PASS"
+
+        def flipped(d):
+            mean, cov = exact_moments(d)
+            cov[0][1] = cov[1][0] = -cov[0][1]
+            return mean, cov
+
+        monkeypatch.setattr(oracle, "exact_moments", flipped)
+        statuses = {c["name"]: c["status"] for c in validate(dist, cs)}
+        assert statuses["sign_structure"] == "FAIL"
+
+    def test_nonzero_covariance_of_a_singleton_class_fails_sign_structure(self, monkeypatch):
+        dist, cs = _oracle_instance(_named(None, "star5"), (2, 2, 1))
+
+        def filled(d):
+            mean, cov = exact_moments(d)
+            cov[0][2] = cov[2][0] = cov[0][1]  # class 2 has one vertex: its entries are 0
+            return mean, cov
+
+        monkeypatch.setattr(oracle, "exact_moments", filled)
+        statuses = {c["name"]: c["status"] for c in validate(dist, cs)}
+        assert statuses["sign_structure"] == "FAIL"
+
+    @pytest.mark.parametrize("name,sizes", MUTANT_INSTANCES)
+    def test_perturbed_sherman_morrison_constant_fails(self, request, name, sizes):
+        dist, cs = _oracle_instance(_named(request, name), sizes)
+        assert validate(dist, cs)[5]["status"] == "PASS"
+        cs._k *= 1 + 1e-6
+        check = validate(dist, cs)[5]
+        assert (check["name"], check["status"]) == ("sherman_morrison", "FAIL")
+
+    def test_singular_enumerated_covariance_fails_sherman_morrison(self, p4, monkeypatch):
+        dist, cs = _oracle_instance(p4, (2, 2))
+
+        def rank_one(d):
+            mean, cov = exact_moments(d)
+            return mean, [[cov[0][0]] * 2] * 2
+
+        monkeypatch.setattr(oracle, "exact_moments", rank_one)
+        check = validate(dist, cs)[5]
+        assert check["status"] == "FAIL" and "singular" in check["detail"]
 
     @pytest.mark.parametrize("name,sizes", [("p4", (2, 2)), ("c6", (2, 2, 2))])
     def test_shrunk_variances_fail_every_bound(self, request, name, sizes):
