@@ -5,6 +5,12 @@ resampling engine existed, and record, for fixed seeds: a ``baseline``
 report, the assignments ``random_coloring`` draws, and one ``mc_tail``
 estimate. A change that alters the coloring of a seed or the rounding of an
 index fails here, even where it is self-consistent.
+
+The ``analyze`` report (JSON and TSV, both without the ``timing`` block,
+which varies run to run) and the ``toy-curve --edges 40`` CSV were written
+before the CLI's reports shared one header and one writer. ``oracle-check``
+is not pinned: its ``sherman_morrison`` detail prints a rounding-level gap
+that can differ between numpy builds.
 """
 
 import json
@@ -23,6 +29,36 @@ def test_baseline_report_is_unchanged(tmp_path):
                  "--samples", "20", "--seed", "7", "--preset", "all", "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (DATA / "golden_baseline.json").read_bytes()
+
+
+def _analyze(tmp_path, fmt):
+    out = tmp_path / f"analyze.{fmt}"
+    code = main(["analyze", "--graph", str(DATA / "golden_graph.edges"),
+                 "--coloring", str(DATA / "golden_coloring.tsv"),
+                 "--format", fmt, "--out", str(out)])
+    assert code == 0
+    return out.read_bytes().decode("utf-8")
+
+
+def test_analyze_json_is_unchanged_outside_timing(tmp_path):
+    report = json.loads(_analyze(tmp_path, "json"))
+    assert set(report.pop("timing")) == {"parse_seconds", "compute_seconds"}
+    got = json.dumps(report, indent=2) + "\n"
+    assert got == (DATA / "golden_analyze.json").read_bytes().decode("utf-8")
+
+
+def test_analyze_tsv_is_unchanged_outside_timing(tmp_path):
+    lines = _analyze(tmp_path, "tsv").splitlines(keepends=True)
+    assert [ln.split("\t")[0] for ln in lines[-2:]] == [
+        "timing.parse_seconds", "timing.compute_seconds"]
+    got = "".join(ln for ln in lines if not ln.startswith("timing."))
+    assert got == (DATA / "golden_analyze.tsv").read_bytes().decode("utf-8")
+
+
+def test_toy_curve_csv_is_unchanged(tmp_path):
+    out = tmp_path / "curve.csv"
+    assert main(["toy-curve", "--edges", "40", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "golden_toy_curve.csv").read_bytes()
 
 
 def test_random_coloring_draws_are_unchanged():
