@@ -2,33 +2,31 @@
 
 Exit codes: 0 success (degenerate instances still report, with "undefined"
 fields), 1 failed validation checks, 2 input/parse errors, 3 enumeration
-limit refusals. Reports are JSON by default (--format tsv gives a flat
-key/value variant); toy-curve emits CSV. Every report embeds the tool
-version and the seed(s) that produced it.
+limit refusals. Every report is made by :func:`_emit`: the tool version,
+command and seed, then the command's fields, as JSON (--format tsv gives a
+flat key/value variant). :func:`_index_block` is the one JSON view of an
+``IndexReport``. All output, toy-curve's CSV too, goes through :func:`_write`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from fractions import Fraction
 from typing import Any
-
-import numpy as np
 
 from . import __version__
 from .colorings import (
     Coloring,
-    ColoringError,
     ObservedOutcome,
     Profile,
     homophilic_counts,
     load_coloring,
     sample_counts,
 )
-from .graphs import EdgeListError, Graph, gamma_invariant, load_edge_list, summarize
+from .graphs import Graph, gamma_invariant, load_edge_list, summarize
 from .indices import (
     NU_MODES,
     PRESET_NAMES,
@@ -59,11 +57,7 @@ def _jsonable(x: Any) -> Any:
     if x is None:
         return "undefined"
     if isinstance(x, float):
-        return x if np.isfinite(x) else "undefined"
-    if isinstance(x, Fraction):
-        return float(x)
-    if isinstance(x, (np.floating, np.integer)):
-        return _jsonable(x.item())
+        return x if math.isfinite(x) else "undefined"
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -72,20 +66,24 @@ def _jsonable(x: Any) -> Any:
 
 
 def _flatten(payload: Any, prefix: str = "") -> list[tuple[str, str]]:
-    rows: list[tuple[str, str]] = []
-    if isinstance(payload, dict):
-        for k, v in payload.items():
-            rows.extend(_flatten(v, f"{prefix}{k}."))
-        return rows
-    rows.append((prefix[:-1], json.dumps(payload)))
-    return rows
+    if not isinstance(payload, dict):
+        return [(prefix[:-1], json.dumps(payload))]
+    return [row for k, v in payload.items() for row in _flatten(v, f"{prefix}{k}.")]
 
 
-def _emit(payload: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
+def _emit(command: str, seed: int | None, body: dict, args) -> None:
+    """Write the report ``body`` under the tool/command/seed header, as --format asks."""
+    payload = _jsonable(
+        {"tool": {"name": "nethom", "version": __version__}, "command": command, "seed": seed, **body}
+    )
+    if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = "".join(f"{k}\t{v}\n" for k, v in _flatten(payload))
+    _write(text, args.out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -115,6 +113,10 @@ def _graph_block(summary) -> dict:
     }
 
 
+def _profile_block(coloring: Coloring) -> dict:
+    return {"classes": coloring.class_labels, "sizes": coloring.profile.sizes}
+
+
 def _index_block(report) -> dict:
     return {
         "a": report.a,
@@ -123,17 +125,15 @@ def _index_block(report) -> dict:
         "r": report.r,
         "one_minus_r": 1.0 - report.r,
         "h": report.h,
-        "j_theta": dict(report.j_theta),
+        "j_theta": report.j_theta,
         "newman_q": report.newman_q,
         "descriptive_ratio": report.descriptive_ratio,
     }
 
 
-def _mean_fields(block: dict) -> dict:
-    """The values of an index block that ``baseline`` averages, keyed as in its means."""
-    j_theta = {f"j_theta.{name}": v for name, v in block["j_theta"].items()}
-    return {"a": block["a"], "r": block["r"], "h": block["h"], **j_theta,
-            "newman_q": block["newman_q"], "descriptive_ratio": block["descriptive_ratio"]}
+def _mean(values: list) -> float | None:
+    """The mean of per-sample values, or None unless the value is defined on every sample."""
+    return None if any(v is None for v in values) else sum(values) / len(values)
 
 
 def cmd_analyze(args) -> int:
@@ -141,52 +141,39 @@ def cmd_analyze(args) -> int:
     graph, coloring = _load_pair(args)
     t1 = time.perf_counter()
     summary = summarize(graph)
-    profile = coloring.profile
-    cs = covariance_structure(summary, profile)
+    cs = covariance_structure(summary, coloring.profile)
     outcome = homophilic_counts(graph, coloring)
     report = build_index_report(
         graph, coloring, outcome, cs,
         presets=_PRESET_FLAGS[args.preset], nu_mode=args.nu,
     )
     t2 = time.perf_counter()
-    payload = _jsonable(
-        {
-            "tool": {"name": "nethom", "version": __version__},
-            "command": "analyze",
-            "seed": None,
-            "graph": _graph_block(summary),
-            "profile": {
-                "classes": list(coloring.class_labels),
-                "sizes": list(profile.sizes),
-            },
-            "observed": list(report.observed),
-            "expected": list(report.mbar),
-            "variance": cs.var_f.tolist(),
-            "z": list(report.z),
-            "indices": _index_block(report),
-            "degeneracy": {
-                "degenerate": cs.degenerate,
-                "active_classes": [coloring.class_labels[i] for i in cs.active],
-                "notes": list(report.notes),
-            },
-            "timing": {
-                "parse_seconds": t1 - t0,
-                "compute_seconds": t2 - t1,
-            },
-        }
-    )
-    _emit(payload, args.format, args.out)
+    _emit("analyze", None, {
+        "graph": _graph_block(summary),
+        "profile": _profile_block(coloring),
+        "observed": report.observed,
+        "expected": report.mbar,
+        "variance": cs.var_f.tolist(),
+        "z": report.z,
+        "indices": _index_block(report),
+        "degeneracy": {
+            "degenerate": cs.degenerate,
+            "active_classes": [coloring.class_labels[i] for i in cs.active],
+            "notes": report.notes,
+        },
+        "timing": {"parse_seconds": t1 - t0, "compute_seconds": t2 - t1},
+    }, args)
     return 0
 
 
 def cmd_baseline(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     graph, coloring = _load_pair(args)
-    summary = summarize(graph)
     profile = coloring.profile
-    cs = covariance_structure(summary, profile)
-    per_sample = []
+    cs = covariance_structure(summarize(graph), profile)
     observed = homophilic_counts(graph, coloring)
     seeds = list(range(args.seed, args.seed + args.samples))
     evaluator = IndexEvaluator(
@@ -194,59 +181,46 @@ def cmd_baseline(args) -> int:
         presets=_PRESET_FLAGS[args.preset], nu_mode=args.nu,
     )
     counts, mass = sample_counts(graph, profile, seeds)
-    for seed, row, row_mass in zip(seeds, counts.tolist(), mass.tolist()):
-        rep = evaluator.report(row, row_mass)
-        per_sample.append(
-            {"seed": seed, "observed": list(rep.observed), "indices": _index_block(rep)}
-        )
-
-    # a mean is reported only when the index was defined on every sample
-    rows = [_mean_fields(row["indices"]) for row in per_sample]
+    reports = [evaluator.report(row, row_mass) for row, row_mass in zip(counts.tolist(), mass.tolist())]
     means = {
-        key: None if any(r[key] is None for r in rows) else sum(r[key] for r in rows) / len(rows)
-        for key in rows[0]
+        "a": _mean([r.a for r in reports]),
+        "r": _mean([r.r for r in reports]),
+        "h": _mean([r.h for r in reports]),
+        **{f"j_theta.{name}": _mean([r.j_theta[name] for r in reports]) for name in reports[0].j_theta},
+        "newman_q": _mean([r.newman_q for r in reports]),
+        "descriptive_ratio": _mean([r.descriptive_ratio for r in reports]),
     }
-    payload = _jsonable(
-        {
-            "tool": {"name": "nethom", "version": __version__},
-            "command": "baseline",
-            "seed": args.seed,
-            "seeds": seeds,
-            "samples": args.samples,
-            "profile": {
-                "classes": list(coloring.class_labels),
-                "sizes": list(profile.sizes),
-            },
-            "observed_input": list(observed.counts),
-            "per_sample": per_sample,
-            "means": means,
-        }
-    )
-    _emit(payload, args.format, args.out)
+    _emit("baseline", args.seed, {
+        "seeds": seeds,
+        "samples": args.samples,
+        "profile": _profile_block(coloring),
+        "observed_input": observed.counts,
+        "per_sample": [
+            {"seed": seed, "observed": r.observed, "indices": _index_block(r)}
+            for seed, r in zip(seeds, reports)
+        ],
+        "means": means,
+    }, args)
     return 0
 
 
 def cmd_oracle_check(args) -> int:
     with open(args.graph, "rb") as fh:
         graph = load_edge_list(fh, dedupe=args.dedupe)
-    profile = Profile(tuple(int(tok) for tok in args.profile.split(",") if tok.strip()))
+    sizes = []
+    for tok in filter(str.strip, args.profile.split(",")):
+        try:
+            sizes.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--profile must be comma-separated integers, got {tok.strip()!r}") from None
+    profile = Profile(tuple(sizes))
     dist = enumerate_colorings(graph, profile, limit=args.limit)
     summary = summarize(graph)
     checks = validate(dist, covariance_structure(summary, profile))
-    payload = _jsonable(
-        {
-            "tool": {"name": "nethom", "version": __version__},
-            "command": "oracle-check",
-            "seed": None,
-            "instance": {
-                "graph": _graph_block(summary),
-                "profile": list(profile.sizes),
-                "colorings": dist.total,
-            },
-            "checks": checks,
-        }
-    )
-    _emit(payload, args.format, args.out)
+    _emit("oracle-check", None, {
+        "instance": {"graph": _graph_block(summary), "profile": profile.sizes, "colorings": dist.total},
+        "checks": checks,
+    }, args)
     return 0 if all(c["status"] != "FAIL" for c in checks) else 1
 
 
@@ -256,10 +230,7 @@ def cmd_toy_curve(args) -> int:
         raise ValueError("--edges must be >= 2")
     if m % 2:
         print(f"note: odd edge count {m}: support capped at floor(m/2)", file=sys.stderr)
-    graph = matching_graph(m)
-    summary = summarize(graph)
-    profile = Profile((m, m))
-    cs = covariance_structure(summary, profile)
+    cs = covariance_structure(summarize(matching_graph(m)), Profile((m, m)))
     tails = matching_tail_table(m)
     lines = ["k,F,ratio,modularity,index_a"]
     for k in range(m // 2 + 1):
@@ -268,12 +239,7 @@ def cmd_toy_curve(args) -> int:
         modularity = 2 * (k / m - 0.25)
         a_k = index_a(z_scores(ObservedOutcome((k, k)), cs), cs)
         lines.append(f"{k},{f_k!r},{ratio!r},{modularity!r},{a_k!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -324,16 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationLimitError as exc:
+    except (EnumerationLimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (EdgeListError, ColoringError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, EnumerationLimitError) else 2
 
 
 if __name__ == "__main__":

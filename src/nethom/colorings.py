@@ -12,6 +12,7 @@ degree masses.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Iterable
@@ -79,7 +80,13 @@ class Profile:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(c) for c in self.sizes))
+        sizes = []
+        for c in self.sizes:
+            try:
+                sizes.append(operator.index(c))
+            except TypeError:
+                raise ValueError(f"class size {c!r} is not an integer") from None
+        object.__setattr__(self, "sizes", tuple(sizes))
         if len(self.sizes) == 0:
             raise ValueError("a profile needs at least one class")
         if any(c < 1 for c in self.sizes):

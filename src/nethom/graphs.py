@@ -194,14 +194,17 @@ def _decode(data: str | bytes) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-def _scan(text: str, lines: list[int] | None = None) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+def _scan(
+    text: str, lines: list[int] | None = None
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, MalformedLineError | None]:
     """Apply the edge-list line grammar to every line of ``text``.
 
     '#' starts a comment and blank lines are skipped. A line whose tokens
     are exactly "v <id>" declares an isolated vertex; any other line needs
     two endpoints, and tokens after them are ignored. Returns the labels in
-    first-appearance order and the endpoint index arrays, and raises
-    :class:`MalformedLineError` at a line with a single token. Given
+    first-appearance order, the endpoint index arrays and None; at the first
+    line with a single token it stops and returns what it read above that
+    line with a :class:`MalformedLineError` in place of None. Given
     ``lines``, the line number of each edge is appended to it.
     """
     index: dict[str, int] = {}
@@ -211,6 +214,7 @@ def _scan(text: str, lines: list[int] | None = None) -> tuple[tuple[str, ...], n
     us_append = us.append
     vs_append = vs.append
     scan_comments = "#" in text
+    malformed = None
     for lineno, line in enumerate(text.splitlines(), 1):
         if scan_comments and "#" in line:
             line = line[: line.index("#")]
@@ -218,7 +222,8 @@ def _scan(text: str, lines: list[int] | None = None) -> tuple[tuple[str, ...], n
         if not parts:
             continue
         if len(parts) < 2:
-            raise MalformedLineError(f"expected two endpoints, got {parts[0]!r}", lineno)
+            malformed = MalformedLineError(f"expected two endpoints, got {parts[0]!r}", lineno)
+            break
         if parts[0] == "v" and len(parts) == 2:
             setdefault(parts[1], len(index))
             continue
@@ -226,7 +231,7 @@ def _scan(text: str, lines: list[int] | None = None) -> tuple[tuple[str, ...], n
         vs_append(setdefault(parts[1], len(index)))
         if lines is not None:
             lines.append(lineno)
-    return tuple(index), np.asarray(us, dtype=np.int32), np.asarray(vs, dtype=np.int32)
+    return tuple(index), np.asarray(us, dtype=np.int32), np.asarray(vs, dtype=np.int32), malformed
 
 
 # A comment runs to the next byte that str.splitlines() treats as a line end.
@@ -297,7 +302,7 @@ def _tokenize(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndar
     return data, raw, start, stop, digits
 
 
-def _token_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
+def _token_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, None] | None:
     """The general pass's result for an edge list of printable-ASCII ids, or None.
 
     Vectorized over the raw bytes by :func:`_tokenize`, with no per-line
@@ -347,7 +352,7 @@ def _token_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.nda
     del ids
     if n_v:  # endpoints are the ids not on a "v" line
         dense = dense[np.repeat(~declared, 2)[keep]]
-    return _texts(order), dense[0::2].copy(), dense[1::2].copy()
+    return _texts(order), dense[0::2].copy(), dense[1::2].copy(), None
 
 
 def _decimals(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
@@ -468,23 +473,17 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
     a second scan, run only when an error is raised.
     """
     data = _read(source)
-    parsed = _token_edges(data)
-    if parsed is None:
-        text = _decode(data)
-        try:
-            parsed = _scan(text)
-        except MalformedLineError as exc:  # a bad edge above the line comes first
-            above = "\n".join(text.splitlines()[: exc.line - 1])
-            _checked_graph(above, _scan(above), dedupe)
-            raise
-    return _checked_graph(data, parsed, dedupe)
+    labels, eu, ev, malformed = _token_edges(data) or _scan(_decode(data))
+    graph = _checked_graph(data, labels, eu, ev, dedupe)  # a bad edge above a malformed line comes first
+    if malformed is not None:
+        raise malformed
+    return graph
 
 
 def _checked_graph(
-    data: str | bytes, parsed: tuple[tuple[str, ...], np.ndarray, np.ndarray], dedupe: bool
+    data: str | bytes, labels: tuple[str, ...], eu: np.ndarray, ev: np.ndarray, dedupe: bool
 ) -> Graph:
     """The graph of the scanned edge list ``data``, or the error of its first bad edge."""
-    labels, eu, ev = parsed
     eu, ev, k = _simple_edges(len(labels), eu, ev, dedupe)
     if k is None:
         return _graph(labels, eu, ev)

@@ -144,15 +144,15 @@ def index_r(o: ObservedOutcome, cs: CovarianceStructure) -> float:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative, nonzero weighting of per-class count deviations."""
+    """Finite, nonnegative, nonzero weighting of per-class count deviations."""
 
     w: np.ndarray
     preset: str = "custom"
 
     def __post_init__(self):
         self.w.setflags(write=False)
-        if np.any(self.w < 0) or not np.any(self.w > 0):
-            raise ValueError("weights must be nonnegative and not all zero")
+        if not np.isfinite(self.w).all() or np.any(self.w < 0) or not np.any(self.w > 0):
+            raise ValueError("weights must be finite, nonnegative and not all zero")
 
 
 def weight_preset(name: str, g: Graph, p: Profile, nu_mode: str = "maxdeg") -> WeightVector:

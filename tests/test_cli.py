@@ -168,6 +168,12 @@ class TestBaseline:
         assert len(report["per_sample"]) == 5
         assert report["seeds"] == list(range(0, 5))
 
+    def test_negative_seed_names_the_flag(self, p4_files, capsys):
+        code = main(["baseline", "--graph", p4_files[0], "--coloring", p4_files[1],
+                     "--seed", "-1"])
+        assert code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
     def test_p3_mean_ratio_converges(self, tmp_path, capsys):
         graph = tmp_path / "p3.edges"
         coloring = tmp_path / "p3.tsv"
@@ -273,6 +279,11 @@ class TestOracleCheck:
     def test_profile_mismatch_exits_2(self, p4_files, capsys):
         assert main(["oracle-check", "--graph", p4_files[0], "--profile", "2,3"]) == 2
         assert "profile sums to 5 but the graph has 4 vertices" in capsys.readouterr().err
+
+    def test_non_integer_profile_names_the_flag(self, p4_files, capsys):
+        assert main(["oracle-check", "--graph", p4_files[0], "--profile", "2,x"]) == 2
+        err = capsys.readouterr().err
+        assert "--profile" in err and "'x'" in err
 
     def test_failed_check_exits_1(self, p4_files, monkeypatch, capsys):
         failed = [{"name": "moments", "status": "FAIL", "detail": "forced"}]

@@ -1,6 +1,7 @@
 """Coloring parsing, homophilic counting, and the seeded uniform sampler."""
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -108,6 +109,9 @@ class TestProfile:
     def test_requires_positive_sizes(self):
         with pytest.raises(ValueError):
             nh.Profile((2, 0))
+        for size in (2.7, "2"):  # int() would truncate or parse these
+            with pytest.raises(ValueError, match=re.escape(repr(size))):
+                nh.Profile((size, 2))
 
     def test_coloring_count(self):
         assert nh.Profile((2, 1)).coloring_count() == 3

@@ -184,8 +184,9 @@ class TestIndexJTheta:
             assert nh.index_j_theta(o, cs, w) == nh.index_r(o, cs)
 
     def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            nh.WeightVector(np.array([-0.1, 1.0]))
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                nh.WeightVector(np.array([bad, 1.0]))
 
 
 class TestIndexH:
