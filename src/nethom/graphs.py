@@ -197,7 +197,7 @@ def _decode(data: str | bytes) -> str:
 def _scan(
     text: str, lines: list[int] | None = None
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, MalformedLineError | None]:
-    """Apply the edge-list line grammar to every line of ``text``.
+    """Apply the edge-list line grammar to the lines of ``text``, in order.
 
     '#' starts a comment and blank lines are skipped. A line whose tokens
     are exactly "v <id>" declares an isolated vertex; any other line needs
