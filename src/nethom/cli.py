@@ -28,7 +28,6 @@ from .colorings import (
 )
 from .graphs import Graph, gamma_invariant, load_edge_list, summarize
 from .indices import (
-    NU_MODES,
     PRESET_NAMES,
     IndexEvaluator,
     build_index_report,
@@ -143,10 +142,7 @@ def cmd_analyze(args) -> int:
     summary = summarize(graph)
     cs = covariance_structure(summary, coloring.profile)
     outcome = homophilic_counts(graph, coloring)
-    report = build_index_report(
-        graph, coloring, outcome, cs,
-        presets=_PRESET_FLAGS[args.preset], nu_mode=args.nu,
-    )
+    report = build_index_report(graph, coloring, outcome, cs, presets=_PRESET_FLAGS[args.preset])
     t2 = time.perf_counter()
     _emit("analyze", None, {
         "graph": _graph_block(summary),
@@ -177,8 +173,7 @@ def cmd_baseline(args) -> int:
     observed = homophilic_counts(graph, coloring)
     seeds = list(range(args.seed, args.seed + args.samples))
     evaluator = IndexEvaluator(
-        graph, profile, cs, coloring.class_labels,
-        presets=_PRESET_FLAGS[args.preset], nu_mode=args.nu,
+        graph, profile, cs, coloring.class_labels, presets=_PRESET_FLAGS[args.preset]
     )
     counts, mass = sample_counts(graph, profile, seeds)
     reports = [evaluator.report(row, row_mass) for row, row_mass in zip(counts.tolist(), mass.tolist())]
@@ -260,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--coloring", required=True)
     p.add_argument("--preset", choices=tuple(_PRESET_FLAGS), default="all")
-    p.add_argument("--nu", choices=NU_MODES, default="maxdeg")
     common_io(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -270,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--preset", choices=tuple(_PRESET_FLAGS), default="all")
-    p.add_argument("--nu", choices=NU_MODES, default="maxdeg")
     common_io(p)
     p.set_defaults(func=cmd_baseline)
 

@@ -54,13 +54,9 @@ __all__ = [
     "build_index_report",
     "IndexEvaluator",
     "PRESET_NAMES",
-    "NU_MODES",
 ]
 
 PRESET_NAMES = ("ratio", "avg_internal_degree", "dyadicity")
-
-# scalings nu of the avg_internal_degree preset (see weight_preset)
-NU_MODES = ("maxdeg", "classes", "avgdeg")
 
 
 class UndefinedQuantityError(ValueError):
@@ -144,61 +140,58 @@ def index_r(o: ObservedOutcome, cs: CovarianceStructure) -> float:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Finite, nonnegative, nonzero weighting of per-class count deviations."""
+    """Finite, nonnegative, nonzero per-class weights, kept as a read-only float copy."""
 
     w: np.ndarray
-    preset: str = "custom"
 
     def __post_init__(self):
+        object.__setattr__(self, "w", np.array(self.w, dtype=float))
         self.w.setflags(write=False)
         if not np.isfinite(self.w).all() or np.any(self.w < 0) or not np.any(self.w > 0):
             raise ValueError("weights must be finite, nonnegative and not all zero")
 
 
-def weight_preset(name: str, g: Graph, p: Profile, nu_mode: str = "maxdeg") -> WeightVector:
+def weight_preset(name: str, g: Graph, p: Profile) -> WeightVector:
     """Build one of the standard score weightings.
 
     ratio: w = (1/m) * 1 (edge-inside fraction score).
-    avg_internal_degree: w_i = nu * 2 / c_i with nu = 1/max_degree (default),
-        1/s ("classes") or n/(2m) ("avgdeg").
+    avg_internal_degree: w_i = nu * 2 / c_i with nu = 1/max_degree.
     dyadicity: w_i = (2/s) / c_i^(2) (internal density score); classes of
         size < 2 get weight 0.
 
-    Raises :class:`UndefinedQuantityError` when the preset needs edges (or a
-    positive maximum degree) and the graph has none.
+    :func:`index_j_theta` ignores a positive common factor of the weights, so
+    each preset has one scaling; another would move the index only by
+    rounding. Raises :class:`UndefinedQuantityError` when the preset needs
+    edges and the graph has none.
     """
     if name == "ratio":
         if g.m == 0:
             raise UndefinedQuantityError("ratio preset needs at least one edge")
-        return WeightVector(np.full(p.s, 1.0 / g.m), preset=name)
+        return WeightVector(np.full(p.s, 1.0 / g.m))
     if name == "avg_internal_degree":
-        if nu_mode not in NU_MODES:
-            raise ValueError(f"unknown nu mode {nu_mode!r}")
-        if nu_mode == "classes":
-            nu = 1.0 / p.s
-        elif g.m == 0:
+        if g.m == 0:
             raise UndefinedQuantityError("avg_internal_degree preset needs edges")
-        else:
-            nu = 1.0 / g.max_degree if nu_mode == "maxdeg" else g.n / (2.0 * g.m)
-        return WeightVector(np.array([nu * 2.0 / c for c in p.sizes]), preset=name)
+        nu = 1.0 / g.max_degree
+        return WeightVector(np.array([nu * 2.0 / c for c in p.sizes]))
     if name == "dyadicity":
         w = np.array(
             [2.0 / (p.s * falling_factorial(c, 2)) if c >= 2 else 0.0 for c in p.sizes]
         )
         if not np.any(w > 0):
             raise UndefinedQuantityError("dyadicity preset needs a class of size >= 2")
-        return WeightVector(w, preset=name)
+        return WeightVector(w)
     raise ValueError(f"unknown preset {name!r}")
 
 
 def index_j_theta(o: ObservedOutcome, cs: CovarianceStructure, w: WeightVector) -> float:
     """Signed significance of the score w'(observed - expected).
 
-    Invariant under positive rescaling of ``w`` (a ratio of quadratics), and
-    nondecreasing in every observed count for fixed moments. ``w`` is first
-    scaled by the power of two that brings its largest entry into [0.5, 1),
-    which is exact, so neither the zero floor of the score nor overflow of
-    the spread depends on the scale of ``w``.
+    Invariant under positive rescaling of ``w`` (a ratio of quadratics), so
+    the ``ratio`` preset gives :func:`index_r` up to rounding; nondecreasing
+    in every observed count for fixed moments. ``w`` is first scaled by the
+    power of two that brings its largest entry into [0.5, 1), which is exact,
+    so neither the zero floor of the score nor overflow of the spread
+    depends on the scale of ``w``.
     """
     if len(w.w) != cs.s:
         raise ValueError("weight vector has the wrong number of classes")
@@ -289,7 +282,6 @@ class IndexEvaluator:
         cs: CovarianceStructure,
         class_labels: tuple[str, ...],
         presets: tuple[str, ...] = PRESET_NAMES,
-        nu_mode: str = "maxdeg",
     ):
         self._cs = cs
         self._m = g.m
@@ -310,7 +302,7 @@ class IndexEvaluator:
         self._weights: list[tuple[str, np.ndarray | None, float | None]] = []
         for name in presets:
             try:
-                w = weight_preset(name, g, p, nu_mode=nu_mode)
+                w = weight_preset(name, g, p)
             except UndefinedQuantityError as exc:
                 self._weights.append((name, None, None))
                 notes.append(f"j_theta[{name}] undefined: {exc}")
@@ -356,9 +348,8 @@ def build_index_report(
     o: ObservedOutcome,
     cs: CovarianceStructure,
     presets: tuple[str, ...] = PRESET_NAMES,
-    nu_mode: str = "maxdeg",
 ) -> IndexReport:
     """Evaluate all quantifiers, recording why any of them is undefined."""
     mass = _degree_mass(f.assignment, g.degrees, f.s)
-    evaluator = IndexEvaluator(g, f.profile, cs, f.class_labels, presets, nu_mode)
+    evaluator = IndexEvaluator(g, f.profile, cs, f.class_labels, presets)
     return evaluator.report(o.counts, mass.tolist())

@@ -21,6 +21,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .colorings import ColoringError, ObservedOutcome, Profile, sample_counts
@@ -52,6 +53,8 @@ DEFAULT_ENUMERATION_LIMIT = 10**6
 # seeds per sample_counts call in mc_tail, so its count rows take at most 16 * s KiB
 _MC_BLOCK = 1024
 
+_SIDES = {"ge": operator.ge, "le": operator.le}
+
 
 class EnumerationLimitError(RuntimeError):
     """The coloring space is larger than the configured enumeration limit."""
@@ -66,16 +69,19 @@ class EnumerationLimitError(RuntimeError):
 class ExactDistribution:
     """Exact law of the homophilic-count vector for one (graph, profile).
 
-    ``support`` maps outcome tuples to exact rational probabilities that sum
-    to exactly 1; ``outcome_counts`` holds the underlying integer coloring
-    counts over the ``total`` colorings of the profile.
+    ``outcome_counts`` maps each outcome tuple to its number of colorings
+    among the ``total`` colorings of the profile.
     """
 
     graph: Graph
     profile: Profile
-    support: dict[tuple[int, ...], Fraction]
     outcome_counts: dict[tuple[int, ...], int]
     total: int
+
+    @cached_property
+    def support(self) -> dict[tuple[int, ...], Fraction]:
+        """Outcome tuples to exact rational probabilities, summing to exactly 1."""
+        return {k: Fraction(c, self.total) for k, c in self.outcome_counts.items()}
 
 
 def _multiset_permutations(sizes: Sequence[int]) -> Iterator[list[int]]:
@@ -126,10 +132,7 @@ def enumerate_colorings(
         counts[key] = counts.get(key, 0) + 1
     if sum(counts.values()) != total:
         raise AssertionError("enumeration did not cover the coloring space exactly")
-    support = {k: Fraction(c, total) for k, c in counts.items()}
-    return ExactDistribution(
-        graph=g, profile=p, support=support, outcome_counts=counts, total=total
-    )
+    return ExactDistribution(graph=g, profile=p, outcome_counts=counts, total=total)
 
 
 def exact_moments(
@@ -169,10 +172,15 @@ def exact_tail(
     support point; comparisons are taken as given, so callers wanting exact
     tie handling should compute the threshold with the same statistic.
     """
-    keep = {"ge": operator.ge, "le": operator.le}.get(side)
-    if keep is None:
+    keep = _keep(side)
+    hits = sum(c for out, c in d.outcome_counts.items() if keep(statistic(out), threshold))
+    return Fraction(hits, d.total)
+
+
+def _keep(side: str) -> Callable:
+    if side not in _SIDES:
         raise ValueError("side must be 'ge' or 'le'")
-    return sum((pr for out, pr in d.support.items() if keep(statistic(out), threshold)), Fraction(0))
+    return _SIDES[side]
 
 
 def _sorted_tails(d: ExactDistribution, values: Sequence) -> Callable[..., Fraction]:
@@ -327,16 +335,12 @@ def mc_tail(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if side not in ("ge", "le"):
-        raise ValueError("side must be 'ge' or 'le'")
+    keep = _keep(side)
     hits = 0
     stop = seed + samples
     for lo in range(seed, stop, _MC_BLOCK):
         counts, _ = sample_counts(g, p, range(lo, min(lo + _MC_BLOCK, stop)))
-        for out in counts.tolist():
-            val = statistic(tuple(out))
-            if (side == "ge" and val >= threshold) or (side == "le" and val <= threshold):
-                hits += 1
+        hits += sum(1 for out in counts.tolist() if keep(statistic(tuple(out)), threshold))
     est = hits / samples
     half = _Z99 * math.sqrt(est * (1.0 - est) / samples)
     return TailEstimate(estimate=est, half_width=half, samples=samples, seed=seed)

@@ -150,6 +150,16 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert list(report["indices"]["j_theta"]) == ["ratio"]
 
+    def test_nu_flag_is_a_usage_error(self, p4_files, capsys):
+        # j_theta ignores the scale of its weights, so there is no scale to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--graph", p4_files[0], "--coloring", p4_files[1],
+                  "--nu", "maxdeg"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nethom ")
+        assert "unrecognized arguments: --nu maxdeg" in err
+
 
 class TestBaseline:
     def test_reports_are_byte_identical_for_fixed_seed(self, p4_files, tmp_path):

@@ -114,10 +114,6 @@ class TestWeightPresets:
         _, p, _ = _setup(p4, (2, 2))
         w = nh.weight_preset("avg_internal_degree", p4, p)  # Delta = 2
         assert w.w == pytest.approx([0.5, 0.5])
-        w2 = nh.weight_preset("avg_internal_degree", p4, p, nu_mode="classes")
-        assert w2.w == pytest.approx([0.5, 0.5])
-        w3 = nh.weight_preset("avg_internal_degree", p4, p, nu_mode="avgdeg")
-        assert w3.w == pytest.approx([4 / 6, 4 / 6])
 
     def test_ratio_undefined_without_edges(self):
         g = nh.load_edge_list("v a\nv b")
@@ -187,6 +183,16 @@ class TestIndexJTheta:
         for bad in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError):
                 nh.WeightVector(np.array([bad, 1.0]))
+
+    def test_keeps_a_read_only_float_copy(self):
+        a = np.array([1, 2])
+        w = nh.WeightVector(a)
+        a[0] = 3  # the caller's array stays writable and detached
+        assert w.w.tolist() == [1.0, 2.0]
+        assert w.w.dtype == np.float64 and not w.w.flags.writeable
+        assert nh.WeightVector([0.5, 0.0]).w.tolist() == [0.5, 0.0]
+        with pytest.raises(ValueError):
+            nh.WeightVector(["x", 1.0])
 
 
 class TestIndexH:

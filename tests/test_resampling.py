@@ -43,11 +43,10 @@ def instances(draw):
     g = nh.Graph.from_edges(n, edges, dedupe=True)
     seeds = draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=4))
     presets = draw(st.sampled_from(tuple(_PRESET_FLAGS.values())))
-    nu_mode = draw(st.sampled_from(indices.NU_MODES))
-    return g, nh.Profile(tuple(sizes)), seeds, presets, nu_mode
+    return g, nh.Profile(tuple(sizes)), seeds, presets
 
 
-def _fraction_report(g, f, o, cs, presets, nu_mode):
+def _fraction_report(g, f, o, cs, presets):
     """Every index from exact per-class Fractions, rounded once per formula."""
     dev = [Fraction(c) - mb for c, mb in zip(o.counts, cs.mbar)]
     z = np.zeros(cs.s)
@@ -57,7 +56,7 @@ def _fraction_report(g, f, o, cs, presets, nu_mode):
     j_theta = {}
     for name in presets:
         try:
-            w = nh.weight_preset(name, g, f.profile, nu_mode=nu_mode)
+            w = nh.weight_preset(name, g, f.profile)
         except nh.UndefinedQuantityError:
             j_theta[name] = None
             continue
@@ -87,7 +86,7 @@ def _fraction_report(g, f, o, cs, presets, nu_mode):
 @ROWS
 @given(instances())
 def test_engine_rows_are_the_seeded_colorings(case):
-    g, p, seeds, _, _ = case
+    g, p, seeds, _ = case
     counts, mass = nh.sample_counts(g, p, seeds)
     assert counts.shape == mass.shape == (len(seeds), p.s)
     for seed, row, row_mass in zip(seeds, counts.tolist(), mass.tolist()):
@@ -102,18 +101,18 @@ def test_engine_rows_are_the_seeded_colorings(case):
 @ROWS
 @given(instances())
 def test_row_reports_equal_the_fraction_formulas(case):
-    g, p, seeds, presets, nu_mode = case
+    g, p, seeds, presets = case
     summary = nh.summarize(g)
     cs = nh.covariance_structure(summary, p)
     labels = tuple(f"c{i}" for i in range(p.s))
-    evaluator = nh.IndexEvaluator(g, p, cs, labels, presets=presets, nu_mode=nu_mode)
+    evaluator = nh.IndexEvaluator(g, p, cs, labels, presets=presets)
     counts, mass = nh.sample_counts(g, p, seeds)
     for seed, row, row_mass in zip(seeds, counts.tolist(), mass.tolist()):
         f = nh.random_coloring(p, seed, class_labels=labels)
         o = nh.homophilic_counts(g, f)
         rep = evaluator.report(row, row_mass)
-        assert rep == nh.build_index_report(g, f, o, cs, presets=presets, nu_mode=nu_mode)
-        for field, want in _fraction_report(g, f, o, cs, presets, nu_mode).items():
+        assert rep == nh.build_index_report(g, f, o, cs, presets=presets)
+        for field, want in _fraction_report(g, f, o, cs, presets).items():
             assert getattr(rep, field) == want, field
         assert rep.z == tuple(nh.z_scores(o, cs).tolist())
         assert rep.r == nh.index_r(o, cs)
