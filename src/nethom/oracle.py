@@ -1,9 +1,11 @@
 """Ground-truth engines: exact enumeration, Monte Carlo tails, matching tails.
 
 The engines are independent of the closed-form moment formulas, so they can
-validate them. Enumeration walks every coloring of a profile exactly once
-(lexicographic multiset permutations) and accumulates exact rational
-probability mass; Monte Carlo estimation reuses the seeded uniform sampler;
+validate them. Enumeration counts every coloring of a profile exactly once,
+choosing the classes one by one as vertex bitmasks and counting the edges
+inside each with ``int.bit_count``; colorings that leave the same vertices
+to the later classes share those classes' outcome counts. Monte Carlo
+estimation reuses the seeded uniform sampler;
 the disjoint-edges ("matching") graph additionally admits a fully explicit
 tail formula evaluated in exact arbitrary-precision rationals, with a
 log-space variant for very large instances.
@@ -19,10 +21,11 @@ import itertools
 import math
 import operator
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .colorings import ColoringError, ObservedOutcome, Profile, sample_counts
 from .graphs import Graph, _gamma_from_counts
@@ -62,7 +65,11 @@ class EnumerationLimitError(RuntimeError):
     def __init__(self, count: int, limit: int):
         self.count = count
         self.limit = limit
-        super().__init__(f"{count} colorings exceed the enumeration limit {limit}")
+        try:
+            text = str(count)
+        except ValueError:  # over Python's int-to-str digit limit (4300 by default)
+            text = f"10^{math.log10(count):.2f}"
+        super().__init__(f"{text} colorings exceed the enumeration limit {limit}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,35 +91,52 @@ class ExactDistribution:
         return {k: Fraction(c, self.total) for k, c in self.outcome_counts.items()}
 
 
-def _multiset_permutations(sizes: Sequence[int]) -> Iterator[list[int]]:
-    """Yield every distinct arrangement of the class-label multiset once.
+class _InsideEdges(dict):
+    """Vertex-set bitmask -> number of edges with both ends in the set.
 
-    Lexicographic next-permutation on the working list; callers must not
-    mutate or retain the yielded list.
+    ``adj`` maps a vertex's bit to the bitmask of its neighbours. Each entry
+    is counted on first use, from whichever of the set and its complement
+    has fewer vertices.
     """
-    a = [cls for cls, size in enumerate(sizes) for _ in range(size)]
-    n = len(a)
-    while True:
-        yield a
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = a[:i:-1]
+
+    def __init__(self, adj: dict[int, int], m: int):
+        self.adj, self.m = adj, m
+        self.n, self.everyone = len(adj), sum(adj)
+
+    def __missing__(self, mask: int) -> int:
+        if 2 * mask.bit_count() > self.n:
+            # every edge lies inside the set unless it touches the complement
+            other = self.everyone ^ mask
+            rest, touching = other, self[other]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                touching -= self.adj[low].bit_count()
+            inside = self.m + touching
+        else:
+            # each vertex adds its neighbours among the set's higher vertices
+            rest, inside = mask, 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                inside += (self.adj[low] & rest).bit_count()
+        self[mask] = inside
+        return inside
 
 
 def enumerate_colorings(
     g: Graph, p: Profile, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> ExactDistribution:
-    """Visit every coloring of profile ``p`` once and tally outcome vectors.
+    """Count the colorings of profile ``p`` behind each outcome vector exactly.
 
     Refuses (with the computed count) when the number of colorings exceeds
     ``limit``. Probabilities are exact: count / multinomial.
+
+    The classes are chosen in ascending size as vertex bitmasks, each from
+    the vertices left by the smaller ones, so the largest class is the rest.
+    Once two classes are chosen, the same remaining set recurs, so the
+    outcome counts of the later classes are kept per remaining set. The
+    bitmasks alone take up to about n^2/8 bytes, whatever the profile.
     """
     if p.n != g.n:
         raise ColoringError(f"profile sums to {p.n} but the graph has {g.n} vertices")
@@ -120,16 +144,38 @@ def enumerate_colorings(
     if total > limit:
         raise EnumerationLimitError(total, limit)
     s = p.s
-    edges = list(zip(g.edges_u.tolist(), g.edges_v.tolist()))
-    counts: dict[tuple[int, ...], int] = {}
-    for a in _multiset_permutations(p.sizes):
-        out = [0] * s
-        for u, v in edges:
-            cu = a[u]
-            if cu == a[v]:
-                out[cu] += 1
-        key = tuple(out)
-        counts[key] = counts.get(key, 0) + 1
+    order = sorted(range(s), key=p.sizes.__getitem__)
+    sizes = sorted(p.sizes)
+    bits = [1 << v for v in range(g.n)]
+    adj = dict.fromkeys(bits, 0)
+    for u, v in zip(g.edges_u.tolist(), g.edges_v.tolist()):
+        adj[bits[u]] |= bits[v]
+        adj[bits[v]] |= bits[u]
+    inside = _InsideEdges(adj, g.m).__getitem__
+    # suffix counts per remaining set; its size fixes k, and no set recurs before k = 2
+    memo: dict[int, Counter] = {}
+
+    def later(k: int, rest: int) -> Counter:
+        """Outcome counts of classes ``order[k:]`` over the colorings of ``rest``."""
+        if k == s - 1:  # reached only when s == 1
+            return Counter({(inside(rest),): 1})
+        if k >= 2 and rest in memo:
+            return memo[rest]
+        picks = list(map(sum, itertools.combinations([b for b in bits if rest & b], sizes[k])))
+        if k == s - 2:
+            out = Counter(zip(map(inside, picks), map(inside, map(rest.__xor__, picks))))
+        else:
+            out = Counter()
+            for pick in picks:
+                head = (inside(pick),)
+                for tail, count in later(k + 1, rest ^ pick).items():
+                    out[head + tail] += count
+        if k >= 2:
+            memo[rest] = out
+        return out
+
+    slot = sorted(range(s), key=order.__getitem__)  # class i sits at slot[i] in the tuples
+    counts = {tuple(map(out.__getitem__, slot)): c for out, c in later(0, (1 << g.n) - 1).items()}
     if sum(counts.values()) != total:
         raise AssertionError("enumeration did not cover the coloring space exactly")
     return ExactDistribution(graph=g, profile=p, outcome_counts=counts, total=total)
@@ -199,11 +245,12 @@ def _sorted_tails(d: ExactDistribution, values: Sequence) -> Callable[..., Fract
 
 
 def _bound_holds(d: ExactDistribution, values: Sequence, bound, skip) -> bool:
-    """P(stat >= v) for v > 0, else P(stat <= v), is at most bound(v) + 1e-12
-    at every outcome's own value v that ``skip`` does not pass over."""
+    """P(stat >= v) for v > 0, else P(stat <= v), is at most the float
+    bound(v) + 1e-12 at every outcome's own value v that ``skip`` does not
+    pass over."""
     tail = _sorted_tails(d, values)
     return all(
-        float(tail(v, "ge" if v > 0 else "le")) <= bound(float(v)) + 1e-12
+        float(tail(v, "ge" if v > 0 else "le")) <= bound(v) + 1e-12
         for v in values
         if not skip(v)
     )
@@ -259,8 +306,12 @@ def validate(d: ExactDistribution, cs: CovarianceStructure) -> list[dict]:
     else:
         checks.append(_check("cantelli_index_a", None, "all classes degenerate"))
 
-    devs = [sum(Fraction(x) - mb for x, mb in zip(out, cs.mbar)) for out in d.outcome_counts]
-    ok_r = _bound_holds(d, devs, _cantelli(cs.var_total), lambda v: v == 0)
+    # the total deviation as an integer numerator over mbar_den: exact, and the
+    # bound reads it as num / mbar_den, the correctly rounded float(Fraction)
+    den, mbar_sum = cs.mbar_den, sum(cs.mbar_num)
+    devs = [sum(out) * den - mbar_sum for out in d.outcome_counts]
+    cantelli_r = _cantelli(cs.var_total)
+    ok_r = _bound_holds(d, devs, lambda t: cantelli_r(t / den), lambda t: t == 0)
     checks.append(_check("cantelli_index_r", ok_r, "exact tail <= Cantelli bound"))
 
     if not cs.degenerate:

@@ -286,6 +286,14 @@ class TestOracleCheck:
         assert code == 3
         assert "exceed" in capsys.readouterr().err
 
+    def test_count_too_long_to_print_exits_3(self, tmp_path, capsys):
+        # 2000 singleton classes: 2000! colorings, 5736 digits, too many for str()
+        graph = tmp_path / "path2000.edges"
+        graph.write_text("".join(f"{i} {i + 1}\n" for i in range(1999)))
+        code = main(["oracle-check", "--graph", str(graph), "--profile", ",".join(["1"] * 2000)])
+        assert code == 3
+        assert "exceed" in capsys.readouterr().err
+
     def test_profile_mismatch_exits_2(self, p4_files, capsys):
         assert main(["oracle-check", "--graph", p4_files[0], "--profile", "2,3"]) == 2
         assert "profile sums to 5 but the graph has 4 vertices" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 """Enumeration, Monte Carlo tails, the matching-graph formula, tree scan."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import nethom as nh
 from conftest import per_class_moments
@@ -36,6 +40,15 @@ class TestEnumerateColorings:
             nh.enumerate_colorings(p4, nh.Profile((2, 2)), limit=5)
         assert exc.value.count == 6
         assert exc.value.limit == 5
+        assert str(exc.value) == "6 colorings exceed the enumeration limit 5"
+
+    def test_limit_refusal_of_a_count_too_long_to_print(self):
+        # 2000! has 5736 digits, over Python's default int-to-str limit of 4300
+        g = nh.Graph.from_edges(2000, [(0, 1)])
+        with pytest.raises(nh.EnumerationLimitError) as exc:
+            nh.enumerate_colorings(g, nh.Profile((1,) * 2000))
+        assert exc.value.count == math.factorial(2000)
+        assert str(exc.value).endswith(" colorings exceed the enumeration limit 1000000")
 
     def test_profile_mismatch_names_both_sizes(self, p4):
         with pytest.raises(nh.ColoringError, match="profile sums to 5 but the graph has 4"):
@@ -46,6 +59,75 @@ class TestEnumerateColorings:
         for out in d.support:
             assert all(0 <= x <= min(p4.m, 1) for x in out)
             assert sum(out) <= p4.m
+
+
+def _multiset_permutations(sizes):
+    """Yield every distinct arrangement of the class-label multiset once.
+
+    Lexicographic next-permutation on the working list; callers must not
+    mutate or retain the yielded list.
+    """
+    a = [cls for cls, size in enumerate(sizes) for _ in range(size)]
+    n = len(a)
+    while True:
+        yield a
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
+
+
+def _naive_outcome_counts(g, p):
+    """The reference law: every coloring in turn, every edge of each."""
+    edges = list(zip(g.edges_u.tolist(), g.edges_v.tolist()))
+    counts = Counter()
+    for a in _multiset_permutations(p.sizes):
+        out = [0] * p.s
+        for u, v in edges:
+            if a[u] == a[v]:
+                out[a[u]] += 1
+        counts[tuple(out)] += 1
+    return counts
+
+
+@st.composite
+def small_instances(draw):
+    """A graph on 4-10 vertices and a profile of at most 5 classes with at most 2e4 colorings."""
+    n = draw(st.integers(4, 10))
+    s = draw(st.integers(1, min(5, n)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=s - 1, max_size=s - 1, unique=True)))
+    p = nh.Profile(tuple(b - a for a, b in zip([0, *cuts], [*cuts, n])))
+    assume(p.coloring_count() <= 2 * 10**4)
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return nh.Graph.from_edges(n, itertools.compress(pairs, keep)), p
+
+
+_C5 = [(i, (i + 1) % 5) for i in range(5)]
+_K4 = list(itertools.combinations(range(4), 2))
+_DENSE10 = [(i, j) for i, j in itertools.combinations(range(10), 2) if (i * j) % 3]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_instances())
+@example((nh.Graph.from_edges(4, _K4), nh.Profile((4,))))  # one class
+@example((nh.Graph.from_edges(6, []), nh.Profile((2, 3, 1))))  # no edges
+@example((nh.Graph.from_edges(3, [(0, 1), (1, 2)]), nh.Profile((2, 1))))  # n < 4
+@example((nh.Graph.from_edges(2, [(0, 1)]), nh.Profile((1, 1))))
+@example((nh.Graph.from_edges(5, _C5), nh.Profile((1,) * 5)))  # singleton classes
+@example((nh.Graph.from_edges(6, _C5 + [(4, 5), (0, 3)]), nh.Profile((2, 2, 2))))  # equal sizes
+@example((nh.Graph.from_edges(10, _DENSE10), nh.Profile((4, 3, 2, 1))))  # decreasing sizes
+def test_enumeration_matches_the_naive_loop(case):
+    g, p = case
+    d = nh.enumerate_colorings(g, p)
+    assert d.outcome_counts == _naive_outcome_counts(g, p)
+    assert d.total == p.coloring_count()
 
 
 class TestExactMoments:
