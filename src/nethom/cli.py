@@ -200,10 +200,12 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.limit < 0:
+        raise ValueError("--limit must be >= 0")
     with open(args.graph, "rb") as fh:
         graph = load_edge_list(fh, dedupe=args.dedupe)
     sizes = []
-    for tok in filter(str.strip, args.profile.split(",")):
+    for tok in args.profile.split(","):  # blanks around a size are allowed, an empty token is not
         try:
             sizes.append(int(tok))
         except ValueError:

@@ -233,11 +233,11 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     tokens = _tokenize(data)
     if tokens is None:
         return None
-    data, raw, start, stop, _ = tokens
+    raw, start, length = tokens
     del tokens
     if start.size != 2 * n:  # a vertex is missing, unknown or repeated
         return None
-    id_start, id_stop, label_start, label_stop = start[0::2], stop[0::2], start[1::2], stop[1::2]
+    id_start, id_length, label_start, label_length = start[0::2], length[0::2], start[1::2], length[1::2]
     # The tabs and line ends around each id: the one before it must not be a
     # tab, and the one after it must be a tab before the label.
     breaks = np.flatnonzero(raw < _SPACE)
@@ -255,11 +255,11 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     ends = np.flatnonzero(np.frombuffer(labels, dtype=np.uint8) == ord("\n"))
     shift = len(labels) + 1
     vertex_start = np.concatenate(([0], ends + 1, id_start + shift))
-    vertex_stop = np.concatenate((ends, [len(labels)], id_stop + shift))
+    vertex_length = np.concatenate((np.diff(ends, prepend=-1, append=len(labels)) - 1, id_length))
     del ends
     # an empty graph label keys as zeros, which no id does: its vertex goes unnamed below
-    keys = _keys(np.frombuffer(b"\n".join((labels, data)), dtype=np.uint8), vertex_start, vertex_stop)
-    del labels, vertex_start, vertex_stop
+    keys = _keys(np.frombuffer(b"\n".join((labels, raw)), dtype=np.uint8), vertex_start, vertex_length)
+    del labels, vertex_start, vertex_length
     if keys is None:
         return None
     vertex = _first_appearance(keys)[1][n:]
@@ -270,7 +270,7 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     seen[vertex] = True
     if not bool(seen.all()):  # n ids, all in the graph: a repeat leaves a vertex unnamed
         return None
-    keys = _keys(raw, label_start, label_stop)
+    keys = _keys(raw, label_start, label_length)
     if keys is None:
         return None
     names, classes = _first_appearance(keys)

@@ -237,24 +237,22 @@ def _scan(
 # A comment runs to the next byte that str.splitlines() treats as a line end.
 _COMMENT = re.compile(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*")
 _PRINTABLE = bytes(range(0x20, 0x7F)) + b"\t\n\r"  # printable ASCII, the space, tab, LF and CR
-_INT_GRAMMAR = b"0123456789v \t\n\r"
 _SPACE, _V, _ZERO = ord(" "), ord("v"), ord("0")
 _MAX_DIGITS = 18  # every canonical id of up to 18 digits fits in int64
 _KEY_BYTES = 8  # a token of at most 8 bytes is keyed as one uint64
 
 
-def _tokenize(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray, bool] | None:
+def _tokenize(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Token bounds of a text whose every line holds zero or two tokens, or None.
 
     The byte-level steps both vectorized loaders share. The text must be
     UTF-8 without U+0085, U+2028 or U+2029 (line ends to ``str.splitlines()``
     but not to :data:`_COMMENT`); '#' comments are removed, and what remains
     must be printable ASCII, spaces, tabs, LF and CR. LF and CR end lines,
-    and a token is a run of bytes above the space. Returns the bytes without
-    comments, a uint8 view of them, the start and stop offsets of every
-    token, and whether those bytes are all digits, "v", blanks and line ends.
-    Any other input, including one with a line of one or three tokens,
-    returns None.
+    and a token is a run of bytes above the space. Returns a uint8 view of
+    the bytes without comments, and the start offset and the length of
+    every token. Any other input, including one with a line of one or three
+    tokens, returns None.
     """
     if not data.isascii():  # other characters may stand only in comments
         try:
@@ -268,13 +266,8 @@ def _tokenize(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndar
         data = data.encode("ascii")
     if b"#" in data:
         data = _COMMENT.sub(b"", data)
-    # The charset is checked on what is left once the integer grammar's bytes
-    # are removed, so a text of integer ids is scanned once.
-    other = data.translate(None, _INT_GRAMMAR)
-    if other.translate(None, _PRINTABLE):
+    if data.translate(None, _PRINTABLE):
         return None
-    digits = not other
-    del other
     raw = np.frombuffer(data, dtype=np.uint8)
     tok = raw > _SPACE  # blanks and line ends sort at or below the space
     start = np.flatnonzero(tok[1:] > tok[:-1])
@@ -299,7 +292,8 @@ def _tokenize(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndar
     del before
     if not bool(((per_line == 0) | (per_line == 2)).all()):
         return None
-    return data, raw, start, stop, digits
+    stop -= start  # the token lengths, in place
+    return raw, start, stop
 
 
 def _token_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, None] | None:
@@ -309,45 +303,26 @@ def _token_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.nda
     Python loop. It applies when, after comments are removed, the input is
     printable ASCII, spaces, tabs, LF and CR, and every non-blank line holds
     exactly two tokens: "v <id>" declares a vertex and any other line is an
-    edge, so a "v" in second position is an id. A file of canonical decimals
-    and declaring "v"s only is read by ``np.fromstring``, which holds the
-    least memory; any other ids are keyed by :func:`_keys`. Any other input,
-    or ids :func:`_keys` declines, returns None and takes the general path,
-    which also raises every error.
+    edge, so a "v" in second position is an id. Every id is keyed by
+    :func:`_keys`. Any other input, or ids :func:`_keys` declines, returns
+    None and takes the general path, which also raises every error.
     """
     tokens = _tokenize(data)
     if tokens is None:
         return None
-    data, raw, start, stop, digits = tokens
+    raw, start, length = tokens
     del tokens
-    length = stop - start
-    first = raw[start]
-    decimal = (
-        digits
-        and int(length.max(initial=0)) <= _MAX_DIGITS
-        and not bool((length[first == _ZERO] > 1).any())
-    )
-    declared = (first[0::2] == _V) & (length[0::2] == 1)  # one entry per line
-    del length, first
+    declared = (raw[start[0::2]] == _V) & (length[0::2] == 1)  # one entry per line
     n_v = int(np.count_nonzero(declared))
-    if n_v:  # the id tokens: all but the declaring "v"s
+    if n_v:  # the id tokens: all but the declaring "v"s, one array at a time
         keep = np.ones(start.size, dtype=bool)
         keep[0::2] = ~declared
-    if decimal and data.count(b"v") == n_v:  # every id is a canonical decimal
-        del raw, start, stop
-        if n_v:
-            data = data.translate(bytes.maketrans(b"v", b" "))
-        # sep=" " matches any run of whitespace; a blank input would parse as [0]
-        ids = np.fromstring(data, dtype=np.int64, sep=" ") if declared.size else np.empty(0, np.int64)
-    else:
-        if n_v:  # one array at a time, so that each copy frees its original
-            start = start[keep]
-            stop = stop[keep]
-        ids = _keys(raw, start, stop)
-        del raw, start, stop
-        if ids is None:
-            return None
-    del data
+        start = start[keep]
+        length = length[keep]
+    ids = _keys(raw, start, length)
+    del raw, start, length
+    if ids is None:
+        return None
     order, dense = _first_appearance(ids)
     del ids
     if n_v:  # endpoints are the ids not on a "v" line
@@ -355,35 +330,40 @@ def _token_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.nda
     return _texts(order), dense[0::2].copy(), dense[1::2].copy(), None
 
 
-def _decimals(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
-    """The int64 value of every token ``raw[start:stop]``, or None.
+def _decimals(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+    """The int64 value of every token ``raw[start:start + length]``, or None.
 
     None unless every token is a canonical decimal: 1 to 18 ASCII digits
     with no leading zero, so that a value and its text determine each
     other. The digits are accumulated one column at a time, vectorized over
-    the tokens.
+    the tokens; each column is gathered and checked in place, so besides the
+    int64 values only two one-byte-per-token buffers are made.
     """
-    length = stop - start
     if not length.size:
         return np.empty(0, dtype=np.int64)
-    if not 1 <= int(length.min()) <= int(length.max()) <= _MAX_DIGITS:
+    width = int(length.max())
+    if not 1 <= int(length.min()) <= width <= _MAX_DIGITS:
         return None
-    digit = raw[start] - _ZERO  # uint8: a byte below "0" wraps above 9
-    if bool((digit > 9).any()) or bool(((digit == 0) & (length > 1)).any()):
+    digit = raw.take(start)
+    digit -= _ZERO  # uint8: a byte below "0" wraps above 9
+    if int(digit.max()) > 9 or bool(((digit == 0) & (length > 1)).any()):
         return None
     values = digit.astype(np.int64)
-    for j in range(1, int(length.max())):
-        live = length > j
-        digit = raw.take(start + j, mode="clip") - _ZERO  # uint8: a byte below "0" wraps above 9
-        if bool((live & (digit > 9)).any()):
+    live = np.empty(length.size, dtype=bool)
+    for j in range(1, width):
+        np.greater(length, j, out=live)
+        raw[j:].take(start, mode="clip", out=digit)
+        digit -= _ZERO
+        np.multiply(digit, live, out=digit)  # 0 past each token's end
+        if int(digit.max()) > 9:
             return None
         np.multiply(values, 10, out=values, where=live)
-        np.add(values, digit, out=values, where=live)
+        values += digit
     return values
 
 
-def _keys(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
-    """One key per token ``raw[start:stop]``, equal exactly when the tokens are, or None.
+def _keys(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+    """One key per token ``raw[start:start + length]``, equal exactly when the tokens are, or None.
 
     Canonical decimals (:func:`_decimals`) are keyed by their int64 values.
     Any other tokens are zero-padded to the longest of them, or to 8 bytes
@@ -392,10 +372,9 @@ def _keys(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | 
     keeps distinct tokens apart. Fixed-width keys wider than 8 bytes that
     would take more bytes than ``raw`` return None.
     """
-    keys = _decimals(raw, start, stop)
+    keys = _decimals(raw, start, length)
     if keys is not None:
         return keys
-    length = stop - start
     width = max(int(length.max()), _KEY_BYTES)
     if width > _KEY_BYTES and width * length.size > raw.size:
         return None

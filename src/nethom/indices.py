@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("ratio", "avg_internal_degree", "dyadicity")
+# A float-sum score of at most this magnitude is zero up to rounding noise.
+ZERO_FLOOR = 1e-12
 
 
 class UndefinedQuantityError(ValueError):
@@ -89,14 +91,14 @@ def _z(dev: np.ndarray, cs: CovarianceStructure) -> np.ndarray:
 
 
 def _squash(score: float, spread: float) -> float:
-    """:func:`_fold` of a float-sum score, with |score| <= 1e-12 counted as zero.
+    """:func:`_fold` of a float-sum score, with |score| <= :data:`ZERO_FLOOR` counted as zero.
 
     The scores of ``index_a`` and ``index_j_theta`` are sums of float
     z-values or products whose rounding noise sits many orders below any
     genuine deviation; without the floor a zero-spread instance would
     spuriously saturate at +-1 on noise alone.
     """
-    if abs(score) <= 1e-12:
+    if abs(score) <= ZERO_FLOOR:
         return 0.0
     return _fold(score, spread)
 

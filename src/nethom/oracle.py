@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 from .colorings import ColoringError, ObservedOutcome, Profile, sample_counts
 from .graphs import Graph, _gamma_from_counts
-from .indices import z_scores
+from .indices import ZERO_FLOOR, z_scores
 from .moments import CovarianceStructure
 
 __all__ = [
@@ -300,8 +300,8 @@ def validate(d: ExactDistribution, cs: CovarianceStructure) -> list[dict]:
 
     zs = [z_scores(ObservedOutcome(out), cs)[act] for out in d.outcome_counts]
     if act:
-        z_sums = [float(z.sum()) for z in zs]  # |sum| <= 1e-12 is zero up to float noise
-        ok_a = _bound_holds(d, z_sums, _cantelli(cs.var_zsum), lambda v: abs(v) <= 1e-12)
+        z_sums = [float(z.sum()) for z in zs]  # index_a scores these sums as 0: no tail to check
+        ok_a = _bound_holds(d, z_sums, _cantelli(cs.var_zsum), lambda v: abs(v) <= ZERO_FLOOR)
         checks.append(_check("cantelli_index_a", ok_a, "exact tail <= Cantelli bound"))
     else:
         checks.append(_check("cantelli_index_a", None, "all classes degenerate"))

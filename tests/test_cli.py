@@ -303,6 +303,24 @@ class TestOracleCheck:
         err = capsys.readouterr().err
         assert "--profile" in err and "'x'" in err
 
+    @pytest.mark.parametrize("profile", ["2,,2", ",2,2,", "2,2,", ","])
+    def test_empty_profile_token_names_the_flag(self, p4_files, capsys, profile):
+        assert main(["oracle-check", "--graph", p4_files[0], "--profile", profile]) == 2
+        err = capsys.readouterr().err
+        assert "--profile" in err and "''" in err
+
+    def test_blanks_around_profile_sizes_are_allowed(self, p4_files, capsys):
+        assert main(["oracle-check", "--graph", p4_files[0], "--profile", " 2, 2 "]) == 0
+        assert json.loads(capsys.readouterr().out)["instance"]["profile"] == [2, 2]
+
+    @pytest.mark.parametrize(
+        "limit,code,message",
+        [("-1", 2, "--limit must be >= 0"), ("0", 3, "6 colorings exceed the enumeration limit 0")],
+    )
+    def test_limit_must_be_nonnegative(self, p4_files, capsys, limit, code, message):
+        assert main(["oracle-check", "--graph", p4_files[0], "--profile", "2,2", "--limit", limit]) == code
+        assert message in capsys.readouterr().err
+
     def test_failed_check_exits_1(self, p4_files, monkeypatch, capsys):
         failed = [{"name": "moments", "status": "FAIL", "detail": "forced"}]
         monkeypatch.setattr(cli, "validate", lambda *args: failed)

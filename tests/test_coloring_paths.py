@@ -142,7 +142,15 @@ def test_three_loaders_agree(kind, data):
     assert _outcome(_general, encoded) == expected
 
 
-@pytest.mark.parametrize("text", ["", "3\t0\n10\t0\n0\t0\n7\t0\n12\t0\n5\t0\n100\t0\n1\t0"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "3\t0\n10\t0\n0\t0\n7\t0\n12\t0\n5\t0\n100\t0\n1\t0",
+        # decimal class labels, the only short one ending the buffer
+        "3\t100\n10\t200\n0\t100\n7\t200\n12\t100\n5\t200\n100\t100\n1\t20",
+    ],
+)
 def test_empty_file_and_one_class(text):
     assert (colorings._token_coloring(text, _graph()) is not None) == bool(text)
     expected = _outcome(_reference, text)

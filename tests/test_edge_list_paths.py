@@ -247,6 +247,13 @@ def token_lists(draw):
 @example(("u1 v\nv v\nv u2\nu1 u2\n", True), False, True)
 @example(("007 7\nabcdefgh 7\nabcdefghi 007\n", None), False, False)
 @example(("u1 u2\nu2\n", False), False, True)
+# Decimal ids ending the buffer with no line end: either the last id is the
+# only one shorter than the longest, so the digit columns past its end read
+# the buffer's last byte, or it has 18 digits, the most a decimal key holds.
+@example(("1000 2000\n2000 35", True), False, True)
+@example(("7 12\n12 123456789012345678", True), False, False)
+@example(("111 222\r222 333\r333 44", True), False, True)
+@example(("v 333\nv 225\nv 12", True), False, True)
 def test_token_path_matches_general_path_and_reference(case, dedupe, as_bytes):
     text, accept = case
     data = text.encode("ascii") if as_bytes else text
