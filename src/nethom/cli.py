@@ -99,7 +99,6 @@ def _load_pair(args) -> tuple[Graph, Coloring]:
 
 
 def _graph_block(summary) -> dict:
-    g = gamma_invariant(summary)
     return {
         "n": summary.n,
         "m": summary.m,
@@ -108,7 +107,7 @@ def _graph_block(summary) -> dict:
         "delta2": summary.delta2,
         "dispersion": summary.upsilon,
         "pi3": summary.pi3,
-        "gamma": float(g) if g is not None else None,
+        "gamma": float(gamma_invariant(summary)),
     }
 
 
@@ -205,11 +204,10 @@ def cmd_oracle_check(args) -> int:
     with open(args.graph, "rb") as fh:
         graph = load_edge_list(fh, dedupe=args.dedupe)
     sizes = []
-    for tok in args.profile.split(","):  # blanks around a size are allowed, an empty token is not
-        try:
-            sizes.append(int(tok))
-        except ValueError:
-            raise ValueError(f"--profile must be comma-separated integers, got {tok.strip()!r}") from None
+    for tok in map(str.strip, args.profile.split(",")):  # blanks around a size are allowed
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"--profile must be comma-separated sizes in digits 0-9, got {tok!r}")
+        sizes.append(int(tok))
     profile = Profile(tuple(sizes))
     dist = enumerate_colorings(graph, profile, limit=args.limit)
     summary = summarize(graph)

@@ -535,22 +535,21 @@ def summarize(g: Graph) -> GraphSummary:
     )
 
 
-def gamma_invariant(s: GraphSummary) -> Fraction | None:
-    """Scale factor of all between-class covariances, or None when n < 4.
+def gamma_invariant(s: GraphSummary) -> Fraction:
+    """Scale factor of all between-class covariances, for every n >= 1.
 
     Combinatorial form: (2 / n^(4)) * (C(m,2) - pi3) - (m / n^(2))^2, exact.
-    For n < 4 the quantity is undefined (no two vertex-disjoint edges exist;
-    the covariance fallback in the moments module applies instead).
+    A term with numerator 0 is 0: for n < 4 no two edges are vertex-disjoint,
+    and for n = 1 there are no edges.
     """
-    if s.n < 4:
-        return None
     return _gamma_from_counts(s.n, s.m, s.pi3)
 
 
 def _gamma_from_counts(n: int, m: int, pi3: int) -> Fraction:
-    """The combinatorial form of :func:`gamma_invariant`, for n >= 4."""
-    pairs = m * (m - 1) // 2
-    return Fraction(2 * (pairs - pi3), math.perm(n, 4)) - Fraction(m, math.perm(n, 2)) ** 2
+    """The combinatorial form of :func:`gamma_invariant`."""
+    disjoint = 2 * (m * (m - 1) // 2 - pi3)  # ordered pairs of vertex-disjoint edges
+    term = Fraction(disjoint, math.perm(n, 4)) if disjoint else Fraction(0)
+    return term - (Fraction(m, math.perm(n, 2)) if m else Fraction(0)) ** 2
 
 
 def dispersion_margin(s: GraphSummary) -> Fraction | None:

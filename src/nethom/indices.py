@@ -2,12 +2,16 @@
 
 Every index reads the null model's moments from one
 :class:`~nethom.moments.CovarianceStructure`: its exact means and variances,
-its active set and its O(s) quadratic forms. Each index couples a monotone
-score of the observed counts with a one-sided second-moment tail bound on
-that score under the random coloring null model, then folds the two sides
-into a signed value in [-1, 1]:
+its active set and its O(s) quadratic forms. Each index is fold(score): a
+monotone score of the observed counts, and a fold of a one-sided
+second-moment tail bound on that score under the random coloring null model
+into a signed value in [-1, 1], so that 1 - |index| bounds the tail:
 
     index = sgn(score) * score^2 / (score^2 + Var(score)).
+
+Each score (``_score_*``) and each fold (``_fold_*``, and ``_squash`` for
+j_theta) is defined once, with its zero rule beside it. The report reads them, and so does
+:func:`~nethom.oracle.validate`, which checks each exact tail against 1 - |index|.
 
 Every score starts from the per-class deviations of the observed counts from
 their means, each computed as one integer division over the structure's
@@ -84,8 +88,7 @@ def _deviations(counts: Sequence[int], cs: CovarianceStructure) -> np.ndarray:
 
 def _z(dev: np.ndarray, cs: CovarianceStructure) -> np.ndarray:
     z = np.zeros(cs.s)
-    act = list(cs.active)
-    z[act] = dev[act] / cs.sd
+    z[cs.active_index] = dev[cs.active_index] / cs.sd
     z.setflags(write=False)
     return z
 
@@ -93,9 +96,9 @@ def _z(dev: np.ndarray, cs: CovarianceStructure) -> np.ndarray:
 def _squash(score: float, spread: float) -> float:
     """:func:`_fold` of a float-sum score, with |score| <= :data:`ZERO_FLOOR` counted as zero.
 
-    The scores of ``index_a`` and ``index_j_theta`` are sums of float
-    z-values or products whose rounding noise sits many orders below any
-    genuine deviation; without the floor a zero-spread instance would
+    The fold of ``index_a`` and ``index_j_theta``: their scores are sums of
+    float z-values or products whose rounding noise sits many orders below
+    any genuine deviation; without the floor a zero-spread instance would
     spuriously saturate at +-1 on noise alone.
     """
     if abs(score) <= ZERO_FLOOR:
@@ -117,27 +120,51 @@ def _fold(score: float, spread: float) -> float:
     return math.copysign(num / den, score)
 
 
+def _score_a(z: np.ndarray, cs: CovarianceStructure) -> float:
+    """The sum of the active z-scores."""
+    return float(z[cs.active_index].sum())
+
+
+def _fold_a(total: float, cs: CovarianceStructure) -> float:
+    return _squash(total, cs.var_zsum)
+
+
+def _score_r(counts: Sequence[int], cs: CovarianceStructure) -> int:
+    """The total deviation of the counts from their mean, as an integer numerator over ``mbar_den``."""
+    return int(sum(counts)) * cs.mbar_den - cs.mbar_total_num
+
+
+def _fold_r(t: int, cs: CovarianceStructure) -> float:
+    """The deviation ``t / mbar_den`` is exact, so unlike a float score it needs no zero floor."""
+    return _fold(t / cs.mbar_den, cs.var_total) if t else 0.0
+
+
+def _score_h(z: np.ndarray, cs: CovarianceStructure) -> float:
+    """z' Gamma^-1 z on the active set; the correlation block must be nondegenerate."""
+    return cs.corr_inv_quad(z[cs.active_index])
+
+
+def _fold_h(norm: float, cs: CovarianceStructure) -> float:
+    return max(0.0, (norm - len(cs.active)) / norm) if norm > 0.0 else 0.0
+
+
+def _score_j(dev: np.ndarray, ws: np.ndarray) -> float:
+    """w'(observed - expected) for the scaled weights ``ws``; :func:`_squash` folds it."""
+    return float(ws @ dev)
+
+
 def index_a(z: np.ndarray, cs: CovarianceStructure) -> float | None:
     """Signed significance of the mean z-score; None if every class is degenerate.
 
     With s_a active classes, A = mean of active z-scores and g the sum of the
     active-set correlation matrix: sgn(A) * (s_a*A)^2 / ((s_a*A)^2 + g).
     """
-    if not cs.active:
-        return None
-    total = float(z[list(cs.active)].sum())  # = s_a * A
-    return _squash(total, cs.var_zsum)
+    return _fold_a(_score_a(z, cs), cs) if cs.active else None
 
 
 def index_r(o: ObservedOutcome, cs: CovarianceStructure) -> float:
-    """Signed significance of the total homophilic-count deviation.
-
-    The deviation is an exact rational, so unlike the float scores of
-    ``index_a`` and ``index_j_theta`` it needs no zero floor.
-    """
-    den = cs.mbar_den
-    t = int(o.total) * den - sum(cs.mbar_num)
-    return _fold(t / den, cs.var_total) if t else 0.0
+    """Signed significance of the total homophilic-count deviation."""
+    return _fold_r(_score_r(o.counts, cs), cs)
 
 
 @dataclass(frozen=True)
@@ -198,15 +225,11 @@ def index_j_theta(o: ObservedOutcome, cs: CovarianceStructure, w: WeightVector) 
     if len(w.w) != cs.s:
         raise ValueError("weight vector has the wrong number of classes")
     ws = _scaled(w)
-    return _j_theta(_deviations(o.counts, cs), ws, cs.quad(ws))
+    return _squash(_score_j(_deviations(o.counts, cs), ws), cs.quad(ws))
 
 
 def _scaled(w: WeightVector) -> np.ndarray:
     return np.ldexp(w.w, -math.frexp(float(w.w.max()))[1])
-
-
-def _j_theta(dev: np.ndarray, ws: np.ndarray, spread: float) -> float:
-    return _squash(float(ws @ dev), spread)
 
 
 def index_h(z: np.ndarray, cs: CovarianceStructure) -> float | None:
@@ -218,12 +241,7 @@ def index_h(z: np.ndarray, cs: CovarianceStructure) -> float | None:
     directions that carry the variance; the sign pattern of z tells
     homophily from anti-homophily.
     """
-    if cs.degenerate:
-        return None
-    norm2 = cs.corr_inv_quad(z[list(cs.active)])
-    if norm2 <= 0.0:
-        return 0.0
-    return max(0.0, (norm2 - len(cs.active)) / norm2)
+    return None if cs.degenerate else _fold_h(_score_h(z, cs), cs)
 
 
 def newman_modularity(g: Graph, f: Coloring, o: ObservedOutcome) -> float | None:
@@ -258,7 +276,7 @@ class IndexReport:
     observed: tuple[int, ...]
     mbar: tuple[float, ...]
     z: tuple[float, ...]
-    gamma: float | None
+    gamma: float
     a: float | None
     r: float
     h: float | None
@@ -314,9 +332,7 @@ class IndexEvaluator:
 
         if g.m == 0:
             notes.append("modularity and descriptive ratio undefined: graph has no edges")
-        self._gamma = float(cs.gamma) if cs.gamma is not None else None
-        if self._gamma is None:
-            notes.append("gamma undefined for n < 4: covariance computed by direct fallback")
+        self._gamma = float(cs.gamma)
         self._notes = tuple(notes)
         self._mbar = tuple(cs.mbar_f.tolist())
 
@@ -335,7 +351,7 @@ class IndexEvaluator:
             r=index_r(o, cs),
             h=index_h(z, cs),
             j_theta={
-                name: None if ws is None else _j_theta(dev, ws, spread)
+                name: None if ws is None else _squash(_score_j(dev, ws), spread)
                 for name, ws, spread in self._weights
             },
             newman_q=_modularity(int(o.total), mass, self._m),

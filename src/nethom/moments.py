@@ -7,9 +7,7 @@ matrix is a rank-one update of a diagonal matrix,
 
     Sigma = diag(q) + coef * vec vec',
 
-with coef = gamma_invariant(G) and vec_i = c_i^(2) when n >= 4, and with
-coef = -1 and vec = Mbar otherwise (no two vertex-disjoint edges exist, so
-E[M_i M_j] = 0 off the diagonal).
+with coef = gamma_invariant(G) and vec_i = c_i^(2) on every graph.
 
 :func:`covariance_structure` returns the one moments object the indices and
 the oracle read, a :class:`CovarianceStructure`. A class's moments depend on
@@ -116,11 +114,11 @@ class CovarianceStructure:
     entry per slot; each per-class field is a gather by ``ms.slot``. The
     exact tuples ``mbar``, ``var``, ``vec`` and ``q`` hold one entry per
     class; ``mbar[i] == mbar_num[i] / mbar_den`` with integer numerators over
-    one common denominator, so a count deviation is one integer division.
-    ``mbar_f`` and ``var_f`` are float arrays. ``active`` lists the
-    classes with positive variance and ``sd`` holds their float standard
-    deviations. ``gamma`` is None when the n < 4 fallback supplies coef and
-    vec. ``var_total`` = 1'Sigma 1 and ``var_zsum`` = 1'Gamma 1 on the
+    one common denominator, so a count deviation is one integer division;
+    ``mbar_total_num`` is their sum. ``mbar_f`` and ``var_f`` are float
+    arrays. ``active`` lists the classes with positive variance (as an index
+    array in ``active_index``) and ``sd`` holds their float standard
+    deviations. ``var_total`` = 1'Sigma 1 and ``var_zsum`` = 1'Gamma 1 on the
     active set are the variances of the total count and of the summed active
     z-scores. ``degenerate`` is set when the active block is singular at the
     working tolerance; :meth:`corr_inv_quad` then raises. The only matrix
@@ -129,7 +127,7 @@ class CovarianceStructure:
 
     def __init__(
         self,
-        gamma: Fraction | None,
+        gamma: Fraction,
         coef: Fraction,
         vec: tuple[int | Fraction, ...],
         ms: MomentSummary,
@@ -145,6 +143,7 @@ class CovarianceStructure:
         self.mbar, self.var, self.vec, self.q, self.mbar_num = (
             tuple(map(col.__getitem__, at)) for col in (ms.mbar, ms.var, vec, q, num)
         )
+        self.mbar_total_num = sum(self.mbar_num)
         self.mbar_f, self.var_f, self._vec_f, q_f = (
             np.array([float(x) for x in col])[slot] for col in (ms.mbar, ms.var, vec, q)
         )
@@ -153,6 +152,8 @@ class CovarianceStructure:
         cut = REL_TOL * self.var_f.max()  # by Cauchy-Schwarz, the largest entry of Sigma
         act = np.flatnonzero(self.var_f > cut)
         self.active = tuple(act.tolist())
+        self.active_index = act
+        act.setflags(write=False)
         self._coef_f = float(coef)
         self.var_total = self.quad(np.ones(len(at)))
 
@@ -204,12 +205,7 @@ def covariance_structure(s: GraphSummary, p: Profile) -> CovarianceStructure:
     """
     ms = moment_summary(s, p)
     g = gamma_invariant(s)
-    if g is not None:
-        u = tuple(falling_factorial(c, 2) for c in ms.size)
-        return CovarianceStructure(g, g, u, ms)
-    if s.ordered_disjoint_pairs != 0:
-        raise AssertionError("n < 4 graphs cannot contain disjoint edge pairs")
-    return CovarianceStructure(None, Fraction(-1), ms.mbar, ms)
+    return CovarianceStructure(g, g, tuple(falling_factorial(c, 2) for c in ms.size), ms)
 
 
 def covariance_exact(s: GraphSummary, p: Profile) -> list[list[Fraction]]:

@@ -12,7 +12,9 @@ log-space variant for very large instances.
 
 :func:`validate` is the one place that compares the closed forms, the
 bounds behind the indices, the sign of the covariances and the
-Sherman-Morrison inverse with them, each against the enumerated law.
+Sherman-Morrison inverse with them, each against the enumerated law. It
+checks each exact tail of an index's score against 1 - |index|, computed by
+the report's own score and fold from :mod:`nethom.indices`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 
 from .colorings import ColoringError, ObservedOutcome, Profile, sample_counts
 from .graphs import Graph, _gamma_from_counts
-from .indices import ZERO_FLOOR, z_scores
+from .indices import _fold_a, _fold_h, _fold_r, _score_a, _score_h, _score_r, z_scores
 from .moments import CovarianceStructure
 
 __all__ = [
@@ -244,20 +246,13 @@ def _sorted_tails(d: ExactDistribution, values: Sequence) -> Callable[..., Fract
     return tail
 
 
-def _bound_holds(d: ExactDistribution, values: Sequence, bound, skip) -> bool:
-    """P(stat >= v) for v > 0, else P(stat <= v), is at most the float
-    bound(v) + 1e-12 at every outcome's own value v that ``skip`` does not
-    pass over."""
-    tail = _sorted_tails(d, values)
-    return all(
-        float(tail(v, "ge" if v > 0 else "le")) <= bound(v) + 1e-12
-        for v in values
-        if not skip(v)
-    )
-
-
-def _cantelli(spread: float):
-    return lambda v: spread / (v * v + spread) if v * v + spread > 0 else 1.0
+def _bound_holds(d: ExactDistribution, cs: CovarianceStructure, scores: Sequence, fold) -> bool:
+    """P(score >= v) for v > 0, else P(score <= v), is at most 1 - |fold(v, cs)|
+    + 1e-12 at every outcome's own score v: the index bounds the tail. A zero
+    score folds to 0, whose bound 1 always holds."""
+    tail = _sorted_tails(d, scores)
+    return all(float(tail(v, "ge" if v > 0 else "le")) <= 1.0 - abs(fold(v, cs)) + 1e-12
+               for v in scores)
 
 
 def _check(name: str, ok: bool | None, detail: str) -> dict:
@@ -286,49 +281,44 @@ def validate(d: ExactDistribution, cs: CovarianceStructure) -> list[dict]:
     Returns ``{name, status, detail}`` records (PASS, FAIL or SKIPPED) for
     ``moments``, ``cantelli_index_a``, ``cantelli_index_r``,
     ``chebyshev_index_h``, ``sign_structure`` and ``sherman_morrison``, in that
-    order. The tail checks use the statistics the indices score. The last two
-    read the enumerated covariance C: every off-diagonal entry must have the
-    sign of gamma, and be 0 exactly when gamma is 0 or a class has fewer than
-    two vertices; and ``cs.corr_inv_quad(z)`` must equal the exact d'C^-1 d on
-    the active set at every support point, to 1e-9 relative.
+    order. The tail checks score every support point with the report's own
+    score and bound its exact tail by 1 - |index| from the report's own fold.
+    The last two read the enumerated covariance C: every off-diagonal entry
+    must have the sign of gamma, and be 0 exactly when gamma is 0 or a class
+    has fewer than two vertices; and ``cs.corr_inv_quad(z)`` must equal the
+    exact d'C^-1 d on the active set at every support point, to 1e-9 relative.
     """
-    act = list(cs.active)
+    act = cs.active
     mean, cov = exact_moments(d)
     moments_ok = mean == cs.mbar and cov == cs.exact()
     checks = [_check("moments", moments_ok,
                      f"closed forms vs exact enumeration over {d.total} colorings")]
 
-    zs = [z_scores(ObservedOutcome(out), cs)[act] for out in d.outcome_counts]
+    zs = [z_scores(ObservedOutcome(out), cs) for out in d.outcome_counts]
     if act:
-        z_sums = [float(z.sum()) for z in zs]  # index_a scores these sums as 0: no tail to check
-        ok_a = _bound_holds(d, z_sums, _cantelli(cs.var_zsum), lambda v: abs(v) <= ZERO_FLOOR)
+        ok_a = _bound_holds(d, cs, [_score_a(z, cs) for z in zs], _fold_a)
         checks.append(_check("cantelli_index_a", ok_a, "exact tail <= Cantelli bound"))
     else:
         checks.append(_check("cantelli_index_a", None, "all classes degenerate"))
 
-    # the total deviation as an integer numerator over mbar_den: exact, and the
-    # bound reads it as num / mbar_den, the correctly rounded float(Fraction)
-    den, mbar_sum = cs.mbar_den, sum(cs.mbar_num)
-    devs = [sum(out) * den - mbar_sum for out in d.outcome_counts]
-    cantelli_r = _cantelli(cs.var_total)
-    ok_r = _bound_holds(d, devs, lambda t: cantelli_r(t / den), lambda t: t == 0)
+    ok_r = _bound_holds(d, cs, [_score_r(out, cs) for out in d.outcome_counts], _fold_r)
     checks.append(_check("cantelli_index_r", ok_r, "exact tail <= Cantelli bound"))
 
     if not cs.degenerate:
-        norms = [cs.corr_inv_quad(z) for z in zs]
-        ok_h = _bound_holds(d, norms, lambda v: len(act) / v, lambda v: v <= 0.0)
-        checks.append(_check("chebyshev_index_h", ok_h, "exact tail <= s/|z|^2"))
+        norms = [_score_h(z, cs) for z in zs]
+        checks.append(_check("chebyshev_index_h", _bound_holds(d, cs, norms, _fold_h),
+                             "exact tail <= s/|z|^2"))
     else:
         checks.append(_check("chebyshev_index_h", None, "degenerate correlation block"))
 
-    if cs.gamma is not None and cs.s >= 2:
+    if cs.s >= 2:
         sign = (cs.gamma > 0) - (cs.gamma < 0)
         big = [c >= 2 for c in d.profile.sizes]
         sign_ok = all((x > 0) - (x < 0) == sign * (big[i] and big[j])
                       for i, row in enumerate(cov) for j, x in enumerate(row) if i != j)
         checks.append(_check("sign_structure", sign_ok, f"gamma = {float(cs.gamma):.6g}"))
     else:
-        checks.append(_check("sign_structure", None, "gamma undefined or single class"))
+        checks.append(_check("sign_structure", None, "single class"))
 
     if cs.degenerate:
         return checks + [_check("sherman_morrison", None, "degenerate")]
@@ -457,8 +447,8 @@ def matching_tail_log(m: int, k: int) -> float:
 class TreeGammaReport:
     """Extremes of the covariance-scale invariant over labeled trees on n vertices.
 
-    ``degenerate`` marks n < 4 where the invariant is undefined (every tree
-    on 2 or 3 vertices is simultaneously a path and a star).
+    ``degenerate`` marks n < 4, where every tree is both a path and a star,
+    so the scan reports no extremes.
     """
 
     n: int

@@ -243,8 +243,8 @@ class TestOracleCheck:
             ("v a\nv b\nv c\nv d\n", "2,2", "PSPSPS"),  # edgeless: gamma = 0, zero covariances
             ("v a\nv b\nv c\nv d\n", "4", "PSPSSS"),
             (P4_EDGES, "4", "PSPSSS"),  # one class
-            ("a b\nb c\n", "1,2", "PPPPSP"),  # n < 4: gamma undefined
-            ("a b\nb c\n", "1,1,1", "PSPSSS"),
+            ("a b\nb c\n", "1,2", "PPPPPP"),  # n < 4: gamma = -(m / n^(2))^2
+            ("a b\nb c\n", "1,1,1", "PSPSPS"),
             (K4_EDGES, "2,2", "PSPSPS"),  # constant counts
             ("a b\nb c\nc d\nd a\n", "1,1,1,1", "PSPSPS"),  # C4, singleton classes
         ],
@@ -308,6 +308,14 @@ class TestOracleCheck:
         assert main(["oracle-check", "--graph", p4_files[0], "--profile", profile]) == 2
         err = capsys.readouterr().err
         assert "--profile" in err and "''" in err
+
+    @pytest.mark.parametrize(
+        "profile,token", [("2_2", "2_2"), ("+2,2", "+2"), ("\u0662,2", "\u0662"), ("-2,6", "-2")]
+    )
+    def test_profile_sizes_are_ascii_digits(self, p4_files, capsys, profile, token):
+        assert main(["oracle-check", "--graph", p4_files[0], f"--profile={profile}"]) == 2
+        err = capsys.readouterr().err
+        assert "--profile" in err and repr(token) in err
 
     def test_blanks_around_profile_sizes_are_allowed(self, p4_files, capsys):
         assert main(["oracle-check", "--graph", p4_files[0], "--profile", " 2, 2 "]) == 0

@@ -9,7 +9,7 @@ checked against the exact matrix.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ FORMS = settings(max_examples=150, deadline=None, derandomize=True, database=Non
 
 @st.composite
 def instances(draw):
-    """A graph on 2..9 vertices (n < 4 hits the fallback) and a profile of it."""
+    """A graph on 2..9 vertices (n < 4 included) and a profile of it."""
     n = draw(st.integers(2, 9))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -47,12 +47,12 @@ def check_forms(summary, profile, w=None):
     k = profile.s
     pairs = [(i, j) for i in range(k) for j in range(k)]
 
-    # exact fields: per-class gathers of the per-size tables, the diagonal of
-    # the rank-one split and the fallback
+    # exact fields: per-class gathers of the per-size tables and the diagonal
+    # of the rank-one split, whose coefficient is gamma on every graph
     assert cs.mbar == tuple(ms.mbar[k] for k in ms.slot)
     assert cs.var == tuple(ms.var[k] for k in ms.slot)
     assert cs.q == tuple(v - cs.coef * x * x for v, x in zip(cs.var, cs.vec))
-    assert (cs.gamma is None) == (summary.n < 4)
+    assert cs.gamma == cs.coef == nh.gamma_invariant(summary)
 
     # 1' Sigma 1
     scale = float(sum(abs(exact[i][j]) for i, j in pairs))
@@ -109,8 +109,8 @@ def test_quad_matches_exact_for_any_weights(data):
         ("x a\nx b\nx c\nx d", (2, 2, 1), "negative"),  # star: hub, gamma < 0
         ("a b\nb c\nc d\nd e\ne f\nf a", (2, 2, 2), "positive"),  # 6-cycle
         ("a b\nc d", (2, 2), "positive"),  # matching: singular block
-        ("a b\nb c", (2, 1), "fallback"),  # n < 4
-        ("a b\nb c", (1, 1, 1), "fallback"),  # n < 4, all classes degenerate
+        ("a b\nb c", (2, 1), "small"),  # n < 4
+        ("a b\nb c", (1, 1, 1), "small"),  # n < 4, all classes degenerate
         ("a b\na c\na d\nb c\nb d\nc d", (2, 2), "zero"),  # K4: constant counts
         ("a b\nb c\nc d\nd e\ne a", (4, 1), "zero-variance"),
         ("a b\nb c\nc d\nd e\ne a\na c", (2, 2, 1), "zero-variance"),
@@ -123,10 +123,30 @@ def test_forms_on_named_instances(edges, sizes, regime):
         assert cs.gamma < 0
     elif regime == "positive":
         assert cs.gamma > 0
-    elif regime == "fallback":
-        assert cs.gamma is None and cs.coef == -1
+    elif regime == "small":  # no two edges are vertex-disjoint
+        assert cs.gamma == -Fraction(g.m, math.perm(g.n, 2)) ** 2
     else:
         assert len(cs.active) < len(sizes)
+
+
+def test_small_graphs_match_the_mean_vector_form():
+    # for n < 4, E[M_i M_j] = 0 off the diagonal, so Sigma = diag(q) - Mbar Mbar';
+    # the rank-one pair (gamma, c^(2)) must give the same structure
+    seen = 0
+    for n in (1, 2, 3):
+        pairs = list(combinations(range(n), 2))
+        for keep in product((False, True), repeat=len(pairs)):
+            summary = nh.summarize(nh.Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k]))
+            for cuts in (c for r in range(n) for c in combinations(range(1, n), r)):
+                profile = nh.Profile(tuple(b - a for a, b in zip((0, *cuts), (*cuts, n))))
+                ms = nh.moment_summary(summary, profile)
+                cs = nh.covariance_structure(summary, profile)
+                means = nh.CovarianceStructure(cs.gamma, Fraction(-1), ms.mbar, ms)
+                assert cs.exact() == means.exact()
+                assert (cs.active, cs.degenerate) == (means.active, means.degenerate)
+                assert cs.var_total == means.var_total
+                seen += 1
+    assert seen == 37
 
 
 def test_index_report_builds_no_dense_view():

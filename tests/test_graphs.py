@@ -13,13 +13,11 @@ import nethom as nh
 from conftest import brute_disjoint_ordered_pairs, brute_pi3, random_gnp
 
 
-def gamma_from_degree_moments(s: nh.GraphSummary) -> Fraction | None:
+def gamma_from_degree_moments(s: nh.GraphSummary) -> Fraction:
     """Degree-moment form of :func:`nethom.gamma_invariant`, an independent cross-check.
 
-    (n / n^(4)) * ((2n-3)/(2n-2) * delta1^2 + delta1/2 - delta2), exact.
+    (n / n^(4)) * ((2n-3)/(2n-2) * delta1^2 + delta1/2 - delta2), exact, for n >= 4.
     """
-    if s.n < 4:
-        return None
     n = s.n
     d1 = Fraction(2 * s.m, n)
     d2 = Fraction(s.sum_sq_degrees, n)
@@ -244,9 +242,11 @@ class TestGammaInvariant:
     def test_complete_graph_zero(self, k4):
         assert nh.gamma_invariant(nh.summarize(k4)) == 0
 
-    def test_undefined_below_four_vertices(self, p3):
-        assert nh.gamma_invariant(nh.summarize(p3)) is None
-        assert gamma_from_degree_moments(nh.summarize(p3)) is None
+    def test_below_four_vertices_only_the_mean_term_is_left(self, p3):
+        # no two edges are vertex-disjoint: gamma = -(m / n^(2))^2
+        assert nh.gamma_invariant(nh.summarize(p3)) == -Fraction(2, 6) ** 2
+        assert nh.gamma_invariant(nh.summarize(nh.load_edge_list("a b"))) == -Fraction(1, 2) ** 2
+        assert nh.gamma_invariant(nh.summarize(nh.load_edge_list("v a"))) == 0
 
     def test_two_forms_agree_exactly(self):
         rng = np.random.default_rng(23)

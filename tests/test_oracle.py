@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import nethom as nh
 from conftest import per_class_moments
-from nethom import oracle
+from nethom import indices, oracle
 from nethom.oracle import _sorted_tails, exact_moments, validate
 
 
@@ -97,10 +97,10 @@ def _naive_outcome_counts(g, p):
 
 
 @st.composite
-def small_instances(draw):
-    """A graph on 4-10 vertices and a profile of at most 5 classes with at most 2e4 colorings."""
-    n = draw(st.integers(4, 10))
-    s = draw(st.integers(1, min(5, n)))
+def small_instances(draw, min_n=4, max_s=5):
+    """A graph on min_n-10 vertices and a profile of at most max_s classes with at most 2e4 colorings."""
+    n = draw(st.integers(min_n, 10))
+    s = draw(st.integers(1, min(max_s, n)))
     cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=s - 1, max_size=s - 1, unique=True)))
     p = nh.Profile(tuple(b - a for a, b in zip([0, *cuts], [*cuts, n])))
     assume(p.coloring_count() <= 2 * 10**4)
@@ -128,6 +128,17 @@ def test_enumeration_matches_the_naive_loop(case):
     d = nh.enumerate_colorings(g, p)
     assert d.outcome_counts == _naive_outcome_counts(g, p)
     assert d.total == p.coloring_count()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_instances(min_n=7, max_s=4))
+@example((nh.Graph.from_edges(8, []), nh.Profile((3, 3, 2))))  # no edges
+@example((nh.Graph.from_edges(7, []), nh.Profile((7,))))
+def test_tail_bounds_hold_beyond_the_atlas(case):
+    # every index the report prints bounds the exact tail of its score
+    g, p = case
+    checks = validate(nh.enumerate_colorings(g, p), nh.covariance_structure(nh.summarize(g), p))
+    assert [c["name"] for c in checks if c["status"] == "FAIL"] == []
 
 
 class TestExactMoments:
@@ -414,6 +425,31 @@ class TestValidate:
         monkeypatch.setattr(oracle, "exact_moments", rank_one)
         check = validate(dist, cs)[5]
         assert check["status"] == "FAIL" and "singular" in check["detail"]
+
+    # each fold with half its spread, which claims less tail than Cantelli's bound allows
+    HALF_SPREAD = {
+        "_fold_a": ("cantelli_index_a", lambda total, cs: indices._squash(total, cs.var_zsum / 2)),
+        "_fold_r": ("cantelli_index_r",
+                    lambda t, cs: indices._fold(t / cs.mbar_den, cs.var_total / 2) if t else 0.0),
+    }
+
+    @pytest.mark.parametrize("fold", sorted(HALF_SPREAD))
+    def test_tail_checks_read_the_fold_of_the_report(self, p3, monkeypatch, fold):
+        # P3 with profile 2,1 has one active class, and its Cantelli bounds are tight
+        dist, cs = _oracle_instance(p3, (2, 1))
+        o = nh.ObservedOutcome((1, 0))
+        before = nh.index_a(nh.z_scores(o, cs), cs), nh.index_r(o, cs)
+        statuses = {c["name"]: c["status"] for c in validate(dist, cs)}
+        assert set(statuses.values()) == {"PASS"}
+        name, half = self.HALF_SPREAD[fold]
+        original = getattr(indices, fold)
+        for module in (indices, oracle):  # wherever nethom holds the fold
+            if getattr(module, fold, None) is original:
+                monkeypatch.setattr(module, fold, half)
+        # the printed index moves, and validate checks the moved index
+        assert (nh.index_a(nh.z_scores(o, cs), cs), nh.index_r(o, cs)) != before
+        statuses[name] = "FAIL"
+        assert {c["name"]: c["status"] for c in validate(dist, cs)} == statuses
 
     @pytest.mark.parametrize("name,sizes", [("p4", (2, 2)), ("c6", (2, 2, 2))])
     def test_shrunk_variances_fail_every_bound(self, request, name, sizes):

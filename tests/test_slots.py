@@ -26,7 +26,7 @@ FLOAT_FIELDS = ("mbar_f", "var_f", "sd")
 def instances(draw):
     """Up to 300 classes drawn from a few sizes (1, 2 and 3 among them) and a graph.
 
-    The graph has n = sum of the sizes (n < 4 hits the fallback) and up to
+    The graph has n = sum of the sizes (n < 4 included) and up to
     3n edges (m = 0 included), drawn by a seeded generator.
     """
     pool = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 12]), min_size=1, max_size=4))
@@ -57,14 +57,13 @@ def reference(summary, sizes):
         mbar.append(mk)
         var.append(mk * (1 - mk) + 2 * ((ratio(c, 3) - ratio(c, 4)) * pi3
                                         + ratio(c, 4) * (m * (m - 1) // 2)))
-    coef = Fraction(-1) if gamma is None else gamma
-    vec = mbar if gamma is None else [math.perm(c, 2) for c in sizes]
+    vec = [math.perm(c, 2) for c in sizes]
     den = math.lcm(*(x.denominator for x in mbar))
     return {
         "mbar": tuple(mbar),
         "var": tuple(var),
         "vec": tuple(vec),
-        "q": tuple(v - coef * x * x for v, x in zip(var, vec)),
+        "q": tuple(v - gamma * x * x for v, x in zip(var, vec)),
         "mbar_num": tuple(x.numerator * (den // x.denominator) for x in mbar),
         "mbar_den": den,
     }
