@@ -287,22 +287,17 @@ def homophilic_counts(g: Graph, f: Coloring) -> ObservedOutcome:
     return ObservedOutcome(tuple(_count(f.assignment, u, v, f.s).tolist()))
 
 
-def random_coloring(
-    p: Profile, seed: int, class_labels: tuple[str, ...] | None = None
-) -> Coloring:
+def random_coloring(p: Profile, seed: int) -> Coloring:
     """Draw a uniform random coloring of profile ``p``, deterministic per seed.
 
     The multiset of class labels is shuffled uniformly (Fisher-Yates via
     numpy's PCG64 generator) and assigned by position, which is uniform over
     all distinct colorings of the profile. Identical seeds give identical
     colorings, so baseline runs with a fixed seed list are reproducible.
+    Class i is labeled ``str(i)``.
     """
-    if class_labels is None:
-        class_labels = tuple(str(i) for i in range(p.s))
-    elif len(class_labels) != p.s:
-        raise ValueError("class_labels must match the number of classes")
     assignment = _draw(_pool(p), seed).astype(np.int32)
-    return Coloring(assignment=assignment, class_labels=class_labels)
+    return Coloring(assignment=assignment, class_labels=tuple(map(str, range(p.s))))
 
 
 def sample_counts(g: Graph, p: Profile, seeds: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,9 @@ closed-form moments driven entirely by falling-factorial ratios of class
 sizes and two graph numbers (edge count and two-path count). The covariance
 matrix is a rank-one update of a diagonal matrix,
 
-    Sigma = diag(q) + coef * vec vec',
+    Sigma = diag(q) + gamma * vec vec',
 
-with coef = gamma_invariant(G) and vec_i = c_i^(2) on every graph.
+with gamma = gamma_invariant(G) and vec_i = c_i^(2) on every graph.
 
 :func:`covariance_structure` returns the one moments object the indices and
 the oracle read, a :class:`CovarianceStructure`. A class's moments depend on
@@ -22,7 +22,7 @@ the indices need: 1'Sigma 1, w'Sigma w and, on the active set with
 correlation matrix Gamma, 1'Gamma 1 and z'Gamma^-1 z through the
 Sherman-Morrison identity
 
-    Sigma^-1 = diag(1/q) - (coef / (1 + coef * vec' diag(1/q) vec)) a a',
+    Sigma^-1 = diag(1/q) - (gamma / (1 + gamma * vec' diag(1/q) vec)) a a',
     a = diag(1/q) vec.
 
 No s x s float matrix is ever built: :meth:`CovarianceStructure.exact` is
@@ -108,7 +108,7 @@ def _pair_sum(x: np.ndarray) -> float:
 
 
 class CovarianceStructure:
-    """Sigma = diag(q) + coef * vec vec' in exact rationals, with O(s) forms.
+    """Sigma = diag(q) + gamma * vec vec' in exact rationals, with O(s) forms.
 
     Built from the slot tables of a :class:`MomentSummary` and ``vec``, one
     entry per slot; each per-class field is a gather by ``ms.slot``. The
@@ -128,17 +128,15 @@ class CovarianceStructure:
     def __init__(
         self,
         gamma: Fraction,
-        coef: Fraction,
         vec: tuple[int | Fraction, ...],
         ms: MomentSummary,
     ):
         slot = np.asarray(ms.slot, dtype=np.intp)
         at = slot.tolist()
-        q = [v - coef * x * x for v, x in zip(ms.var, vec)]
+        q = [v - gamma * x * x for v, x in zip(ms.var, vec)]
         den = math.lcm(*(x.denominator for x in ms.mbar))
         num = [x.numerator * (den // x.denominator) for x in ms.mbar]
         self.gamma = gamma
-        self.coef = coef
         self.mbar_den = den
         self.mbar, self.var, self.vec, self.q, self.mbar_num = (
             tuple(map(col.__getitem__, at)) for col in (ms.mbar, ms.var, vec, q, num)
@@ -154,22 +152,22 @@ class CovarianceStructure:
         self.active = tuple(act.tolist())
         self.active_index = act
         act.setflags(write=False)
-        self._coef_f = float(coef)
+        self._gamma_f = float(gamma)
         self.var_total = self.quad(np.ones(len(at)))
 
         self.sd = np.sqrt(self.var_f[act])
         b = self._vec_f[act] / self.sd  # vec in the correlation geometry
-        self.var_zsum = len(act) + 2.0 * self._coef_f * _pair_sum(b)
+        self.var_zsum = len(act) + 2.0 * self._gamma_f * _pair_sum(b)
 
         # Sherman-Morrison on the active set: Gamma^-1 = diag(var/q) - k * an an'
         self.degenerate = True
         q_a = q_f[act]
         if act.size and np.all(q_a > cut):
             per_slot = np.bincount(slot[act], minlength=len(q)).tolist()
-            denom = 1 + coef * sum(c * vec[k] * vec[k] / q[k] for k, c in enumerate(per_slot) if c)
+            denom = 1 + gamma * sum(c * vec[k] * vec[k] / q[k] for k, c in enumerate(per_slot) if c)
             if abs(float(denom)) > REL_TOL:
                 self.degenerate = False
-                self._k = float(coef / denom)
+                self._k = float(gamma / denom)
                 self._inv_qn = self.var_f[act] / q_a
                 self._an = self._vec_f[act] / q_a * self.sd
 
@@ -179,7 +177,7 @@ class CovarianceStructure:
 
     def quad(self, w: np.ndarray) -> float:
         """w' Sigma w for weights over all classes."""
-        return float(self.var_f @ (w * w)) + 2.0 * self._coef_f * _pair_sum(w * self._vec_f)
+        return float(self.var_f @ (w * w)) + 2.0 * self._gamma_f * _pair_sum(w * self._vec_f)
 
     def corr_inv_quad(self, z: np.ndarray) -> float:
         """z' Gamma^-1 z for z over the active set; the block must be nondegenerate."""
@@ -188,10 +186,10 @@ class CovarianceStructure:
         return float(self._inv_qn @ (z * z)) - self._k * float(self._an @ z) ** 2
 
     def exact(self) -> list[list[Fraction]]:
-        """Sigma as an exact matrix: variances on the diagonal, coef * vec_i * vec_j off it."""
+        """Sigma as an exact matrix: variances on the diagonal, gamma * vec_i * vec_j off it."""
         return [
             [v if i == j else cx * y for j, y in enumerate(self.vec)]
-            for i, (v, cx) in enumerate(zip(self.var, (self.coef * x for x in self.vec)))
+            for i, (v, cx) in enumerate(zip(self.var, (self.gamma * x for x in self.vec)))
         ]
 
 
@@ -204,10 +202,10 @@ def covariance_structure(s: GraphSummary, p: Profile) -> CovarianceStructure:
     Degeneracy is a reported state, not an error.
     """
     ms = moment_summary(s, p)
-    g = gamma_invariant(s)
-    return CovarianceStructure(g, g, tuple(falling_factorial(c, 2) for c in ms.size), ms)
+    vec = tuple(falling_factorial(c, 2) for c in ms.size)
+    return CovarianceStructure(gamma_invariant(s), vec, ms)
 
 
 def covariance_exact(s: GraphSummary, p: Profile) -> list[list[Fraction]]:
-    """Exact covariance matrix: variances on the diagonal, coef * vec_i * vec_j off it."""
+    """Exact covariance matrix: variances on the diagonal, gamma * vec_i * vec_j off it."""
     return covariance_structure(s, p).exact()

@@ -7,8 +7,7 @@ inside each with ``int.bit_count``; colorings that leave the same vertices
 to the later classes share those classes' outcome counts. Monte Carlo
 estimation reuses the seeded uniform sampler;
 the disjoint-edges ("matching") graph additionally admits a fully explicit
-tail formula evaluated in exact arbitrary-precision rationals, with a
-log-space variant for very large instances.
+tail formula evaluated in exact arbitrary-precision rationals.
 
 :func:`validate` is the one place that compares the closed forms, the
 bounds behind the indices, the sign of the covariances and the
@@ -43,7 +42,6 @@ __all__ = [
     "exact_moments",
     "exact_tail",
     "mc_tail",
-    "matching_tail_log",
     "matching_tail_table",
     "matching_graph",
     "tree_gamma_scan",
@@ -423,38 +421,19 @@ def matching_tail_table(m: int) -> list[Fraction]:
     return [pref * Fraction(sk, den) for sk in suffix[: h + 1]]
 
 
-def matching_tail_log(m: int, k: int) -> float:
-    """log of ``matching_tail_table(m)[k]`` via log-factorials and compensated summation.
-
-    Agrees with the exact path to better than 1e-10 relative over the range
-    where both are practical; intended for m far beyond exact-rational reach.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0 <= k <= m // 2:
-        raise ValueError(f"k must lie in 0..{m // 2}")
-    lg = math.lgamma
-    log_pref = m * math.log(2.0) + 2.0 * lg(m + 1) - lg(2 * m + 1)
-    term_logs = [
-        lg(m + 1) - 2.0 * lg(t + 1) - lg(m - 2 * t + 1) - 2.0 * t * math.log(2.0)
-        for t in range(k, m // 2 + 1)
-    ]
-    top = max(term_logs)
-    return log_pref + top + math.log(math.fsum(math.exp(x - top) for x in term_logs))
-
-
 @dataclass(frozen=True)
 class TreeGammaReport:
     """Extremes of the covariance-scale invariant over labeled trees on n vertices.
 
-    ``degenerate`` marks n < 4, where every tree is both a path and a star,
-    so the scan reports no extremes.
+    ``max_count`` and ``min_count`` count the labeled trees attaining
+    ``gamma_max`` and ``gamma_min``; ``max_all_paths`` says every maximizer
+    is a path and ``min_all_stars`` every minimizer a star. For n <= 3 the
+    one tree shape is both, so the two extremes coincide.
     """
 
     n: int
-    degenerate: bool
-    gamma_max: Fraction | None
-    gamma_min: Fraction | None
+    gamma_max: Fraction
+    gamma_min: Fraction
     max_count: int
     min_count: int
     max_all_paths: bool
@@ -465,67 +444,32 @@ class TreeGammaReport:
 def tree_gamma_scan(n: int) -> TreeGammaReport:
     """Scan all labeled trees on n vertices (2 <= n <= 8) for gamma extremes.
 
-    Trees are enumerated through their label sequences (the classic bijection
-    with sequences in [n]^(n-2)), so each labeled tree is visited exactly
-    once and only its degree sequence is needed.
+    A labeled tree is a word in [n]^(n-2) (its Pruefer sequence), and a
+    vertex's degree is 1 plus the number of times it occurs there. So the
+    scan visits each multiset of letters once, as the
+    (n-2)! / prod(count!) trees sharing its degree sequence.
     """
     if not 2 <= n <= 8:
         raise ValueError("tree scan supports 2 <= n <= 8")
-    if n < 4:
-        count = 1 if n == 2 else 3
-        # every tree this small is both a path and a star
-        return TreeGammaReport(
-            n=n,
-            degenerate=True,
-            gamma_max=None,
-            gamma_min=None,
-            max_count=count,
-            min_count=count,
-            max_all_paths=True,
-            min_all_stars=True,
-            tree_count=count,
-        )
-    c2 = [d * (d - 1) // 2 for d in range(n + 1)]
     # gamma is strictly decreasing in pi3 at fixed (n, m): the gamma maximizers
-    # are the pi3 minimizers and vice versa, so only pi3 extremes are tracked
-    best_pi3 = None  # minimal pi3 -> maximal gamma
-    worst_pi3 = None  # maximal pi3 -> minimal gamma
-    best_count = worst_count = 0
-    best_all_paths = worst_all_stars = True
-    total = 0
-    for seq in itertools.product(range(n), repeat=n - 2):
-        deg = [1] * n
-        for x in seq:
-            deg[x] += 1
-        pi3 = 0
-        mx = 0
-        for d in deg:
-            pi3 += c2[d]
-            if d > mx:
-                mx = d
-        total += 1
-        if best_pi3 is None or pi3 < best_pi3:
-            best_pi3 = pi3
-            best_count = 1
-            best_all_paths = mx <= 2
-        elif pi3 == best_pi3:
-            best_count += 1
-            best_all_paths = best_all_paths and mx <= 2
-        if worst_pi3 is None or pi3 > worst_pi3:
-            worst_pi3 = pi3
-            worst_count = 1
-            worst_all_stars = mx == n - 1
-        elif pi3 == worst_pi3:
-            worst_count += 1
-            worst_all_stars = worst_all_stars and mx == n - 1
+    # are the pi3 minimizers and vice versa, so trees are grouped by pi3
+    groups: dict[int, list] = {}  # pi3 -> [trees, all paths, all stars]
+    for letters in itertools.combinations_with_replacement(range(n), n - 2):
+        counts = Counter(letters).values()
+        top = max(counts, default=0)
+        pi3 = sum(c * (c + 1) // 2 for c in counts)  # C(d, 2) at degree d = c + 1
+        group = groups.setdefault(pi3, [0, True, True])
+        group[0] += math.factorial(n - 2) // math.prod(map(math.factorial, counts))
+        group[1] = group[1] and top <= 1  # a path: no degree above 2
+        group[2] = group[2] and top == n - 2  # a star: one vertex of degree n - 1
+    lo, hi = min(groups), max(groups)
     return TreeGammaReport(
         n=n,
-        degenerate=False,
-        gamma_max=_gamma_from_counts(n, n - 1, best_pi3),
-        gamma_min=_gamma_from_counts(n, n - 1, worst_pi3),
-        max_count=best_count,
-        min_count=worst_count,
-        max_all_paths=best_all_paths,
-        min_all_stars=worst_all_stars,
-        tree_count=total,
+        gamma_max=_gamma_from_counts(n, n - 1, lo),
+        gamma_min=_gamma_from_counts(n, n - 1, hi),
+        max_count=groups[lo][0],
+        min_count=groups[hi][0],
+        max_all_paths=groups[lo][1],
+        min_all_stars=groups[hi][2],
+        tree_count=sum(trees for trees, _, _ in groups.values()),
     )

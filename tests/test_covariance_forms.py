@@ -51,8 +51,8 @@ def check_forms(summary, profile, w=None):
     # of the rank-one split, whose coefficient is gamma on every graph
     assert cs.mbar == tuple(ms.mbar[k] for k in ms.slot)
     assert cs.var == tuple(ms.var[k] for k in ms.slot)
-    assert cs.q == tuple(v - cs.coef * x * x for v, x in zip(cs.var, cs.vec))
-    assert cs.gamma == cs.coef == nh.gamma_invariant(summary)
+    assert cs.q == tuple(v - cs.gamma * x * x for v, x in zip(cs.var, cs.vec))
+    assert cs.gamma == nh.gamma_invariant(summary)
 
     # 1' Sigma 1
     scale = float(sum(abs(exact[i][j]) for i, j in pairs))
@@ -141,7 +141,7 @@ def test_small_graphs_match_the_mean_vector_form():
                 profile = nh.Profile(tuple(b - a for a, b in zip((0, *cuts), (*cuts, n))))
                 ms = nh.moment_summary(summary, profile)
                 cs = nh.covariance_structure(summary, profile)
-                means = nh.CovarianceStructure(cs.gamma, Fraction(-1), ms.mbar, ms)
+                means = nh.CovarianceStructure(Fraction(-1), ms.mbar, ms)
                 assert cs.exact() == means.exact()
                 assert (cs.active, cs.degenerate) == (means.active, means.degenerate)
                 assert cs.var_total == means.var_total

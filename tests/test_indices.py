@@ -26,7 +26,7 @@ class TestZScores:
 
     def test_observed_equal_to_expectation_scores_zero(self):
         ms = per_class_moments((2, 3), (Fraction(1), Fraction(2)), (Fraction(4), Fraction(1)))
-        cs = nh.CovarianceStructure(None, Fraction(0), (0, 0), ms)
+        cs = nh.CovarianceStructure(Fraction(0), (0, 0), ms)
         z = nh.z_scores(nh.ObservedOutcome((1, 2)), cs)
         assert z.tolist() == [0.0, 0.0]
         assert cs.active == (0, 1)
@@ -89,7 +89,7 @@ class TestIndexR:
     def test_tiny_exact_deviation_is_not_zero(self):
         # the deviation 1e-13 is exactly nonzero: r = t^2 / (t^2 + t^2) = 1/2
         ms = per_class_moments((2,), (1 - Fraction(1, 10**13),), (Fraction(1, 10**26),))
-        cs = nh.CovarianceStructure(None, Fraction(0), (0,), ms)
+        cs = nh.CovarianceStructure(Fraction(0), (0,), ms)
         assert nh.index_r(nh.ObservedOutcome((1,)), cs) == pytest.approx(0.5, rel=1e-12)
 
 
@@ -210,8 +210,7 @@ class TestIndexH:
     def test_norm_twice_dimension_gives_half(self):
         # identity correlation: |z|^2 = sum z_i^2; pick z with norm 2 * s_a
         cs = nh.CovarianceStructure(
-            gamma=None,
-            coef=Fraction(0),
+            gamma=Fraction(0),
             vec=(Fraction(1), Fraction(1)),
             ms=per_class_moments((2, 2), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),
         )

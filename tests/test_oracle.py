@@ -1,5 +1,6 @@
 """Enumeration, Monte Carlo tails, the matching-graph formula, tree scan."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import nethom as nh
 from conftest import per_class_moments
 from nethom import indices, oracle
+from nethom.graphs import _gamma_from_counts
 from nethom.oracle import _sorted_tails, exact_moments, validate
 
 
@@ -258,19 +260,43 @@ class TestMatchingTail:
 
     def test_out_of_range_k(self):
         with pytest.raises(ValueError):
-            nh.matching_tail_log(4, 3)
-        with pytest.raises(ValueError):
-            nh.matching_tail_log(4, -1)
-        with pytest.raises(ValueError):
             nh.matching_tail_table(0)
 
-    def test_log_space_agreement(self):
-        for m in (3, 10, 57, 121, 200):
-            tails = nh.matching_tail_table(m)
-            for k in range(0, m // 2 + 1, max(1, m // 7)):
-                exact = tails[k]
-                approx = math.exp(nh.matching_tail_log(m, k))
-                assert abs(approx - float(exact)) <= 1e-10 * float(exact)
+
+def _word_scan(n):
+    """Reference tree scan for n >= 4: every Pruefer word in [n]^(n-2), one
+    labeled tree each, tracking the running pi3 extremes."""
+    c2 = [d * (d - 1) // 2 for d in range(n + 1)]
+    best_pi3 = worst_pi3 = None
+    best_count = worst_count = total = 0
+    best_all_paths = worst_all_stars = True
+    for seq in itertools.product(range(n), repeat=n - 2):
+        deg = [1] * n
+        for x in seq:
+            deg[x] += 1
+        pi3 = sum(c2[d] for d in deg)
+        mx = max(deg)
+        total += 1
+        if best_pi3 is None or pi3 < best_pi3:
+            best_pi3, best_count, best_all_paths = pi3, 1, mx <= 2
+        elif pi3 == best_pi3:
+            best_count += 1
+            best_all_paths = best_all_paths and mx <= 2
+        if worst_pi3 is None or pi3 > worst_pi3:
+            worst_pi3, worst_count, worst_all_stars = pi3, 1, mx == n - 1
+        elif pi3 == worst_pi3:
+            worst_count += 1
+            worst_all_stars = worst_all_stars and mx == n - 1
+    return {
+        "n": n,
+        "gamma_max": _gamma_from_counts(n, n - 1, best_pi3),
+        "gamma_min": _gamma_from_counts(n, n - 1, worst_pi3),
+        "max_count": best_count,
+        "min_count": worst_count,
+        "max_all_paths": best_all_paths,
+        "min_all_stars": worst_all_stars,
+        "tree_count": total,
+    }
 
 
 class TestTreeGammaScan:
@@ -290,11 +316,19 @@ class TestTreeGammaScan:
         assert rep.max_count == math.factorial(5) // 2
         assert rep.min_count == 5
 
-    def test_n3_degenerate(self):
-        rep = nh.tree_gamma_scan(3)
-        assert rep.degenerate
-        assert rep.gamma_max is None and rep.gamma_min is None
+    @pytest.mark.parametrize(
+        "n,gamma,count", [(2, Fraction(-1, 4), 1), (3, Fraction(-1, 9), 3)], ids=["n2", "n3"]
+    )
+    def test_smallest_trees(self, n, gamma, count):
+        # K2 and P3 are each both a path and a star
+        rep = nh.tree_gamma_scan(n)
+        assert rep.gamma_max == rep.gamma_min == gamma
+        assert rep.max_count == rep.min_count == rep.tree_count == count
         assert rep.max_all_paths and rep.min_all_stars
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_matches_word_by_word_scan(self, n):
+        assert dataclasses.asdict(nh.tree_gamma_scan(n)) == _word_scan(n)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -366,14 +400,14 @@ class TestValidate:
     def test_perturbed_mean_fails_moments(self, p4):
         dist, cs = _oracle_instance(p4, (2, 2))
         bad = per_class_moments((2, 2), (cs.mbar[0] + Fraction(1, 7),) + cs.mbar[1:], cs.var)
-        cs_bad = nh.CovarianceStructure(cs.gamma, cs.coef, cs.vec, bad)
+        cs_bad = nh.CovarianceStructure(cs.gamma, cs.vec, bad)
         statuses = {c["name"]: c["status"] for c in validate(dist, cs_bad)}
         assert statuses["moments"] == "FAIL"
 
     def test_moments_check_reads_the_given_structure(self, p4):
         dist, cs = _oracle_instance(p4, (2, 2))
         ms = per_class_moments((2, 2), cs.mbar, cs.var)
-        doubled = nh.CovarianceStructure(cs.gamma, 2 * cs.coef, cs.vec, ms)
+        doubled = nh.CovarianceStructure(2 * cs.gamma, cs.vec, ms)
         statuses = {c["name"]: c["status"] for c in validate(dist, doubled)}
         assert statuses["moments"] == "FAIL"
 
@@ -458,7 +492,7 @@ class TestValidate:
         g = _cycle(6) if name == "c6" else request.getfixturevalue(name)
         dist, cs = _oracle_instance(g, sizes)
         small = per_class_moments(sizes, cs.mbar, tuple(v / 100 for v in cs.var))
-        cs_small = nh.CovarianceStructure(cs.gamma, cs.coef / 100, cs.vec, small)
+        cs_small = nh.CovarianceStructure(cs.gamma / 100, cs.vec, small)
         statuses = {c["name"]: c["status"] for c in validate(dist, cs_small)}
         for check in ("cantelli_index_a", "cantelli_index_r", "chebyshev_index_h"):
             assert statuses[check] == "FAIL", check

@@ -104,11 +104,11 @@ def test_row_reports_equal_the_fraction_formulas(case):
     g, p, seeds, presets = case
     summary = nh.summarize(g)
     cs = nh.covariance_structure(summary, p)
-    labels = tuple(f"c{i}" for i in range(p.s))
+    labels = tuple(map(str, range(p.s)))
     evaluator = nh.IndexEvaluator(g, p, cs, labels, presets=presets)
     counts, mass = nh.sample_counts(g, p, seeds)
     for seed, row, row_mass in zip(seeds, counts.tolist(), mass.tolist()):
-        f = nh.random_coloring(p, seed, class_labels=labels)
+        f = nh.random_coloring(p, seed)
         o = nh.homophilic_counts(g, f)
         rep = evaluator.report(row, row_mass)
         assert rep == nh.build_index_report(g, f, o, cs, presets=presets)

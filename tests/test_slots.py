@@ -84,7 +84,7 @@ def test_grouped_by_size_equals_one_class_per_slot(inst):
         profile.sizes, tuple(ms.mbar[k] for k in at), tuple(ms.var[k] for k in at),
         np.arange(profile.s),
     )
-    cs1 = nh.CovarianceStructure(cs.gamma, cs.coef, cs.vec, one)
+    cs1 = nh.CovarianceStructure(cs.gamma, cs.vec, one)
 
     for name in EXACT_FIELDS:
         assert getattr(cs, name) == getattr(cs1, name), name
