@@ -1,7 +1,12 @@
 """End-to-end CLI behavior: reports, exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nethom as nh
@@ -378,3 +383,52 @@ class TestVersionEmbedding:
         main(["analyze", "--graph", p4_files[0], "--coloring", p4_files[1]])
         report = json.loads(capsys.readouterr().out)
         assert report["tool"]["version"] == nh.__version__
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_python(args, threads):
+    """``python ARGS`` in a fresh interpreter on this checkout's sources, with
+    OPENBLAS_NUM_THREADS set to ``threads`` or, for None, removed."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+class TestEntryPoint:
+    def test_report_does_not_depend_on_blas_threads(self, tmp_path):
+        # more than 10,000 classes: OpenBLAS splits a dot product that long over its threads,
+        # so the CLI's floats would follow the host's core count unless it runs one thread
+        n = 20_004
+        pairs = np.random.default_rng(1).integers(0, n, size=(30_000, 2))
+        pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        graph = tmp_path / "g.edges"
+        coloring = tmp_path / "c.tsv"
+        graph.write_text("".join(f"v {i}\n" for i in range(n))
+                         + "".join(f"{u} {v}\n" for u, v in pairs.tolist()))
+        coloring.write_text("".join(f"{i}\t{i // 2}\n" for i in range(n)))
+        argv = ["-m", "nethom", "analyze", "--graph", str(graph), "--coloring", str(coloring),
+                "--format", "tsv"]
+        reports = []
+        for threads in (None, "1"):
+            proc = _run_python(argv, threads)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            reports.append([line for line in proc.stdout.splitlines()
+                            if not line.startswith("timing.")])
+        assert f"profile.sizes\t{json.dumps([2] * (n // 2))}" in reports[0]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+    def test_main_module_sets_one_blas_thread_unless_the_user_did(self, preset, want):
+        code = "import os, nethom.__main__; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        proc = _run_python(["-c", code], preset)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == want + "\n"
+
+    def test_python_m_nethom_version(self):
+        proc = _run_python(["-m", "nethom", "--version"], None)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == f"nethom {nh.__version__}\n"
