@@ -156,11 +156,13 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     appearance of each label.
 
     Two paths give the same result. When every graph label is one token of
-    printable ASCII (as :func:`~nethom.graphs.load_edge_list` assigns them
-    on its vectorized path) and every non-blank line is one such id, blanks
-    holding the line's first tab and one printable-ASCII label, with every
-    vertex named once, :func:`_token_coloring` parses the file vectorized,
-    without building ``graph.index``. Any other input takes the
+    printable ASCII and every non-blank line is one such id, blanks holding
+    the line's first tab and one printable-ASCII label, with every vertex
+    named once, :func:`_token_coloring` parses the file vectorized: it
+    matches the ids against the keys the graph holds, which a graph from
+    :func:`~nethom.graphs.load_edge_list`'s vectorized path kept from its
+    own parse, and builds neither ``graph.index`` nor ``graph.labels``. Any
+    other input takes the
     general path: one pass over the lines that raises at the first bad one:
     a line without a tab or with an empty field (:class:`ColoringError`),
     an id not in the graph (:class:`UnknownVertexError`) or a vertex already
@@ -203,32 +205,30 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
 
 
 _TAB = ord("\t")
-# the bytes of graph labels the vectorized path takes: printable tokens, one per line
-_LABEL_BYTES = bytes(range(_SPACE + 1, 0x7F)) + b"\n"
 
 
 def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     """The general path's coloring of a TSV file of printable-ASCII tokens, or None.
 
-    Vectorized over the bytes, with no per-line Python loop and no
-    ``graph.index``. It applies only when every graph label is one
-    nonempty token of printable ASCII without blanks and, after comments
-    are removed (:func:`~nethom.graphs._tokenize`), every non-blank line
-    holds the id of a graph vertex, then blanks holding the line's first
-    tab, then one label of printable ASCII, with each vertex named on
-    exactly one line. The graph's labels followed by the file's ids are
-    keyed as one token array by :func:`~nethom.graphs._keys`, so both get
-    the same encoding, and so are the class labels. Any other input, every
-    bad one included, and any tokens :func:`~nethom.graphs._keys` declines
-    return None and take the general path, which raises the error.
+    Vectorized over the bytes, with no per-line Python loop, no
+    ``graph.index`` and no ``graph.labels``. It applies only when the graph
+    has keys (``graph._vertex_keys``, which needs every label to be a
+    nonempty token of printable ASCII) and, after comments are removed
+    (:func:`~nethom.graphs._tokenize`), every non-blank line holds the id of
+    a graph vertex, then blanks holding the line's first tab, then one label
+    of printable ASCII, with each vertex named on exactly one line.
+
+    Only the file's ids and class labels are keyed, by
+    :func:`~nethom.graphs._keys`, and the ids are matched against the
+    graph's keys. A valid file names every vertex once, so its ids are the
+    graph's labels and key to the same dtype: ids of another key kind or
+    width mean a bad file. Any other input, every bad one included, and any
+    tokens :func:`~nethom.graphs._keys` declines return None and take the
+    general path, which raises the error.
     """
     n = graph.n
-    labels = "\n".join(graph.labels)
-    if not n or not labels.isascii():
-        return None
-    labels = labels.encode("ascii")
-    # printable tokens and n - 1 separators only: checked before any work on the file
-    if labels.translate(None, _LABEL_BYTES) or labels.count(b"\n") != n - 1:
+    vertex_keys = graph._vertex_keys if n else None
+    if vertex_keys is None:
         return None
     tokens = _tokenize(data)
     if tokens is None:
@@ -249,21 +249,13 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     if not bool(ok.all()):
         return None
     del breaks, at, after, before, ok
-    # The graph's labels, then a line end, then the file: the labels' tokens
-    # and the ids are keyed together, the labels first, so an id is a graph
-    # vertex exactly when its index is below n.
-    ends = np.flatnonzero(np.frombuffer(labels, dtype=np.uint8) == ord("\n"))
-    shift = len(labels) + 1
-    vertex_start = np.concatenate(([0], ends + 1, id_start + shift))
-    vertex_length = np.concatenate((np.diff(ends, prepend=-1, append=len(labels)) - 1, id_length))
-    del ends
-    # an empty graph label keys as zeros, which no id does: its vertex goes unnamed below
-    keys = _keys(np.frombuffer(b"\n".join((labels, raw)), dtype=np.uint8), vertex_start, vertex_length)
-    del labels, vertex_start, vertex_length
-    if keys is None:
+    ids = _keys(raw, id_start, id_length)
+    if ids is None or ids.dtype != vertex_keys.dtype:
         return None
-    vertex = _first_appearance(keys)[1][n:]
-    del keys
+    # The graph's keys first, then the ids: an id is a graph vertex exactly
+    # when its index is below n.
+    vertex = _first_appearance(np.concatenate((vertex_keys, ids)))[1][n:]
+    del ids
     if not bool((vertex < n).all()):
         return None
     seen = np.zeros(n, dtype=bool)

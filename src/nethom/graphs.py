@@ -59,6 +59,26 @@ class MalformedLineError(EdgeListError):
     pass
 
 
+class _Labels:
+    """The ``labels`` field of :class:`Graph`, built from the loader's keys on first access.
+
+    A vectorized load (:func:`_token_edges`) gives the graph None for
+    ``labels`` and keeps the distinct :func:`_keys` of its ids instead; the
+    label strings are made from those keys the first time they are read.
+    """
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            raise AttributeError("labels")  # a field without a default
+        labels = graph.__dict__["labels"]
+        if labels is None and "_vertex_keys" in graph.__dict__:
+            labels = graph.__dict__["labels"] = _texts(graph._vertex_keys)
+        return labels
+
+    def __set__(self, graph, labels):
+        graph.__dict__["labels"] = labels
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph on dense vertex indices 0..n-1.
@@ -68,13 +88,20 @@ class Graph:
     enforce them, both through the one simple-graph check
     :func:`_simple_edges`; the constructor itself checks nothing. Safe for
     concurrent read access; the edge and degree arrays are write-protected.
+
+    A graph keeps its vertex ids in two forms, each built once from the
+    other when first needed: ``labels``, the id strings, and the private
+    ``_vertex_keys``, one :func:`_keys` key per vertex, which a coloring's
+    ids are matched against. A vectorized load keeps the keys it made and
+    leaves ``labels`` to be built on first access; any other graph keys its
+    labels when a coloring first needs them.
     """
 
     n: int
     edges_u: np.ndarray
     edges_v: np.ndarray
     degrees: np.ndarray
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = _Labels()
 
     def __post_init__(self):
         for arr in (self.edges_u, self.edges_v, self.degrees):
@@ -92,6 +119,28 @@ class Graph:
     def index(self) -> dict[str, int]:
         """External id -> dense index, built on first access."""
         return {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def _vertex_keys(self) -> np.ndarray | None:
+        """One :func:`_keys` key per vertex, or None when the labels cannot be keyed.
+
+        Built on first access from the labels, joined as lines of one text;
+        None unless every label is a nonempty token of printable ASCII and
+        :func:`_keys` takes them.
+        """
+        text = "\n".join(self.labels)
+        if not text.isascii():
+            return None
+        text = text.encode("ascii")
+        # printable tokens and n - 1 separators only
+        if text.translate(None, _LABEL_BYTES) or text.count(b"\n") != self.n - 1:
+            return None
+        raw = np.frombuffer(text, dtype=np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        length = np.diff(ends, prepend=-1, append=raw.size) - 1
+        if not length.all():  # an empty label, which no token names
+            return None
+        return _keys(raw, np.concatenate(([0], ends + 1)), length)
 
     @classmethod
     def from_edges(
@@ -153,11 +202,19 @@ class Graph:
         return _graph(labels, eu, ev)
 
 
-def _graph(labels: tuple[str, ...], eu: np.ndarray, ev: np.ndarray) -> Graph:
-    """The :class:`Graph` of edges that passed :func:`_simple_edges`."""
-    n = len(labels)
+def _graph(ids: tuple[str, ...] | np.ndarray, eu: np.ndarray, ev: np.ndarray) -> Graph:
+    """The :class:`Graph` of edges that passed :func:`_simple_edges`.
+
+    ``ids`` are the vertex labels, or the distinct keys of a vectorized load,
+    which the graph keeps in place of the labels.
+    """
+    n = len(ids)
     degrees = (np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)).astype(np.int64)
-    return Graph(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=labels)
+    keyed = isinstance(ids, np.ndarray)
+    graph = Graph(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=None if keyed else ids)
+    if keyed:
+        graph.__dict__["_vertex_keys"] = ids
+    return graph
 
 
 def _simple_edges(
@@ -237,6 +294,7 @@ def _scan(
 # A comment runs to the next byte that str.splitlines() treats as a line end.
 _COMMENT = re.compile(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*")
 _PRINTABLE = bytes(range(0x20, 0x7F)) + b"\t\n\r"  # printable ASCII, the space, tab, LF and CR
+_LABEL_BYTES = bytes(range(0x21, 0x7F)) + b"\n"  # printable tokens, one per line
 _SPACE, _V, _ZERO = ord(" "), ord("v"), ord("0")
 _MAX_DIGITS = 18  # every canonical id of up to 18 digits fits in int64
 _KEY_BYTES = 8  # a token of at most 8 bytes is keyed as one uint64
@@ -296,7 +354,7 @@ def _tokenize(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     return raw, start, stop
 
 
-def _token_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, None] | None:
+def _token_edges(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, None] | None:
     """The general pass's result for an edge list of printable-ASCII ids, or None.
 
     Vectorized over the raw bytes by :func:`_tokenize`, with no per-line
@@ -304,8 +362,10 @@ def _token_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.nda
     printable ASCII, spaces, tabs, LF and CR, and every non-blank line holds
     exactly two tokens: "v <id>" declares a vertex and any other line is an
     edge, so a "v" in second position is an id. Every id is keyed by
-    :func:`_keys`. Any other input, or ids :func:`_keys` declines, returns
-    None and takes the general path, which also raises every error.
+    :func:`_keys`, and the distinct keys, in first-appearance order, stand in
+    for the labels: the graph keeps them and builds its labels from them
+    only when they are read. Any other input, or ids :func:`_keys` declines,
+    returns None and takes the general path, which also raises every error.
     """
     tokens = _tokenize(data)
     if tokens is None:
@@ -327,7 +387,7 @@ def _token_edges(data: str | bytes) -> tuple[tuple[str, ...], np.ndarray, np.nda
     del ids
     if n_v:  # endpoints are the ids not on a "v" line
         dense = dense[np.repeat(~declared, 2)[keep]]
-    return _texts(order), dense[0::2].copy(), dense[1::2].copy(), None
+    return order, dense[0::2].copy(), dense[1::2].copy(), None
 
 
 def _decimals(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -452,22 +512,27 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
     a second scan, run only when an error is raised.
     """
     data = _read(source)
-    labels, eu, ev, malformed = _token_edges(data) or _scan(_decode(data))
-    graph = _checked_graph(data, labels, eu, ev, dedupe)  # a bad edge above a malformed line comes first
+    ids, eu, ev, malformed = _token_edges(data) or _scan(_decode(data))
+    graph = _checked_graph(data, ids, eu, ev, dedupe)  # a bad edge above a malformed line comes first
     if malformed is not None:
         raise malformed
     return graph
 
 
 def _checked_graph(
-    data: str | bytes, labels: tuple[str, ...], eu: np.ndarray, ev: np.ndarray, dedupe: bool
+    data: str | bytes, ids: tuple[str, ...] | np.ndarray, eu: np.ndarray, ev: np.ndarray, dedupe: bool
 ) -> Graph:
-    """The graph of the scanned edge list ``data``, or the error of its first bad edge."""
-    eu, ev, k = _simple_edges(len(labels), eu, ev, dedupe)
+    """The graph of the scanned edge list ``data``, or the error of its first bad edge.
+
+    ``ids`` are the labels or keys that :func:`_graph` takes. The error's
+    line and labels come from a second :func:`_scan`, whose edges are the
+    ones checked here.
+    """
+    eu, ev, k = _simple_edges(len(ids), eu, ev, dedupe)
     if k is None:
-        return _graph(labels, eu, ev)
+        return _graph(ids, eu, ev)
     lines: list[int] = []
-    _scan(_decode(data), lines)
+    labels, eu, ev, _ = _scan(_decode(data), lines)
     u, v = labels[eu[k]], labels[ev[k]]
     if u == v:
         raise SelfLoopError(f"self-loop at vertex {u!r}", lines[k])

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nethom as nh
-from nethom import colorings, graphs
+from nethom import cli, colorings, graphs
 from test_colorings import reference_load_coloring
 
 PATHS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -243,3 +243,134 @@ def test_string_ids_never_reach_a_line_loop():
     assert g.labels == tuple(f"u{i}" for i in range(13)) + ("loner",)
     assert f.class_labels == ("class-0", "class-1", "class-2", "solo-vertex")
     assert f.assignment.tolist() == [i % 3 for i in range(13)] + [3]
+
+
+# Edge lists whose ids the vectorized loader keys as int64, as uint64 (at
+# most 8 bytes) and as fixed-width bytes (longer than 8 bytes), each with a
+# coloring of every vertex into three classes.
+KEPT_KEY_IDS = {
+    "decimal": [str(7 * k + 3) for k in range(40)],
+    "short": [f"u{k}" for k in range(40)],
+    "long": [f"vertex-{k:05d}" for k in range(40)],
+}
+
+
+def _refuse_labels(keys):
+    raise AssertionError("the vertex label strings were built")
+
+
+@pytest.mark.parametrize("kind", sorted(KEPT_KEY_IDS))
+def test_analyze_path_builds_no_vertex_labels(kind, tmp_path, capsys):
+    """Loading, coloring and the report read only the keys the edge-list parse kept.
+
+    A graph turns its keys into label strings with ``graphs._texts``, looked
+    up when called (``colorings`` binds the function at import, for the
+    class labels), so refusing it fails any step that builds them. The
+    labels and index read afterwards must equal the general path's.
+    """
+    ids = KEPT_KEY_IDS[kind]
+    edges = "".join(f"{ids[i]} {ids[(3 * i + 1) % len(ids)]}\n" for i in range(len(ids)))
+    text = "".join(f"{v}\tclass-{i % 3}\n" for i, v in enumerate(reversed(ids)))
+    (tmp_path / "g.edges").write_text(edges)
+    (tmp_path / "f.tsv").write_text(text)
+    with mock.patch.object(graphs, "_texts", _refuse_labels):
+        g = nh.load_edge_list(edges)
+        assert "_vertex_keys" in g.__dict__
+        f = nh.load_coloring(text, g)
+        cs = nh.covariance_structure(nh.summarize(g), f.profile)
+        nh.build_index_report(g, f, nh.homophilic_counts(g, f), cs)
+        code = cli.main(["analyze", "--graph", str(tmp_path / "g.edges"), "--coloring", str(tmp_path / "f.tsv")])
+    assert code == 0, capsys.readouterr().err
+    with mock.patch.object(graphs, "_token_edges", return_value=None):
+        general = nh.load_edge_list(edges)
+    assert "_vertex_keys" not in general.__dict__
+    assert g.labels == general.labels
+    assert g.index == general.index
+    assert _outcome(nh.load_coloring, text, lambda: general) == _outcome(nh.load_coloring, text, lambda: g)
+
+
+ID_CHARS = [chr(b) for b in range(0x21, 0x7F) if chr(b) != "#"]
+ID_KINDS = {
+    "decimal": st.integers(0, 10**18 - 1).map(str),
+    "at most 8 bytes": st.text(alphabet=ID_CHARS, min_size=1, max_size=8),
+    "longer than 8 bytes": st.text(alphabet=ID_CHARS, min_size=9, max_size=14),
+}
+ID_KINDS["mixed"] = st.one_of(*ID_KINDS.values())
+EDIT_KINDS = [None, "missing", "unknown", "repeated"]
+
+
+@st.composite
+def keyed_graph_cases(draw, kind):
+    """An edge list of ids of one kind, and a coloring text for its vertices.
+
+    Every vertex is declared on a "v" line first, so the labels are the ids
+    in the drawn order, and edges follow. The coloring names every vertex
+    once, with blanks, comments and any line end, or is spoiled: a vertex
+    left out, an id not in the graph (of any kind), or a vertex named twice.
+    """
+    ids = draw(st.lists(ID_KINDS[kind].filter(lambda t: t != "v"), min_size=1, max_size=8, unique=True))
+    pairs = [(a, b) for a in range(len(ids)) for b in range(a + 1, len(ids))]
+    edges = [p for p in pairs if draw(st.booleans())]
+    edge_text = "".join(f"v {v}\n" for v in ids) + "".join(f"{ids[a]} {ids[b]}\n" for a, b in edges)
+    vids = draw(st.permutations(ids))
+    lines = [draw(LEAD) + v + draw(MID) + draw(LABELS) + draw(TRAIL) for v in vids]
+    edit = draw(st.sampled_from(EDIT_KINDS))
+    at = draw(st.integers(0, len(lines) - 1))
+    if edit == "missing":
+        del lines[at]
+    elif edit == "unknown":
+        lines[at] = draw(ID_KINDS["mixed"].filter(lambda t: t not in ids)) + "\t" + draw(LABELS)
+    elif edit == "repeated":
+        lines.insert(draw(st.integers(0, len(lines))), vids[at] + "\t" + draw(LABELS))
+    text = ""
+    for line in lines:
+        if draw(st.booleans()):
+            line += draw(BLANK) + draw(COMMENT)
+        text += line + draw(LINE_END)
+    return edge_text, text
+
+
+@pytest.mark.parametrize("kind", sorted(ID_KINDS))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kept_keys_and_keyed_labels_agree(kind, data):
+    """A coloring loads the same against a loaded graph and against its labels.
+
+    The graph from ``load_edge_list`` keeps the keys of its parse when the
+    vectorized path takes the edge list; the same graph rebuilt by
+    ``Graph.from_edges`` from its labels keys them when the coloring first
+    needs them. The assignment and class labels, or the error's class and
+    message, must be the same, and the line-by-line reference's.
+    """
+    edge_text, text = data.draw(keyed_graph_cases(kind), label="case")
+    encoded = text.encode("utf-8") if data.draw(st.booleans(), label="as bytes") else text
+    loaded = nh.load_edge_list(edge_text)
+    if kind in ("decimal", "at most 8 bytes"):  # no size guard can send these to the line loop
+        assert "_vertex_keys" in loaded.__dict__
+    pairs = list(zip(loaded.edges_u.tolist(), loaded.edges_v.tolist()))
+
+    def loaded_graph():
+        return nh.load_edge_list(edge_text)
+
+    def labeled_graph():
+        return nh.Graph.from_edges(loaded.n, pairs, labels=loaded.labels)
+
+    expected = _outcome(nh.load_coloring, encoded, labeled_graph)
+    assert _outcome(nh.load_coloring, encoded, loaded_graph) == expected
+    assert _outcome(_reference, encoded, labeled_graph) == expected
+
+
+@pytest.mark.parametrize(
+    "edges, text",
+    [
+        ("v a\nv b\n", "97\tred\n98\tblue\n"),  # "a" keys as the uint64 97, the ids as the int64 97
+        ("v 97\nv 98\n", "a\tred\nb\tblue\n"),
+    ],
+)
+def test_ids_of_another_key_dtype_are_not_graph_vertices(edges, text):
+    """Keys of two dtypes are never compared: joined, they would be cast to float64 and match."""
+    g = nh.load_edge_list(edges)
+    assert "_vertex_keys" in g.__dict__
+    assert colorings._token_coloring(text, g) is None
+    with pytest.raises(nh.UnknownVertexError):
+        nh.load_coloring(text, g)
