@@ -36,6 +36,7 @@ from .indices import (
 )
 from .moments import covariance_structure
 from .oracle import (
+    DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
     enumerate_colorings,
     matching_graph,
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="validate closed forms by exact enumeration")
     p.add_argument("--graph", required=True)
     p.add_argument("--profile", required=True, help="comma-separated class sizes, e.g. 2,2")
-    p.add_argument("--limit", type=int, default=10**6)
+    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
     common_io(p)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -25,9 +25,9 @@ from .graphs import (
     TextSource,
     _decode,
     _first_appearance,
+    _join,
     _keys,
     _read,
-    _texts,
     _tokenize,
 )
 
@@ -159,14 +159,14 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     printable ASCII and every non-blank line is one such id, blanks holding
     the line's first tab and one printable-ASCII label, with every vertex
     named once, :func:`_token_coloring` parses the file vectorized: it
-    matches the ids against the keys the graph holds, which a graph from
+    keys the ids together with the graph's id text, which a graph from
     :func:`~nethom.graphs.load_edge_list`'s vectorized path kept from its
     own parse, and builds neither ``graph.index`` nor ``graph.labels``. Any
-    other input takes the
-    general path: one pass over the lines that raises at the first bad one:
-    a line without a tab or with an empty field (:class:`ColoringError`),
-    an id not in the graph (:class:`UnknownVertexError`) or a vertex already
-    assigned (:class:`DuplicateVertexError`); the error names that line.
+    other input takes the general path: one pass over the lines that raises
+    at the first bad one: a line without a tab or with an empty field
+    (:class:`ColoringError`), an id not in the graph
+    (:class:`UnknownVertexError`) or a vertex already assigned
+    (:class:`DuplicateVertexError`); the error names that line.
     After the pass, unassigned vertices raise :class:`MissingVertexError`.
     Only the general path raises, so every error comes from it.
     """
@@ -212,23 +212,20 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
 
     Vectorized over the bytes, with no per-line Python loop, no
     ``graph.index`` and no ``graph.labels``. It applies only when the graph
-    has keys (``graph._vertex_keys``, which needs every label to be a
+    has an id text (``graph._id_text``, which needs every label to be a
     nonempty token of printable ASCII) and, after comments are removed
     (:func:`~nethom.graphs._tokenize`), every non-blank line holds the id of
     a graph vertex, then blanks holding the line's first tab, then one label
     of printable ASCII, with each vertex named on exactly one line.
 
-    Only the file's ids and class labels are keyed, by
-    :func:`~nethom.graphs._keys`, and the ids are matched against the
-    graph's keys. A valid file names every vertex once, so its ids are the
-    graph's labels and key to the same dtype: ids of another key kind or
-    width mean a bad file. Any other input, every bad one included, and any
-    tokens :func:`~nethom.graphs._keys` declines return None and take the
-    general path, which raises the error.
+    The graph's ids and the file's ids are keyed in one
+    :func:`~nethom.graphs._keys` call, and the class labels in another. Any
+    other input, every bad one included, returns None and takes the general
+    path, which raises the error.
     """
     n = graph.n
-    vertex_keys = graph._vertex_keys if n else None
-    if vertex_keys is None:
+    id_text = graph._id_text if n else None
+    if id_text is None:
         return None
     tokens = _tokenize(data)
     if tokens is None:
@@ -249,13 +246,18 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     if not bool(ok.all()):
         return None
     del breaks, at, after, before, ok
-    ids = _keys(raw, id_start, id_length)
-    if ids is None or ids.dtype != vertex_keys.dtype:
-        return None
-    # The graph's keys first, then the ids: an id is a graph vertex exactly
-    # when its index is below n.
-    vertex = _first_appearance(np.concatenate((vertex_keys, ids)))[1][n:]
-    del ids
+    # The graph's ids, one per line of its id text, then the file's ids: an
+    # id is a graph vertex exactly when its index is below n.
+    text = np.frombuffer(id_text, dtype=np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    vertex_start = np.concatenate(([0], ends[:-1] + 1))
+    keys = _keys(
+        np.concatenate((text, raw)),
+        np.concatenate((vertex_start, id_start + text.size)),
+        np.concatenate((ends - vertex_start, id_length)),
+    )
+    vertex = _first_appearance(keys)[1][keys[n:]]
+    del keys
     if not bool((vertex < n).all()):
         return None
     seen = np.zeros(n, dtype=bool)
@@ -263,12 +265,11 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     if not bool(seen.all()):  # n ids, all in the graph: a repeat leaves a vertex unnamed
         return None
     keys = _keys(raw, label_start, label_length)
-    if keys is None:
-        return None
-    names, classes = _first_appearance(keys)
+    first, table = _first_appearance(keys)
     assignment = np.empty(n, dtype=np.int32)
-    assignment[vertex] = classes
-    return Coloring(assignment=assignment, class_labels=_texts(names))
+    assignment[vertex] = table[keys]
+    names = _join(raw, label_start[first], label_length[first]).decode("ascii").splitlines()
+    return Coloring(assignment=assignment, class_labels=tuple(names))
 
 
 def homophilic_counts(g: Graph, f: Coloring) -> ObservedOutcome:

@@ -60,19 +60,19 @@ class MalformedLineError(EdgeListError):
 
 
 class _Labels:
-    """The ``labels`` field of :class:`Graph`, built from the loader's keys on first access.
+    """The ``labels`` field of :class:`Graph`, split from the kept id text on first access.
 
     A vectorized load (:func:`_token_edges`) gives the graph None for
-    ``labels`` and keeps the distinct :func:`_keys` of its ids instead; the
-    label strings are made from those keys the first time they are read.
+    ``labels`` and keeps the text of its ids instead; the label strings are
+    split from that text the first time they are read.
     """
 
     def __get__(self, graph, owner=None):
         if graph is None:
             raise AttributeError("labels")  # a field without a default
         labels = graph.__dict__["labels"]
-        if labels is None and "_vertex_keys" in graph.__dict__:
-            labels = graph.__dict__["labels"] = _texts(graph._vertex_keys)
+        if labels is None and "_id_text" in graph.__dict__:
+            labels = graph.__dict__["labels"] = tuple(graph._id_text.decode("ascii").splitlines())
         return labels
 
     def __set__(self, graph, labels):
@@ -91,10 +91,10 @@ class Graph:
 
     A graph keeps its vertex ids in two forms, each built once from the
     other when first needed: ``labels``, the id strings, and the private
-    ``_vertex_keys``, one :func:`_keys` key per vertex, which a coloring's
-    ids are matched against. A vectorized load keeps the keys it made and
-    leaves ``labels`` to be built on first access; any other graph keys its
-    labels when a coloring first needs them.
+    ``_id_text``, the ids as ASCII lines, one per vertex, which a coloring
+    keys together with its own ids. A vectorized load keeps the text of its
+    ids and leaves ``labels`` to be split from it on first access; any other
+    graph joins its labels when a coloring first needs them.
     """
 
     n: int
@@ -121,26 +121,15 @@ class Graph:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
-    def _vertex_keys(self) -> np.ndarray | None:
-        """One :func:`_keys` key per vertex, or None when the labels cannot be keyed.
-
-        Built on first access from the labels, joined as lines of one text;
-        None unless every label is a nonempty token of printable ASCII and
-        :func:`_keys` takes them.
-        """
-        text = "\n".join(self.labels)
+    def _id_text(self) -> bytes | None:
+        """The labels joined as ASCII lines, one per vertex; None unless each is a printable token."""
+        text = "\n".join(self.labels + ("",))  # a line end after every label
         if not text.isascii():
             return None
         text = text.encode("ascii")
-        # printable tokens and n - 1 separators only
-        if text.translate(None, _LABEL_BYTES) or text.count(b"\n") != self.n - 1:
-            return None
-        raw = np.frombuffer(text, dtype=np.uint8)
-        ends = np.flatnonzero(raw == ord("\n"))
-        length = np.diff(ends, prepend=-1, append=raw.size) - 1
-        if not length.all():  # an empty label, which no token names
-            return None
-        return _keys(raw, np.concatenate(([0], ends + 1)), length)
+        if text.translate(None, _LABEL_BYTES) or text.count(b"\n") != self.n or b"\n\n" in b"\n" + text:
+            return None  # a label that is empty, not printable or not one token
+        return text
 
     @classmethod
     def from_edges(
@@ -199,21 +188,20 @@ class Graph:
         if stop < len(edges):
             u, v = edges[stop]
             raise EdgeListError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
-        return _graph(labels, eu, ev)
+        return _graph(n, labels, eu, ev)
 
 
-def _graph(ids: tuple[str, ...] | np.ndarray, eu: np.ndarray, ev: np.ndarray) -> Graph:
+def _graph(n: int, ids: tuple[str, ...] | bytes, eu: np.ndarray, ev: np.ndarray) -> Graph:
     """The :class:`Graph` of edges that passed :func:`_simple_edges`.
 
-    ``ids`` are the vertex labels, or the distinct keys of a vectorized load,
+    ``ids`` are the n vertex labels, or the id text of a vectorized load,
     which the graph keeps in place of the labels.
     """
-    n = len(ids)
     degrees = (np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)).astype(np.int64)
-    keyed = isinstance(ids, np.ndarray)
-    graph = Graph(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=None if keyed else ids)
-    if keyed:
-        graph.__dict__["_vertex_keys"] = ids
+    text = isinstance(ids, bytes)
+    graph = Graph(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=None if text else ids)
+    if text:
+        graph.__dict__["_id_text"] = ids
     return graph
 
 
@@ -297,7 +285,6 @@ _PRINTABLE = bytes(range(0x20, 0x7F)) + b"\t\n\r"  # printable ASCII, the space,
 _LABEL_BYTES = bytes(range(0x21, 0x7F)) + b"\n"  # printable tokens, one per line
 _SPACE, _V, _ZERO = ord(" "), ord("v"), ord("0")
 _MAX_DIGITS = 18  # every canonical id of up to 18 digits fits in int64
-_KEY_BYTES = 8  # a token of at most 8 bytes is keyed as one uint64
 
 
 def _tokenize(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -327,15 +314,10 @@ def _tokenize(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     if data.translate(None, _PRINTABLE):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
-    tok = raw > _SPACE  # blanks and line ends sort at or below the space
+    tok = np.zeros(raw.size + 2, dtype=bool)  # the token bytes, with a blank before and after
+    np.greater(raw, _SPACE, out=tok[1:-1])  # blanks and line ends sort at or below the space
     start = np.flatnonzero(tok[1:] > tok[:-1])
-    start += 1
     stop = np.flatnonzero(tok[:-1] > tok[1:])
-    stop += 1
-    if tok.size and tok[0]:
-        start = np.concatenate(([0], start))
-    if tok.size and tok[-1]:
-        stop = np.append(stop, tok.size)
     del tok
     # Tokens per line, from the token starts before each line end: 0 or 2 on
     # every line. Each array is freed once the next is built, which keeps the
@@ -350,22 +332,22 @@ def _tokenize(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     del before
     if not bool(((per_line == 0) | (per_line == 2)).all()):
         return None
-    stop -= start  # the token lengths, in place
-    return raw, start, stop
+    # the token lengths, in int32 below 2 GiB of text
+    length = np.subtract(stop, start, dtype=np.int32 if raw.size < 2**31 else np.int64, casting="unsafe")
+    return raw, start, length
 
 
-def _token_edges(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, None] | None:
+def _token_edges(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray, None] | None:
     """The general pass's result for an edge list of printable-ASCII ids, or None.
 
     Vectorized over the raw bytes by :func:`_tokenize`, with no per-line
     Python loop. It applies when, after comments are removed, the input is
     printable ASCII, spaces, tabs, LF and CR, and every non-blank line holds
     exactly two tokens: "v <id>" declares a vertex and any other line is an
-    edge, so a "v" in second position is an id. Every id is keyed by
-    :func:`_keys`, and the distinct keys, in first-appearance order, stand in
-    for the labels: the graph keeps them and builds its labels from them
-    only when they are read. Any other input, or ids :func:`_keys` declines,
-    returns None and takes the general path, which also raises every error.
+    edge, so a "v" in second position is an id. The ids are numbered by
+    :func:`_keys`, and the graph keeps the text of the distinct ids in place
+    of the labels (:func:`_join`). Any other input returns None and takes
+    the general path, which also raises every error.
     """
     tokens = _tokenize(data)
     if tokens is None:
@@ -379,15 +361,15 @@ def _token_edges(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         keep[0::2] = ~declared
         start = start[keep]
         length = length[keep]
-    ids = _keys(raw, start, length)
-    del raw, start, length
-    if ids is None:
-        return None
-    order, dense = _first_appearance(ids)
-    del ids
+    keys = _keys(raw, start, length)
+    first, table = _first_appearance(keys)
+    start, length = start[first], length[first]  # the distinct ids, before the endpoints are numbered
+    dense = table[keys]
+    del keys, table
+    text = _join(raw, start, length)
     if n_v:  # endpoints are the ids not on a "v" line
         dense = dense[np.repeat(~declared, 2)[keep]]
-    return order, dense[0::2].copy(), dense[1::2].copy(), None
+    return text, dense[0::2].copy(), dense[1::2].copy(), None
 
 
 def _decimals(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -399,10 +381,8 @@ def _decimals(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndar
     the tokens; each column is gathered and checked in place, so besides the
     int64 values only two one-byte-per-token buffers are made.
     """
-    if not length.size:
-        return np.empty(0, dtype=np.int64)
-    width = int(length.max())
-    if not 1 <= int(length.min()) <= width <= _MAX_DIGITS:
+    width = int(length.max(initial=0))  # no token is empty
+    if not 1 <= width <= _MAX_DIGITS:
         return None
     digit = raw.take(start)
     digit -= _ZERO  # uint8: a byte below "0" wraps above 9
@@ -422,73 +402,91 @@ def _decimals(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndar
     return values
 
 
-def _keys(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
-    """One key per token ``raw[start:start + length]``, equal exactly when the tokens are, or None.
+def _keys(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """One int64 key per token ``raw[start:start + length]``, equal exactly when the tokens are.
 
-    Canonical decimals (:func:`_decimals`) are keyed by their int64 values.
-    Any other tokens are zero-padded to the longest of them, or to 8 bytes
-    if none is longer, and keyed as one uint64 per token of at most 8 bytes,
-    or else as fixed-width bytes; no token holds a NUL byte, so padding
-    keeps distinct tokens apart. Fixed-width keys wider than 8 bytes that
-    would take more bytes than ``raw`` return None.
+    The keys hold within one call only, and are small enough for the table
+    of :func:`_first_appearance`: canonical decimals (:func:`_decimals`) are
+    keyed by their values while these stay below 4 per token plus 1024, and
+    any other tokens are numbered by :func:`_ranks`.
     """
     keys = _decimals(raw, start, length)
-    if keys is not None:
+    if keys is not None and int(keys.max(initial=0)) < 4 * keys.size + 1024:
         return keys
-    width = max(int(length.max()), _KEY_BYTES)
-    if width > _KEY_BYTES and width * length.size > raw.size:
-        return None
-    padded = np.zeros(raw.size + width, dtype=np.uint8)
-    padded[: raw.size] = raw
-    # the width bytes from each token's start: one item per byte offset, gathered
-    cells = np.ndarray((raw.size,), dtype=f"V{width}", buffer=padded, strides=(1,))[start]
-    del padded
-    cells = cells.view(np.uint8).reshape(-1, width)
-    for j in range(1, width):  # zero the bytes past each token
-        np.multiply(cells[:, j], length > j, out=cells[:, j])
-    return cells.view(np.uint64 if width == _KEY_BYTES else f"S{width}")[:, 0]
+    return _ranks(raw, start, length)
 
 
-def _texts(keys: np.ndarray) -> tuple[str, ...]:
-    """The token of every key that :func:`_keys` gives."""
-    if keys.dtype.kind == "i":
-        return tuple(map(str, keys.tolist()))
-    if keys.dtype == np.uint64:
-        keys = keys.view(f"S{_KEY_BYTES}")  # bytes_ items drop the NUL padding
-    return tuple(b"\n".join(keys.tolist()).decode("ascii").split("\n"))
+def _ranks(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Numbers of the tokens ``raw[start:start + length]``, equal exactly when the tokens are.
+
+    The tokens are numbered by their first 8 bytes, zero-padded (no token
+    holds a NUL byte). Then, 8 bytes at a time, only the tokens longer than
+    the bytes read so far are numbered again, above every number given so
+    far, by their number and their next 8 bytes: O(tokens) memory at any length.
+    """
+    rank, top = _numbers(_words(raw, start, length))
+    live = np.flatnonzero(length > 8)  # the tokens not yet read to their end
+    for offset in range(8, int(length.max(initial=0)), 8):
+        group = _numbers(rank[live])[0]
+        word, words = _numbers(_words(raw, start[live] + offset, length[live] - offset))
+        pair, pairs = _numbers(group * words + word)  # below len(live) ** 2
+        rank[live] = pair + top
+        top += pairs
+        live = live[length[live] > offset + 8]
+    return rank
+
+
+def _words(raw: np.ndarray, at: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The 8 bytes of ``raw`` from each offset ``at``, as little-endian uint64 zeroed past ``length``."""
+    past = (8 - np.minimum(length, 8).astype(np.uint8)) << 3  # the bits past each token's end
+    padded = np.pad(raw, (0, 8))
+    # the 8 bytes from each offset as one void item, which a gather takes without a copy of raw
+    word = np.ndarray((raw.size,), dtype="V8", buffer=padded, strides=(1,))[at].view("<u8")
+    word <<= past
+    word >>= past
+    return word
+
+
+def _numbers(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each key's index among the distinct ``keys`` in sorted order (int64), and their count.
+
+    ``keys`` is sorted in place and freed before the numbers are made, which
+    keeps the peak memory near three times that of ``keys``.
+    """
+    perm = keys.argsort()
+    keys.sort()
+    new = keys[1:] != keys[:-1]
+    del keys
+    count = np.cumsum(new, dtype=np.int32)  # the number of each key but the first
+    del new
+    perm = perm.astype(np.int32)
+    numbers = np.zeros(perm.size, dtype=np.int64)
+    numbers[perm[1:]] = count
+    return numbers, int(count[-1]) + 1 if count.size else perm.size
 
 
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ``keys`` in first-appearance order, and each key's index in it (int32).
+    """Where each distinct key first appears, in order, and a table that numbers keys in that order.
 
-    Signed integer keys go through a lookup table when it needs at most
-    about 4 entries per key. Any other keys are first numbered in sorted
-    order, as ``np.unique(keys, return_inverse=True)`` would number them
-    but with int32 numbers and no copy of ``keys``, and the table runs over
-    those numbers.
+    ``keys`` are nonnegative integers; the table (int32) is as long as the largest key.
     """
-    k = keys.size
-    top = int(keys.max()) + 1 if k and keys.dtype.kind == "i" else 0
-    if keys.dtype.kind != "i" or top > 4 * k + 1024:
-        perm = keys.argsort()
-        ranked = keys[perm]
-        new = np.empty(k, dtype=bool)
-        new[:1] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-        uniq = ranked[new]
-        del ranked
-        number = np.empty(k, dtype=np.int32)
-        number[perm] = np.cumsum(new, dtype=np.int32) - 1
-        del perm, new
-        order, dense = _first_appearance(number)
-        return uniq[order], dense
-    first = np.full(top, k, dtype=np.int32)
-    np.minimum.at(first, keys, np.arange(k, dtype=np.int32))
-    order = keys[first[keys] == np.arange(k, dtype=np.int32)]
-    del first
-    table = np.empty(top, dtype=np.int32)
-    table[order] = np.arange(order.size, dtype=np.int32)
-    return order, table[keys]
+    first = np.full(int(keys.max(initial=-1)) + 1, keys.size, dtype=np.int32)
+    np.minimum.at(first, keys, np.arange(keys.size, dtype=np.int32))
+    table = first  # the first positions are read out before the table is written over them
+    first = np.sort(first[first < keys.size])
+    table[keys[first]] = np.arange(first.size, dtype=np.int32)
+    return first, table
+
+
+def _join(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> bytes:
+    """The tokens ``raw[start:start + length]`` as ASCII lines, one per token."""
+    ends = np.cumsum(length + 1)  # where each token's line ends in the text
+    # the offset in raw of every byte of the text: a token, then the byte after it
+    at = np.repeat(start + length + 1 - ends, length + 1)
+    at += np.arange(at.size)
+    text = raw[np.minimum(at, raw.size - 1)]  # the last token may end the buffer
+    text[ends - 1] = ord("\n")
+    return text.tobytes()
 
 
 def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
@@ -520,17 +518,18 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
 
 
 def _checked_graph(
-    data: str | bytes, ids: tuple[str, ...] | np.ndarray, eu: np.ndarray, ev: np.ndarray, dedupe: bool
+    data: str | bytes, ids: tuple[str, ...] | bytes, eu: np.ndarray, ev: np.ndarray, dedupe: bool
 ) -> Graph:
     """The graph of the scanned edge list ``data``, or the error of its first bad edge.
 
-    ``ids`` are the labels or keys that :func:`_graph` takes. The error's
-    line and labels come from a second :func:`_scan`, whose edges are the
-    ones checked here.
+    ``ids`` are the labels or the id text that :func:`_graph` takes. The
+    error's line and labels come from a second :func:`_scan`, whose edges
+    are the ones checked here.
     """
-    eu, ev, k = _simple_edges(len(ids), eu, ev, dedupe)
+    n = ids.count(b"\n") if isinstance(ids, bytes) else len(ids)
+    eu, ev, k = _simple_edges(n, eu, ev, dedupe)
     if k is None:
-        return _graph(ids, eu, ev)
+        return _graph(n, ids, eu, ev)
     lines: list[int] = []
     labels, eu, ev, _ = _scan(_decode(data), lines)
     u, v = labels[eu[k]], labels[ev[k]]

@@ -349,11 +349,16 @@ class TailEstimate:
 
     @property
     def bounds(self) -> tuple[float, float]:
-        """Confidence interval clamped into [0, 1] for reporting."""
-        return (
-            max(0.0, self.estimate - self.half_width),
-            min(1.0, self.estimate + self.half_width),
-        )
+        """The 99% Wilson score interval of the estimate, clamped into [0, 1].
+
+        Unlike estimate ± half_width, it keeps a nonzero width when no
+        sample or every sample hits.
+        """
+        n, z2 = self.samples, _Z99 * _Z99
+        center = (self.estimate + z2 / (2 * n)) / (1 + z2 / n)
+        spread = self.estimate * (1 - self.estimate) / n + z2 / (4 * n * n)
+        half = _Z99 / (1 + z2 / n) * math.sqrt(spread)
+        return max(0.0, center - half), min(1.0, center + half)
 
 
 def mc_tail(

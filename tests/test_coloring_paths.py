@@ -176,10 +176,9 @@ def string_colorings(draw):
     The labels are distinct printable-ASCII tokens, or hold one label from
     ``DECLINED_LABELS``. The text names every vertex once, with blanks,
     comments and any of LF, CRLF and CR, or is spoiled as one of
-    ``STRING_KINDS`` says. The token path must take a clean text for a
-    graph of tokens when no label or id is longer than 8 bytes, and decline
-    every spoiled text and every graph with a declined label; None leaves
-    the others to its size guard.
+    ``STRING_KINDS`` says. The token path must take every clean text for a
+    graph of tokens, whatever the length of its ids and labels, and decline
+    every spoiled text and every graph with a declined label.
     """
     labels = draw(st.lists(TOKEN_LABELS, min_size=1, max_size=8, unique=True))
     declined = draw(st.sampled_from([None, None, None] + DECLINED_LABELS))
@@ -205,9 +204,7 @@ def string_colorings(draw):
         text += line + draw(LINE_END)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
-    if declined is not None or kind is not None:
-        return tuple(labels), text, False
-    return tuple(labels), text, all(len(t) <= 8 for t in labels + classes) or None
+    return tuple(labels), text, declined is None and kind is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -222,8 +219,7 @@ def test_string_id_graphs_three_loaders_agree(case, as_bytes):
     g = graph()
     taken = colorings._token_coloring(encoded, g)
     assert "index" not in g.__dict__
-    if accept is not None:
-        assert (taken is not None) == accept, (labels, text)
+    assert (taken is not None) == accept, (labels, text)
     expected = _outcome(_reference, encoded, graph)
     assert _outcome(nh.load_coloring, encoded, graph) == expected
     assert _outcome(_general, encoded, graph) == expected
@@ -245,45 +241,47 @@ def test_string_ids_never_reach_a_line_loop():
     assert f.assignment.tolist() == [i % 3 for i in range(13)] + [3]
 
 
-# Edge lists whose ids the vectorized loader keys as int64, as uint64 (at
-# most 8 bytes) and as fixed-width bytes (longer than 8 bytes), each with a
-# coloring of every vertex into three classes.
-KEPT_KEY_IDS = {
+# Edge lists of decimal ids, of ids of at most 8 bytes and of ids longer
+# than 8 bytes, each with a coloring of every vertex into three classes.
+KEPT_TEXT_IDS = {
     "decimal": [str(7 * k + 3) for k in range(40)],
     "short": [f"u{k}" for k in range(40)],
     "long": [f"vertex-{k:05d}" for k in range(40)],
 }
 
 
-def _refuse_labels(keys):
-    raise AssertionError("the vertex label strings were built")
-
-
-@pytest.mark.parametrize("kind", sorted(KEPT_KEY_IDS))
+@pytest.mark.parametrize("kind", sorted(KEPT_TEXT_IDS))
 def test_analyze_path_builds_no_vertex_labels(kind, tmp_path, capsys):
-    """Loading, coloring and the report read only the keys the edge-list parse kept.
+    """Loading, coloring and the report read only the id text the edge-list parse kept.
 
-    A graph turns its keys into label strings with ``graphs._texts``, looked
-    up when called (``colorings`` binds the function at import, for the
-    class labels), so refusing it fails any step that builds them. The
-    labels and index read afterwards must equal the general path's.
+    A graph keeps its label strings in its ``labels`` field once they are
+    split from that text, so the field still being None after the report,
+    in process and in ``cli.main``, shows that none were built. The labels
+    and index read afterwards must equal the general path's.
     """
-    ids = KEPT_KEY_IDS[kind]
+    ids = KEPT_TEXT_IDS[kind]
     edges = "".join(f"{ids[i]} {ids[(3 * i + 1) % len(ids)]}\n" for i in range(len(ids)))
     text = "".join(f"{v}\tclass-{i % 3}\n" for i, v in enumerate(reversed(ids)))
     (tmp_path / "g.edges").write_text(edges)
     (tmp_path / "f.tsv").write_text(text)
-    with mock.patch.object(graphs, "_texts", _refuse_labels):
-        g = nh.load_edge_list(edges)
-        assert "_vertex_keys" in g.__dict__
-        f = nh.load_coloring(text, g)
-        cs = nh.covariance_structure(nh.summarize(g), f.profile)
-        nh.build_index_report(g, f, nh.homophilic_counts(g, f), cs)
+    g = nh.load_edge_list(edges)
+    assert "_id_text" in g.__dict__
+    f = nh.load_coloring(text, g)
+    cs = nh.covariance_structure(nh.summarize(g), f.profile)
+    nh.build_index_report(g, f, nh.homophilic_counts(g, f), cs)
+    loaded = []  # the graph cli.main reads
+
+    def load(*args, **kwargs):
+        loaded.append(nh.load_edge_list(*args, **kwargs))
+        return loaded[-1]
+
+    with mock.patch.object(cli, "load_edge_list", load):
         code = cli.main(["analyze", "--graph", str(tmp_path / "g.edges"), "--coloring", str(tmp_path / "f.tsv")])
     assert code == 0, capsys.readouterr().err
+    assert [h.__dict__["labels"] for h in [g, *loaded]] == [None, None]
     with mock.patch.object(graphs, "_token_edges", return_value=None):
         general = nh.load_edge_list(edges)
-    assert "_vertex_keys" not in general.__dict__
+    assert "_id_text" not in general.__dict__
     assert g.labels == general.labels
     assert g.index == general.index
     assert _outcome(nh.load_coloring, text, lambda: general) == _outcome(nh.load_coloring, text, lambda: g)
@@ -293,7 +291,8 @@ ID_CHARS = [chr(b) for b in range(0x21, 0x7F) if chr(b) != "#"]
 ID_KINDS = {
     "decimal": st.integers(0, 10**18 - 1).map(str),
     "at most 8 bytes": st.text(alphabet=ID_CHARS, min_size=1, max_size=8),
-    "longer than 8 bytes": st.text(alphabet=ID_CHARS, min_size=9, max_size=14),
+    # up to five 8-byte words, so that ids are told apart over several rounds
+    "longer than 8 bytes": st.text(alphabet=ID_CHARS, min_size=9, max_size=40),
 }
 ID_KINDS["mixed"] = st.one_of(*ID_KINDS.values())
 EDIT_KINDS = [None, "missing", "unknown", "repeated"]
@@ -301,7 +300,7 @@ EDIT_KINDS = [None, "missing", "unknown", "repeated"]
 
 @st.composite
 def keyed_graph_cases(draw, kind):
-    """An edge list of ids of one kind, and a coloring text for its vertices.
+    """Ids of one kind, an edge list of them, and a coloring text for its vertices.
 
     Every vertex is declared on a "v" line first, so the labels are the ids
     in the drawn order, and edges follow. The coloring names every vertex
@@ -327,7 +326,7 @@ def keyed_graph_cases(draw, kind):
         if draw(st.booleans()):
             line += draw(BLANK) + draw(COMMENT)
         text += line + draw(LINE_END)
-    return edge_text, text
+    return ids, edge_text, text
 
 
 @pytest.mark.parametrize("kind", sorted(ID_KINDS))
@@ -336,17 +335,17 @@ def keyed_graph_cases(draw, kind):
 def test_kept_keys_and_keyed_labels_agree(kind, data):
     """A coloring loads the same against a loaded graph and against its labels.
 
-    The graph from ``load_edge_list`` keeps the keys of its parse when the
-    vectorized path takes the edge list; the same graph rebuilt by
-    ``Graph.from_edges`` from its labels keys them when the coloring first
+    The graph from ``load_edge_list`` keeps the text of its ids, one per
+    line, whatever their kind and length; the same graph rebuilt by
+    ``Graph.from_edges`` from its labels joins them when the coloring first
     needs them. The assignment and class labels, or the error's class and
     message, must be the same, and the line-by-line reference's.
     """
-    edge_text, text = data.draw(keyed_graph_cases(kind), label="case")
+    ids, edge_text, text = data.draw(keyed_graph_cases(kind), label="case")
     encoded = text.encode("utf-8") if data.draw(st.booleans(), label="as bytes") else text
     loaded = nh.load_edge_list(edge_text)
-    if kind in ("decimal", "at most 8 bytes"):  # no size guard can send these to the line loop
-        assert "_vertex_keys" in loaded.__dict__
+    assert loaded.__dict__["_id_text"] == "".join(v + "\n" for v in ids).encode("ascii")
+    assert loaded.labels == tuple(ids)
     pairs = list(zip(loaded.edges_u.tolist(), loaded.edges_v.tolist()))
 
     def loaded_graph():
@@ -363,14 +362,14 @@ def test_kept_keys_and_keyed_labels_agree(kind, data):
 @pytest.mark.parametrize(
     "edges, text",
     [
-        ("v a\nv b\n", "97\tred\n98\tblue\n"),  # "a" keys as the uint64 97, the ids as the int64 97
+        ("v a\nv b\n", "97\tred\n98\tblue\n"),  # the bytes of "a" read as a number are 97
         ("v 97\nv 98\n", "a\tred\nb\tblue\n"),
     ],
 )
-def test_ids_of_another_key_dtype_are_not_graph_vertices(edges, text):
-    """Keys of two dtypes are never compared: joined, they would be cast to float64 and match."""
+def test_decimal_and_string_ids_never_match(edges, text):
+    """The graph's ids and the file's are keyed in one call, so "a" and "97" never share a key."""
     g = nh.load_edge_list(edges)
-    assert "_vertex_keys" in g.__dict__
+    assert "_id_text" in g.__dict__
     assert colorings._token_coloring(text, g) is None
     with pytest.raises(nh.UnknownVertexError):
         nh.load_coloring(text, g)

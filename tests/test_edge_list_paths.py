@@ -119,9 +119,8 @@ SPOILERS = {
     "line separator in a comment": lambda a, b, c, sep: a + sep + b + " # c\u2028" + c + sep + a,
 }
 # The spoilers that keep two printable-ASCII tokens on every line once
-# comments are removed: the token path keys their ids as bytes. It must take
-# the list when no id is longer than 8 bytes; beyond that its size guard
-# decides.
+# comments are removed: the token path keys their ids as bytes and must take
+# the list, whatever the length of its ids.
 KEYED = {
     "v second", "007 beside 7", "leading zero", "19 digits", "20 digits", "letter id",
     "v leading a token", "v ending a token", "v twice", "sign", "non-ASCII comment",
@@ -155,8 +154,8 @@ def edge_lists(draw):
 
     Half the lists hold only lines of the integer grammar; the other half
     add one line from ``SPOILERS`` at a random place. The token path must
-    take the clean lists and decline every spoiler outside ``KEYED``; None
-    leaves a list with a keyed id longer than 8 bytes to the size guard.
+    take the clean lists and the ``KEYED`` spoilers, and decline every other
+    spoiler.
     """
     pairs = []
     lines = draw(st.lists(_integer_line(pairs), max_size=14))
@@ -165,9 +164,7 @@ def edge_lists(draw):
         name = draw(st.sampled_from(sorted(SPOILERS)))
         line = SPOILERS[name](draw(IDS), draw(IDS), draw(IDS), draw(SEP))
         lines.insert(draw(st.integers(0, len(lines))), line)
-        if name in KEYED:
-            longest = max(len(t) for body in lines for t in body.split("#")[0].split())
-            accept = True if longest <= 8 else None
+        accept = name in KEYED
     text = ""
     for line in lines:
         if line.strip() and draw(st.booleans()):
@@ -183,8 +180,7 @@ def edge_lists(draw):
 def test_integer_path_matches_general_path(case, dedupe, as_bytes):
     text, accept = case
     data = text.encode("utf-8") if as_bytes else text
-    if accept is not None:
-        assert (graphs._token_edges(data) is not None) == accept, text
+    assert (graphs._token_edges(data) is not None) == accept, text
     assert _outcome(nh.load_edge_list, data, dedupe) == _outcome(_general, data, dedupe)
 
 
@@ -217,9 +213,8 @@ def token_lists(draw):
     The ids come from a small pool, so self-loops and repeated edges are
     common, and "v" is drawn as a first and as a second token. Most lines
     hold two tokens; some hold none, one or three. The token path must
-    take a list of zero or two tokens on every line and no id longer than
-    8 bytes, and decline a list with a line of one or three tokens; None
-    leaves the others to its size guard.
+    take a list of zero or two tokens on every line, whatever the length of
+    its ids, and decline a list with a line of one or three tokens.
     """
     pool = draw(st.lists(TOKENS, min_size=1, max_size=6, unique=True))
     ids = st.sampled_from(pool + ["v"])
@@ -235,17 +230,13 @@ def token_lists(draw):
         text += line + draw(LINE_END)
     if lines and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no line end after the last line
-    if any(len(tokens) in (1, 3) for tokens in lines):
-        return text, False
-    if all(len(t) <= 8 for tokens in lines for t in tokens):
-        return text, True
-    return text, None
+    return text, not any(len(tokens) in (1, 3) for tokens in lines)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(token_lists(), st.booleans(), st.booleans())
 @example(("u1 v\nv v\nv u2\nu1 u2\n", True), False, True)
-@example(("007 7\nabcdefgh 7\nabcdefghi 007\n", None), False, False)
+@example(("007 7\nabcdefgh 7\nabcdefghi 007\n", True), False, False)
 @example(("u1 u2\nu2\n", False), False, True)
 # Decimal ids ending the buffer with no line end: either the last id is the
 # only one shorter than the longest, so the digit columns past its end read
@@ -257,8 +248,7 @@ def token_lists(draw):
 def test_token_path_matches_general_path_and_reference(case, dedupe, as_bytes):
     text, accept = case
     data = text.encode("ascii") if as_bytes else text
-    if accept is not None:
-        assert (graphs._token_edges(data) is not None) == accept, text
+    assert (graphs._token_edges(data) is not None) == accept, text
     expected = _outcome(reference_load, data, dedupe)
     assert _outcome(nh.load_edge_list, data, dedupe) == expected
     assert _outcome(_general, data, dedupe) == expected
@@ -281,10 +271,48 @@ class TestTokenPath:
         assert g.labels == (a, b, c)
         assert g.degrees.tolist() == [2, 2, 2]
 
-    def test_wide_ids_beyond_the_file_size_decline(self):
-        data = "a b\n" * 10 + "abcdefghijkl b\n"  # 22 ids 12 bytes wide: 264 > 52 bytes
-        assert graphs._token_edges(data) is None
+    def test_wide_ids_keep_the_token_path(self):
+        data = "a b\n" * 10 + "abcdefghijkl b\n"  # 22 ids of up to 12 bytes in a 52-byte file
+        assert graphs._token_edges(data) is not None
         assert _outcome(nh.load_edge_list, data, True) == _outcome(reference_load, data, True)
+
+    def test_one_long_decimal_among_short_ones_keeps_the_token_path(self):
+        # short decimal ids and one of 21 digits, too long for an int64 value
+        data = "".join(f"{i} {i + 1}\n" for i in range(2000)) + "123456789012345678901 0\n"
+        assert graphs._token_edges(data) is not None
+        g = nh.load_edge_list(data)
+        assert g.n == 2002 and g.labels[-1] == "123456789012345678901"
+        assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, data, False)
+
+    @pytest.mark.parametrize("width", [9, 15, 16, 17, 24, 33])
+    def test_ids_that_differ_only_in_their_last_byte(self, width):
+        # equal in length and in every 8-byte word but the last
+        a, b, c = (("ab" * width)[: width - 1] + end for end in "xyz")
+        data = f"{a} {b}\n{b} {c}\nv {c}\n{c} {a}\n{a} {a[:-1]}\n"
+        assert graphs._token_edges(data) is not None
+        g = nh.load_edge_list(data)
+        assert g.labels == (a, b, c, a[:-1])
+        assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, data, False)
+
+    @pytest.mark.parametrize("width", [9, 16, 17, 33])
+    def test_ids_that_differ_only_in_their_first_byte(self, width):
+        # equal in length and in every 8-byte word but the first
+        a, b, c = (start + ("ab" * width)[: width - 1] for start in "xyz")
+        data = f"{a} {b}\n{b} {c}\n{c} {a}\n"
+        assert graphs._token_edges(data) is not None
+        g = nh.load_edge_list(data)
+        assert g.labels == (a, b, c)
+        assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, data, False)
+
+    @pytest.mark.parametrize("short", [8, 16])
+    def test_ids_that_are_prefixes_of_each_other(self, short):
+        # ids of short and short + 1 bytes, and the longer one's last byte alone
+        base = "0123456789abcdefgh"[:short]
+        data = f"{base} {base}z\n{base}z z\nz {base}\n{base[:-1]} {base}\n"
+        assert graphs._token_edges(data) is not None
+        g = nh.load_edge_list(data)
+        assert g.labels == (base, base + "z", "z", base[:-1])
+        assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, data, False)
 
 
 class TestIntegerPath:

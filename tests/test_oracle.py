@@ -228,6 +228,28 @@ class TestMcTail:
         lo, hi = est.bounds
         assert 0.0 <= lo <= hi <= 1.0
 
+    def test_wilson_bounds_when_no_sample_or_every_sample_hits(self):
+        # P12 with profile 6,6: the exact P(T >= 10) is 1/462, which 1000 samples miss
+        g = nh.Graph.from_edges(12, [(i, i + 1) for i in range(11)])
+        p = nh.Profile((6, 6))
+        exact = nh.exact_tail(nh.enumerate_colorings(g, p), sum, 10, "ge")
+        assert exact == Fraction(1, 462)
+        none = nh.mc_tail(g, p, sum, 10, samples=1000, seed=0)
+        assert (none.estimate, none.half_width) == (0.0, 0.0)
+        lo, hi = none.bounds
+        assert lo < 1e-12 and exact < hi < 0.01
+        every = nh.mc_tail(g, p, sum, 0, samples=1000, seed=0)
+        assert (every.estimate, every.half_width) == (1.0, 0.0)
+        lo, hi = every.bounds
+        assert 0.99 < lo < 0.999 and hi > 1 - 1e-12
+
+    def test_wilson_bounds_cover_the_estimate(self, p3):
+        est = nh.mc_tail(p3, nh.Profile((2, 1)), lambda o: o[0], 1, "ge", samples=400, seed=5)
+        lo, hi = est.bounds
+        assert lo < est.estimate < hi
+        # near the middle of [0, 1] the Wilson and normal intervals nearly agree
+        assert abs((hi - lo) / 2 - est.half_width) < 0.002
+
 
 class TestMatchingTail:
     def test_two_edges_exactly_one_third(self):
