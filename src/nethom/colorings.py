@@ -29,6 +29,7 @@ from .graphs import (
     _keys,
     _read,
     _tokenize,
+    _undecodable,
 )
 
 __all__ = [
@@ -153,7 +154,8 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     Every graph vertex must appear exactly once; '#' starts a comment. The
     vertex id is the text before a line's first tab and the class label the
     text after it, both stripped. Class indices are assigned by first
-    appearance of each label.
+    appearance of each label. The input is UTF-8; one leading byte-order
+    mark is dropped.
 
     Two paths give the same result. When every graph label is one token of
     printable ASCII and every non-blank line is one such id, blanks holding
@@ -162,10 +164,11 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     keys the ids together with the graph's id text, which a graph from
     :func:`~nethom.graphs.load_edge_list`'s vectorized path kept from its
     own parse, and builds neither ``graph.index`` nor ``graph.labels``. Any
-    other input takes the general path: one pass over the lines that raises
-    at the first bad one: a line without a tab or with an empty field
-    (:class:`ColoringError`), an id not in the graph
-    (:class:`UnknownVertexError`) or a vertex already assigned
+    other input takes the general path. A byte that is not UTF-8 raises
+    :class:`ColoringError` naming its line before any line is read; then
+    one pass over the lines raises at the first bad one: a line without a
+    tab or with an empty field (:class:`ColoringError`), an id not in the
+    graph (:class:`UnknownVertexError`) or a vertex already assigned
     (:class:`DuplicateVertexError`); the error names that line.
     After the pass, unassigned vertices raise :class:`MissingVertexError`.
     Only the general path raises, so every error comes from it.
@@ -174,7 +177,11 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     fast = _token_coloring(data, graph)
     if fast is not None:
         return fast
-    text = _decode(data)
+    try:
+        text = _decode(data)
+    except UnicodeDecodeError as exc:
+        message, line = _undecodable(exc)
+        raise ColoringError(f"line {line}: {message}") from exc
     index = graph.index
     class_index: dict[str, int] = {}
     assign = array("i", [-1]) * graph.n  # C ints, which numpy reads in place

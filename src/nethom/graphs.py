@@ -191,18 +191,10 @@ class Graph:
         return _graph(n, labels, eu, ev)
 
 
-def _graph(n: int, ids: tuple[str, ...] | bytes, eu: np.ndarray, ev: np.ndarray) -> Graph:
-    """The :class:`Graph` of edges that passed :func:`_simple_edges`.
-
-    ``ids`` are the n vertex labels, or the id text of a vectorized load,
-    which the graph keeps in place of the labels.
-    """
+def _graph(n: int, labels: tuple[str, ...] | None, eu: np.ndarray, ev: np.ndarray) -> Graph:
+    """The :class:`Graph` of edges that passed :func:`_simple_edges`."""
     degrees = (np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)).astype(np.int64)
-    text = isinstance(ids, bytes)
-    graph = Graph(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=None if text else ids)
-    if text:
-        graph.__dict__["_id_text"] = ids
-    return graph
+    return Graph(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=labels)
 
 
 def _simple_edges(
@@ -232,34 +224,44 @@ def _simple_edges(
 
 
 def _read(source: TextSource) -> str | bytes:
-    return source if isinstance(source, (str, bytes)) else source.read()
+    """The text or bytes of ``source``, without one leading UTF-8 byte-order mark."""
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    return data.removeprefix(b"\xef\xbb\xbf" if isinstance(data, bytes) else "\ufeff")
 
 
 def _decode(data: str | bytes) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-def _scan(
-    text: str, lines: list[int] | None = None
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, MalformedLineError | None]:
-    """Apply the edge-list line grammar to the lines of ``text``, in order.
+def _undecodable(exc: UnicodeDecodeError) -> tuple[str, int]:
+    """The message for the first byte that is not UTF-8, and its line as ``str.splitlines()`` counts."""
+    valid = exc.object[: exc.start].decode("utf-8")
+    line = len((valid + "#").splitlines())  # one character more stands on the bad byte's line
+    return f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})", line
+
+
+def _scan(text: str, dedupe: bool) -> Graph:
+    """The edge-list line pass: the graph of the lines of ``text``, or the error of the first bad line.
 
     '#' starts a comment and blank lines are skipped. A line whose tokens
     are exactly "v <id>" declares an isolated vertex; any other line needs
-    two endpoints, and tokens after them are ignored. Returns the labels in
-    first-appearance order, the endpoint index arrays and None; at the first
-    line with a single token it stops and returns what it read above that
-    line with a :class:`MalformedLineError` in place of None. Given
-    ``lines``, the line number of each edge is appended to it.
+    two endpoints, and tokens after them are ignored. Labels are numbered
+    in first-appearance order and each edge's line is recorded as it is
+    read. The pass stops at the first line with a single token, then checks
+    the edges above it with :func:`_simple_edges`: the first bad edge raises
+    :class:`SelfLoopError` or :class:`DuplicateEdgeError` with its labels
+    and line, and otherwise that line raises :class:`MalformedLineError`.
     """
     index: dict[str, int] = {}
     us: list[int] = []
     vs: list[int] = []
+    lines: list[int] = []
     setdefault = index.setdefault
     us_append = us.append
     vs_append = vs.append
+    lines_append = lines.append
     scan_comments = "#" in text
-    malformed = None
+    parts: list[str] = []  # a single token is left here only where the pass stopped
     for lineno, line in enumerate(text.splitlines(), 1):
         if scan_comments and "#" in line:
             line = line[: line.index("#")]
@@ -267,16 +269,25 @@ def _scan(
         if not parts:
             continue
         if len(parts) < 2:
-            malformed = MalformedLineError(f"expected two endpoints, got {parts[0]!r}", lineno)
             break
         if parts[0] == "v" and len(parts) == 2:
             setdefault(parts[1], len(index))
             continue
         us_append(setdefault(parts[0], len(index)))
         vs_append(setdefault(parts[1], len(index)))
-        if lines is not None:
-            lines.append(lineno)
-    return tuple(index), np.asarray(us, dtype=np.int32), np.asarray(vs, dtype=np.int32), malformed
+        lines_append(lineno)
+    labels = tuple(index)
+    eu, ev, k = _simple_edges(
+        len(labels), np.asarray(us, dtype=np.int32), np.asarray(vs, dtype=np.int32), dedupe
+    )
+    if k is not None:
+        u, v = labels[eu[k]], labels[ev[k]]
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u!r}", lines[k])
+        raise DuplicateEdgeError(f"duplicate edge {u!r} {v!r}", lines[k])
+    if len(parts) == 1:
+        raise MalformedLineError(f"expected two endpoints, got {parts[0]!r}", lineno)
+    return _graph(len(labels), labels, eu, ev)
 
 
 # A comment runs to the next byte that str.splitlines() treats as a line end.
@@ -337,17 +348,18 @@ def _tokenize(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     return raw, start, length
 
 
-def _token_edges(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray, None] | None:
-    """The general pass's result for an edge list of printable-ASCII ids, or None.
+def _token_edges(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray] | None:
+    """The id text and endpoint arrays of an edge list of printable-ASCII ids, or None.
 
     Vectorized over the raw bytes by :func:`_tokenize`, with no per-line
     Python loop. It applies when, after comments are removed, the input is
     printable ASCII, spaces, tabs, LF and CR, and every non-blank line holds
     exactly two tokens: "v <id>" declares a vertex and any other line is an
     edge, so a "v" in second position is an id. The ids are numbered by
-    :func:`_keys`, and the graph keeps the text of the distinct ids in place
-    of the labels (:func:`_join`). Any other input returns None and takes
-    the general path, which also raises every error.
+    :func:`_keys`; the distinct ids come back as ASCII lines in
+    first-appearance order (:func:`_join`), with the dense endpoint arrays of
+    every edge. No simple-graph rule is checked here and nothing is raised:
+    any other input returns None.
     """
     tokens = _tokenize(data)
     if tokens is None:
@@ -369,7 +381,7 @@ def _token_edges(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray, None
     text = _join(raw, start, length)
     if n_v:  # endpoints are the ids not on a "v" line
         dense = dense[np.repeat(~declared, 2)[keep]]
-    return text, dense[0::2].copy(), dense[1::2].copy(), None
+    return text, dense[0::2].copy(), dense[1::2].copy()
 
 
 def _decimals(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -495,47 +507,39 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
     Format: one edge per line, "u v" separated by whitespace (extra tokens
     are ignored); '#' starts a comment; a line "v <id>" (exactly two tokens,
     first literally "v") declares an isolated vertex. Dense indices are
-    assigned by first appearance, so parsing is deterministic.
+    assigned by first appearance, so parsing is deterministic. The input is
+    UTF-8; one leading byte-order mark is dropped.
 
-    The simple-graph rules are checked once, vectorized, by
-    :func:`_simple_edges`, the check :meth:`Graph.from_edges` applies too:
-    the first self-loop raises :class:`SelfLoopError` and the first repeated
-    edge :class:`DuplicateEdgeError`, unless ``dedupe`` is set, which keeps
-    the first copy of each edge. A line with one token raises
-    :class:`MalformedLineError`. Each error names the first bad line.
+    The simple-graph rules are checked, vectorized, by :func:`_simple_edges`,
+    the check :meth:`Graph.from_edges` applies too: a self-loop raises
+    :class:`SelfLoopError` and a repeated edge :class:`DuplicateEdgeError`,
+    unless ``dedupe`` is set, which keeps the first copy of each edge. A
+    line with one token raises :class:`MalformedLineError`. Each error
+    names the first bad line; a byte that is not UTF-8 raises
+    :class:`EdgeListError` naming its line before any line is read.
     Files of printable-ASCII ids with exactly two tokens on every
     non-blank line are tokenized vectorized (:func:`_token_edges`), whether
-    the ids are integers or not; any other input takes the general pass,
-    :func:`_scan`, with the same result. The line of a bad edge is found by
-    a second scan, run only when an error is raised.
+    the ids are integers or not, and the graph is kept when its edges pass
+    the check. Any other input, and every bad one, is read by the line pass,
+    :func:`_scan`, which gives the same graph and raises every error from
+    its one scan.
     """
     data = _read(source)
-    ids, eu, ev, malformed = _token_edges(data) or _scan(_decode(data))
-    graph = _checked_graph(data, ids, eu, ev, dedupe)  # a bad edge above a malformed line comes first
-    if malformed is not None:
-        raise malformed
-    return graph
-
-
-def _checked_graph(
-    data: str | bytes, ids: tuple[str, ...] | bytes, eu: np.ndarray, ev: np.ndarray, dedupe: bool
-) -> Graph:
-    """The graph of the scanned edge list ``data``, or the error of its first bad edge.
-
-    ``ids`` are the labels or the id text that :func:`_graph` takes. The
-    error's line and labels come from a second :func:`_scan`, whose edges
-    are the ones checked here.
-    """
-    n = ids.count(b"\n") if isinstance(ids, bytes) else len(ids)
-    eu, ev, k = _simple_edges(n, eu, ev, dedupe)
-    if k is None:
-        return _graph(n, ids, eu, ev)
-    lines: list[int] = []
-    labels, eu, ev, _ = _scan(_decode(data), lines)
-    u, v = labels[eu[k]], labels[ev[k]]
-    if u == v:
-        raise SelfLoopError(f"self-loop at vertex {u!r}", lines[k])
-    raise DuplicateEdgeError(f"duplicate edge {u!r} {v!r}", lines[k])
+    tokens = _token_edges(data)
+    if tokens is not None:
+        text, eu, ev = tokens
+        del tokens  # the unchecked arrays are not kept past the check
+        n = text.count(b"\n")
+        eu, ev, k = _simple_edges(n, eu, ev, dedupe)
+        if k is None:
+            graph = _graph(n, None, eu, ev)
+            graph.__dict__["_id_text"] = text
+            return graph
+    try:
+        text = _decode(data)
+    except UnicodeDecodeError as exc:
+        raise EdgeListError(*_undecodable(exc)) from exc
+    return _scan(text, dedupe)
 
 
 @dataclass(frozen=True)

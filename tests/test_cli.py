@@ -125,6 +125,14 @@ class TestAnalyze:
         coloring.write_text("a\tred\n")
         assert main(["analyze", "--graph", str(graph), "--coloring", str(coloring)]) == 2
 
+    def test_byte_that_is_not_utf8_exits_2_naming_its_line(self, tmp_path, capsys):
+        graph = tmp_path / "g.edges"
+        coloring = tmp_path / "c.tsv"
+        graph.write_bytes(b"0 1\n1 2\n2 \xe9\n")
+        coloring.write_text("0\tred\n")
+        assert main(["analyze", "--graph", str(graph), "--coloring", str(coloring)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: byte 0xe9 is not UTF-8")
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["analyze", "--graph", str(tmp_path / "nope"), "--coloring",
                      str(tmp_path / "nope2")]) == 2

@@ -373,3 +373,41 @@ def test_decimal_and_string_ids_never_match(edges, text):
     assert colorings._token_coloring(text, g) is None
     with pytest.raises(nh.UnknownVertexError):
         nh.load_coloring(text, g)
+
+
+@pytest.mark.parametrize("header", ["", "# vertex\tclass\n"])
+@pytest.mark.parametrize("as_bytes", [False, True])
+def test_a_leading_byte_order_mark_is_dropped_and_the_token_path_taken(header, as_bytes):
+    text = header + "".join(f"{v}\tc{i % 3}\n" for i, v in enumerate(VIDS))
+    data = ("\ufeff" + text).encode("utf-8") if as_bytes else "\ufeff" + text
+
+    def refuse(*args):
+        raise AssertionError("the line loop ran")
+
+    with mock.patch.object(nh.Graph, "index", property(refuse)):
+        f = nh.load_coloring(data, _graph())
+    assert f.assignment.tolist() == [i % 3 for i in range(len(VIDS))]
+    assert _outcome(nh.load_coloring, data) == _outcome(_reference, text)
+
+
+def test_a_byte_order_mark_after_the_start_stays_in_the_text():
+    vid = "\ufeff10"
+    with pytest.raises(nh.UnknownVertexError) as exc:
+        nh.load_coloring(f"3\tred\n{vid}\tred\n", _graph())
+    assert str(exc.value) == f"line 2: vertex {vid!r} is not in the graph"
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"3\tred\n10\tblue\n0\t\xe9\n", 3),
+        (b"\xef\xbb\xbf3\tred\r\n\xff", 2),
+        (b"# caf\xc3\xa9 \xe9\n3\tred\n", 1),
+    ],
+)
+def test_a_byte_that_is_not_utf8_names_its_line(data, line):
+    with pytest.raises(nh.ColoringError) as exc:
+        nh.load_coloring(data, _graph())
+    assert type(exc.value) is nh.ColoringError
+    assert str(exc.value).startswith(f"line {line}: byte 0x")
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)

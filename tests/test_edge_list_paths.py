@@ -350,8 +350,10 @@ class TestIntegerPath:
         assert _outcome(nh.load_edge_list, data, False) == _outcome(_general, data, False)
 
     def test_invalid_utf8_in_comment_still_raises(self):
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(nh.EdgeListError) as exc:
             nh.load_edge_list(b"1 2 # caf\xe9\n2 3\n")
+        assert exc.value.line == 1
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
     @pytest.mark.parametrize(
         "data,error,line",
@@ -373,3 +375,81 @@ class TestIntegerPath:
         g = nh.load_edge_list(b"3 1\n1 2\n1 3\n2 1\n", dedupe=True)
         assert list(zip(g.edges_u.tolist(), g.edges_v.tolist())) == [(0, 1), (1, 2)]
         assert g.degrees.dtype == np.int64
+
+
+def _refuse(*args):
+    raise AssertionError("the line pass ran")
+
+
+REPEATED_EDGE = "0 1\n1 2\n2 0\n1 0\n"
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [
+        (REPEATED_EDGE, nh.DuplicateEdgeError, "line 4: duplicate edge '1' '0'"),  # token pass first
+        (REPEATED_EDGE.replace("\n", " x\n"), nh.DuplicateEdgeError, "line 4: duplicate edge '1' '0'"),
+        ("0 1 x\n1 1 x\n2\n", nh.SelfLoopError, "line 2: self-loop at vertex '1'"),  # above a lone id
+    ],
+)
+def test_a_failing_load_scans_the_lines_once(data, error, message):
+    """Every error, whichever pass read the file first, comes from one scan of its lines."""
+    calls = []
+    scan = graphs._scan
+
+    def spy(*args):
+        calls.append(args)
+        return scan(*args)
+
+    with mock.patch.object(graphs, "_scan", spy), pytest.raises(error) as exc:
+        nh.load_edge_list(data)
+    assert (str(exc.value), len(calls)) == (message, 1)
+    assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, data, False)
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("header", ["", "# nodes\tedges\n"])
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_a_leading_mark_is_dropped_and_the_token_pass_taken(self, header, as_bytes):
+        text = header + "0 1\n1 2\nv 3\n"
+        data = ("\ufeff" + text).encode("utf-8") if as_bytes else "\ufeff" + text
+        with mock.patch.object(graphs, "_scan", _refuse):
+            g = nh.load_edge_list(data)
+        assert g.labels == ("0", "1", "2", "3")
+        assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, text, False)
+
+    def test_the_line_pass_drops_it_too(self):
+        data = b"\xef\xbb\xbf0 1 x\n1 2 x\n1 0\n"
+        with pytest.raises(nh.DuplicateEdgeError) as exc:
+            nh.load_edge_list(data)
+        assert (str(exc.value), exc.value.line) == ("line 3: duplicate edge '1' '0'", 3)
+
+    @pytest.mark.parametrize(
+        "data, labels",
+        [
+            ("\ufeff\ufeff0 1\n", ("\ufeff0", "1")),  # only one mark is dropped
+            ("0 1\n\ufeff1 2\n", ("0", "1", "\ufeff1", "2")),
+            (b"0 1\n\xef\xbb\xbf1 2\n", ("0", "1", "\ufeff1", "2")),
+        ],
+    )
+    def test_a_mark_anywhere_else_stays_in_the_text(self, data, labels):
+        assert nh.load_edge_list(data).labels == labels
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"0 1\n1 2\n2 \xe9\n", 3),
+        (b"0 1 x\r\n\xff 2\n", 2),
+        (b"0 1\r\xe9", 2),  # a lone CR ends a line, and the bad byte ends the file
+        (b"\xef\xbb\xbf# caf\xc3\xa9\n\xe9 1\n", 2),  # after a mark and a valid non-ASCII comment
+        (b"0 1\x0b\xe9 2\n", 2),  # a line end to str.splitlines() only
+    ],
+)
+def test_a_byte_that_is_not_utf8_names_its_line(data, line):
+    with pytest.raises(nh.EdgeListError) as exc:
+        nh.load_edge_list(data)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: byte 0x")
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+    assert graphs._tokenize(data) is None

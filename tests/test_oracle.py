@@ -99,13 +99,13 @@ def _naive_outcome_counts(g, p):
 
 
 @st.composite
-def small_instances(draw, min_n=4, max_s=5):
-    """A graph on min_n-10 vertices and a profile of at most max_s classes with at most 2e4 colorings."""
-    n = draw(st.integers(min_n, 10))
+def small_instances(draw, min_n=4, max_n=10, max_s=5, max_colorings=2 * 10**4):
+    """A graph on min_n-max_n vertices and a profile of at most max_s classes and max_colorings colorings."""
+    n = draw(st.integers(min_n, max_n))
     s = draw(st.integers(1, min(max_s, n)))
     cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=s - 1, max_size=s - 1, unique=True)))
     p = nh.Profile(tuple(b - a for a, b in zip([0, *cuts], [*cuts, n])))
-    assume(p.coloring_count() <= 2 * 10**4)
+    assume(p.coloring_count() <= max_colorings)
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return nh.Graph.from_edges(n, itertools.compress(pairs, keep)), p
@@ -133,7 +133,7 @@ def test_enumeration_matches_the_naive_loop(case):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(small_instances(min_n=7, max_s=4))
+@given(small_instances(min_n=7, max_n=12, max_s=4, max_colorings=10**6))
 @example((nh.Graph.from_edges(8, []), nh.Profile((3, 3, 2))))  # no edges
 @example((nh.Graph.from_edges(7, []), nh.Profile((7,))))
 def test_tail_bounds_hold_beyond_the_atlas(case):
