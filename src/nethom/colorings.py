@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -28,6 +27,7 @@ from .graphs import (
     _join,
     _keys,
     _read,
+    _Record,
     _tokenize,
     _undecodable,
 )
@@ -74,24 +74,23 @@ def falling_factorial(a: int, q: int) -> int:
     return math.perm(a, q)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Record):
     """Class sizes (c_1, ..., c_s) of a labeled partition; all sizes >= 1."""
 
-    sizes: tuple[int, ...]
+    _fields = ("sizes",)
 
-    def __post_init__(self):
-        sizes = []
-        for c in self.sizes:
+    def __init__(self, sizes: tuple[int, ...]):
+        checked = []
+        for c in sizes:
             try:
-                sizes.append(operator.index(c))
+                checked.append(operator.index(c))
             except TypeError:
                 raise ValueError(f"class size {c!r} is not an integer") from None
-        object.__setattr__(self, "sizes", tuple(sizes))
-        if len(self.sizes) == 0:
+        if not checked:
             raise ValueError("a profile needs at least one class")
-        if any(c < 1 for c in self.sizes):
+        if any(c < 1 for c in checked):
             raise ValueError("every class size must be >= 1")
+        super().__init__(tuple(checked))
 
     @property
     def n(self) -> int:
@@ -109,15 +108,14 @@ class Profile:
         return total
 
 
-@dataclass(frozen=True, eq=False)
-class Coloring:
+class Coloring(_Record, eq=False):
     """Assignment of each vertex index to a class index in 0..s-1."""
 
-    assignment: np.ndarray
-    class_labels: tuple[str, ...]
+    _fields = ("assignment", "class_labels")
 
-    def __post_init__(self):
-        self.assignment.setflags(write=False)
+    def __init__(self, assignment: np.ndarray, class_labels: tuple[str, ...]):
+        super().__init__(assignment, class_labels)
+        assignment.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -133,11 +131,13 @@ class Coloring:
         return Profile(tuple(int(c) for c in counts))
 
 
-@dataclass(frozen=True)
-class ObservedOutcome:
+class ObservedOutcome(_Record):
     """Per-class homophilic edge counts (edges with both endpoints in class i)."""
 
-    counts: tuple[int, ...]
+    _fields = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]):
+        super().__init__(counts)
 
     @property
     def s(self) -> int:
@@ -164,14 +164,15 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     keys the ids together with the graph's id text, which a graph from
     :func:`~nethom.graphs.load_edge_list`'s vectorized path kept from its
     own parse, and builds neither ``graph.index`` nor ``graph.labels``. Any
-    other input takes the general path. A byte that is not UTF-8 raises
-    :class:`ColoringError` naming its line before any line is read; then
-    one pass over the lines raises at the first bad one: a line without a
-    tab or with an empty field (:class:`ColoringError`), an id not in the
-    graph (:class:`UnknownVertexError`) or a vertex already assigned
-    (:class:`DuplicateVertexError`); the error names that line.
-    After the pass, unassigned vertices raise :class:`MissingVertexError`.
-    Only the general path raises, so every error comes from it.
+    other input takes the general path, whose one pass over the lines
+    (:func:`_line_pass`) raises at the first bad one: a line without a tab
+    or with an empty field (:class:`ColoringError`), an id not in the graph
+    (:class:`UnknownVertexError`) or a vertex already assigned
+    (:class:`DuplicateVertexError`); the error names that line. After the
+    pass, unassigned vertices raise :class:`MissingVertexError`. A byte that
+    is not UTF-8 raises :class:`ColoringError` naming its line, unless a
+    line above it is bad. Only the general path raises, so every error
+    comes from it.
     """
     data = _read(source)
     fast = _token_coloring(data, graph)
@@ -180,8 +181,26 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     try:
         text = _decode(data)
     except UnicodeDecodeError as exc:
-        message, line = _undecodable(exc)
-        raise ColoringError(f"line {line}: {message}") from exc
+        bad = exc
+    else:
+        assignment, class_labels = _line_pass(text, graph)
+        missing = np.flatnonzero(assignment < 0)
+        if missing.size:
+            names = ", ".join(repr(graph.labels[int(i)]) for i in missing[:5])
+            more = "" if missing.size <= 5 else f" (+{missing.size - 5} more)"
+            raise MissingVertexError(f"no class assigned to vertex {names}{more}")
+        return Coloring(assignment=assignment, class_labels=class_labels)
+    message, line, above = _undecodable(bad)
+    _line_pass(above, graph)  # a bad line above the byte is the first bad line
+    raise ColoringError(f"line {line}: {message}") from bad
+
+
+def _line_pass(text: str, graph: Graph) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The general path's pass over the lines of ``text``; raises at the first bad line.
+
+    Returns each vertex's class index (int32, -1 where the text names no
+    class for it) and the class labels in first-appearance order.
+    """
     index = graph.index
     class_index: dict[str, int] = {}
     assign = array("i", [-1]) * graph.n  # C ints, which numpy reads in place
@@ -202,13 +221,7 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
         if assign[i] >= 0:
             raise DuplicateVertexError(f"line {lineno}: vertex {vid!r} assigned twice")
         assign[i] = class_index.setdefault(label, len(class_index))
-    assignment = np.frombuffer(assign, dtype=np.int32)
-    missing = np.flatnonzero(assignment < 0)
-    if missing.size:
-        names = ", ".join(repr(graph.labels[int(i)]) for i in missing[:5])
-        more = "" if missing.size <= 5 else f" (+{missing.size - 5} more)"
-        raise MissingVertexError(f"no class assigned to vertex {names}{more}")
-    return Coloring(assignment=assignment, class_labels=tuple(class_index))
+    return np.frombuffer(assign, dtype=np.int32), tuple(class_index)
 
 
 _TAB = ord("\t")

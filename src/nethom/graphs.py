@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import IO, Iterable, Union
@@ -59,6 +58,50 @@ class MalformedLineError(EdgeListError):
     pass
 
 
+class _Record:
+    """The frozen record types' base: the fields named by ``_fields``, set once by ``__init__``.
+
+    Assigning or deleting any attribute raises ``AttributeError``, and the
+    repr lists the fields in order. A record compares and hashes by the
+    values of its fields, unless its class is declared with ``eq=False``,
+    which keeps identity. ``__match_args__`` is the field tuple. Nothing is
+    generated at import: a record type costs what a plain class costs.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+        if not eq:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
 class _Labels:
     """The ``labels`` field of :class:`Graph`, split from the kept id text on first access.
 
@@ -69,18 +112,17 @@ class _Labels:
 
     def __get__(self, graph, owner=None):
         if graph is None:
-            raise AttributeError("labels")  # a field without a default
+            return self
         labels = graph.__dict__["labels"]
         if labels is None and "_id_text" in graph.__dict__:
             labels = graph.__dict__["labels"] = tuple(graph._id_text.decode("ascii").splitlines())
         return labels
 
-    def __set__(self, graph, labels):
+    def __set__(self, graph, labels):  # a data descriptor, so it is read before the instance dict
         graph.__dict__["labels"] = labels
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(_Record, eq=False):
     """Immutable simple undirected graph on dense vertex indices 0..n-1.
 
     Invariants: no self-loops, no duplicate edges, all endpoints in range,
@@ -97,14 +139,19 @@ class Graph:
     graph joins its labels when a coloring first needs them.
     """
 
-    n: int
-    edges_u: np.ndarray
-    edges_v: np.ndarray
-    degrees: np.ndarray
-    labels: tuple[str, ...] = _Labels()
+    _fields = ("n", "edges_u", "edges_v", "degrees", "labels")
+    labels = _Labels()
 
-    def __post_init__(self):
-        for arr in (self.edges_u, self.edges_v, self.degrees):
+    def __init__(
+        self,
+        n: int,
+        edges_u: np.ndarray,
+        edges_v: np.ndarray,
+        degrees: np.ndarray,
+        labels: tuple[str, ...] | None,
+    ):
+        super().__init__(n, edges_u, edges_v, degrees, labels)
+        for arr in (edges_u, edges_v, degrees):
             arr.setflags(write=False)
 
     @property
@@ -233,11 +280,17 @@ def _decode(data: str | bytes) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-def _undecodable(exc: UnicodeDecodeError) -> tuple[str, int]:
-    """The message for the first byte that is not UTF-8, and its line as ``str.splitlines()`` counts."""
+def _undecodable(exc: UnicodeDecodeError) -> tuple[str, int, str]:
+    """The first byte that is not UTF-8: its message, its line, and the complete lines above it.
+
+    Lines are counted as ``str.splitlines()`` counts them; the lines above
+    come back as one text, which the caller's line pass reads first, so that
+    a bad line above the byte is reported ahead of it.
+    """
     valid = exc.object[: exc.start].decode("utf-8")
-    line = len((valid + "#").splitlines())  # one character more stands on the bad byte's line
-    return f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})", line
+    lines = (valid + "#").splitlines()  # the "#" stands on the bad byte's line
+    message = f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+    return message, len(lines), "\n".join(lines[:-1])
 
 
 def _scan(text: str, dedupe: bool) -> Graph:
@@ -320,8 +373,11 @@ def _tokenize(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
             return None
     elif isinstance(data, str):
         data = data.encode("ascii")
-    if b"#" in data:
-        data = _COMMENT.sub(b"", data)
+    first = data.find(b"#")
+    if first >= 0:  # only the span from the first "#" to the last comment's end is scanned
+        last = _COMMENT.match(data, data.rfind(b"#")).end()
+        view = memoryview(data)
+        data = b"".join((view[:first], _COMMENT.sub(b"", view[first:last]), view[last:]))
     if data.translate(None, _PRINTABLE):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -516,7 +572,7 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
     unless ``dedupe`` is set, which keeps the first copy of each edge. A
     line with one token raises :class:`MalformedLineError`. Each error
     names the first bad line; a byte that is not UTF-8 raises
-    :class:`EdgeListError` naming its line before any line is read.
+    :class:`EdgeListError` naming its line, unless a line above it is bad.
     Files of printable-ASCII ids with exactly two tokens on every
     non-blank line are tokenized vectorized (:func:`_token_edges`), whether
     the ids are integers or not, and the graph is kept when its edges pass
@@ -538,12 +594,15 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
     try:
         text = _decode(data)
     except UnicodeDecodeError as exc:
-        raise EdgeListError(*_undecodable(exc)) from exc
-    return _scan(text, dedupe)
+        bad = exc
+    else:
+        return _scan(text, dedupe)
+    message, line, above = _undecodable(bad)
+    _scan(above, dedupe)  # a bad line above the byte is the first bad line
+    raise EdgeListError(message, line) from bad
 
 
-@dataclass(frozen=True)
-class GraphSummary:
+class GraphSummary(_Record):
     """One-pass degree summary of a graph.
 
     Exact integer fields: ``pi3`` counts two-edge paths (unordered edge pairs
@@ -555,15 +614,26 @@ class GraphSummary:
     degree distribution (nan when there are no edges).
     """
 
-    n: int
-    m: int
-    pi3: int
-    ordered_disjoint_pairs: int
-    sum_sq_degrees: int
-    rho: float
-    delta1: float
-    delta2: float
-    upsilon: float
+    _fields = (
+        "n", "m", "pi3", "ordered_disjoint_pairs", "sum_sq_degrees", "rho", "delta1", "delta2",
+        "upsilon",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        pi3: int,
+        ordered_disjoint_pairs: int,
+        sum_sq_degrees: int,
+        rho: float,
+        delta1: float,
+        delta2: float,
+        upsilon: float,
+    ):
+        super().__init__(
+            n, m, pi3, ordered_disjoint_pairs, sum_sq_degrees, rho, delta1, delta2, upsilon
+        )
 
 
 def summarize(g: Graph) -> GraphSummary:

@@ -34,13 +34,12 @@ full matrix, where such classes contribute zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .colorings import Coloring, ObservedOutcome, Profile, _degree_mass, falling_factorial
-from .graphs import Graph
+from .graphs import Graph, _Record
 from .moments import CovarianceStructure
 
 __all__ = [
@@ -167,17 +166,17 @@ def index_r(o: ObservedOutcome, cs: CovarianceStructure) -> float:
     return _fold_r(_score_r(o.counts, cs), cs)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_Record):
     """Finite, nonnegative, nonzero per-class weights, kept as a read-only float copy."""
 
-    w: np.ndarray
+    _fields = ("w",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", np.array(self.w, dtype=float))
-        self.w.setflags(write=False)
-        if not np.isfinite(self.w).all() or np.any(self.w < 0) or not np.any(self.w > 0):
+    def __init__(self, w: np.ndarray):
+        w = np.array(w, dtype=float)
+        w.setflags(write=False)
+        if not np.isfinite(w).all() or np.any(w < 0) or not np.any(w > 0):
             raise ValueError("weights must be finite, nonnegative and not all zero")
+        super().__init__(w)
 
 
 def weight_preset(name: str, g: Graph, p: Profile) -> WeightVector:
@@ -269,21 +268,31 @@ def descriptive_ratio(o: ObservedOutcome, m: int) -> float | None:
     return int(o.total) / m
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(_Record):
     """Every quantifier for one (graph, coloring) pair, plus degeneracy notes."""
 
-    observed: tuple[int, ...]
-    mbar: tuple[float, ...]
-    z: tuple[float, ...]
-    gamma: float
-    a: float | None
-    r: float
-    h: float | None
-    j_theta: dict[str, float | None]
-    newman_q: float | None
-    descriptive_ratio: float | None
-    notes: tuple[str, ...]
+    _fields = (
+        "observed", "mbar", "z", "gamma", "a", "r", "h", "j_theta", "newman_q",
+        "descriptive_ratio", "notes",
+    )
+
+    def __init__(
+        self,
+        observed: tuple[int, ...],
+        mbar: tuple[float, ...],
+        z: tuple[float, ...],
+        gamma: float,
+        a: float | None,
+        r: float,
+        h: float | None,
+        j_theta: dict[str, float | None],
+        newman_q: float | None,
+        descriptive_ratio: float | None,
+        notes: tuple[str, ...],
+    ):
+        super().__init__(
+            observed, mbar, z, gamma, a, r, h, j_theta, newman_q, descriptive_ratio, notes
+        )
 
 
 class IndexEvaluator:

@@ -33,13 +33,12 @@ of immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .colorings import Profile, falling_factorial
-from .graphs import GraphSummary, gamma_invariant
+from .graphs import GraphSummary, _Record, gamma_invariant
 
 __all__ = [
     "REL_TOL",
@@ -56,8 +55,7 @@ __all__ = [
 REL_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class MomentSummary:
+class MomentSummary(_Record, eq=False):
     """Exact means and variances per slot, and the slot of every class.
 
     A slot is a group of classes that share their moments: ``size[k]``,
@@ -67,10 +65,16 @@ class MomentSummary:
     every slot holds a class.
     """
 
-    size: tuple[int, ...]
-    mbar: tuple[Fraction, ...]
-    var: tuple[Fraction, ...]
-    slot: np.ndarray
+    _fields = ("size", "mbar", "var", "slot")
+
+    def __init__(
+        self,
+        size: tuple[int, ...],
+        mbar: tuple[Fraction, ...],
+        var: tuple[Fraction, ...],
+        slot: np.ndarray,
+    ):
+        super().__init__(size, mbar, var, slot)
 
 
 def moment_summary(s: GraphSummary, p: Profile) -> MomentSummary:

@@ -23,13 +23,12 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
 from .colorings import ColoringError, ObservedOutcome, Profile, sample_counts
-from .graphs import Graph, _gamma_from_counts
+from .graphs import Graph, _gamma_from_counts, _Record
 from .indices import _fold_a, _fold_h, _fold_r, _score_a, _score_h, _score_r, z_scores
 from .moments import CovarianceStructure
 
@@ -72,18 +71,19 @@ class EnumerationLimitError(RuntimeError):
         super().__init__(f"{text} colorings exceed the enumeration limit {limit}")
 
 
-@dataclass(frozen=True, eq=False)
-class ExactDistribution:
+class ExactDistribution(_Record, eq=False):
     """Exact law of the homophilic-count vector for one (graph, profile).
 
     ``outcome_counts`` maps each outcome tuple to its number of colorings
     among the ``total`` colorings of the profile.
     """
 
-    graph: Graph
-    profile: Profile
-    outcome_counts: dict[tuple[int, ...], int]
-    total: int
+    _fields = ("graph", "profile", "outcome_counts", "total")
+
+    def __init__(
+        self, graph: Graph, profile: Profile, outcome_counts: dict[tuple[int, ...], int], total: int
+    ):
+        super().__init__(graph, profile, outcome_counts, total)
 
     @cached_property
     def support(self) -> dict[tuple[int, ...], Fraction]:
@@ -338,14 +338,13 @@ def validate(d: ExactDistribution, cs: CovarianceStructure) -> list[dict]:
     return checks + [_check("sherman_morrison", worst <= 1e-9, detail)]
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(_Record):
     """Monte Carlo tail estimate with a 99% normal-approximation half-width."""
 
-    estimate: float
-    half_width: float
-    samples: int
-    seed: int
+    _fields = ("estimate", "half_width", "samples", "seed")
+
+    def __init__(self, estimate: float, half_width: float, samples: int, seed: int):
+        super().__init__(estimate, half_width, samples, seed)
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -426,8 +425,7 @@ def matching_tail_table(m: int) -> list[Fraction]:
     return [pref * Fraction(sk, den) for sk in suffix[: h + 1]]
 
 
-@dataclass(frozen=True)
-class TreeGammaReport:
+class TreeGammaReport(_Record):
     """Extremes of the covariance-scale invariant over labeled trees on n vertices.
 
     ``max_count`` and ``min_count`` count the labeled trees attaining
@@ -436,14 +434,25 @@ class TreeGammaReport:
     one tree shape is both, so the two extremes coincide.
     """
 
-    n: int
-    gamma_max: Fraction
-    gamma_min: Fraction
-    max_count: int
-    min_count: int
-    max_all_paths: bool
-    min_all_stars: bool
-    tree_count: int
+    _fields = (
+        "n", "gamma_max", "gamma_min", "max_count", "min_count", "max_all_paths", "min_all_stars",
+        "tree_count",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        gamma_max: Fraction,
+        gamma_min: Fraction,
+        max_count: int,
+        min_count: int,
+        max_all_paths: bool,
+        min_all_stars: bool,
+        tree_count: int,
+    ):
+        super().__init__(
+            n, gamma_max, gamma_min, max_count, min_count, max_all_paths, min_all_stars, tree_count
+        )
 
 
 def tree_gamma_scan(n: int) -> TreeGammaReport:

@@ -411,3 +411,23 @@ def test_a_byte_that_is_not_utf8_names_its_line(data, line):
     assert type(exc.value) is nh.ColoringError
     assert str(exc.value).startswith(f"line {line}: byte 0x")
     assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
+# The lines above a byte that is not UTF-8 (the graph's ids are the VIDS);
+# the bytes end with the line "3\t\xe9", the text with "3\té".
+ABOVE_A_BAD_BYTE = {
+    "no tab": "a\n\n",
+    "empty label": "# café\n3\t \n",
+    "unknown vertex": "3\tred\r\nx\tred\r\n",
+    "vertex assigned twice": "3\tred\r10\tred\r3\tblue\r",
+}
+
+
+@pytest.mark.parametrize("above", ABOVE_A_BAD_BYTE.values(), ids=ABOVE_A_BAD_BYTE)
+def test_a_bad_line_above_a_byte_that_is_not_utf8_is_reported_first(above):
+    with pytest.raises(nh.ColoringError) as want:
+        nh.load_coloring(above + "3\té\n", _graph())
+    with pytest.raises(type(want.value)) as got:
+        nh.load_coloring(above.encode("utf-8") + b"3\t\xe9\n", _graph())
+    assert str(got.value) == str(want.value)
+    assert got.value.__cause__ is None

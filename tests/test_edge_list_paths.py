@@ -453,3 +453,60 @@ def test_a_byte_that_is_not_utf8_names_its_line(data, line):
     assert str(exc.value).startswith(f"line {line}: byte 0x")
     assert isinstance(exc.value.__cause__, UnicodeDecodeError)
     assert graphs._tokenize(data) is None
+
+
+# The lines above a byte that is not UTF-8; the bytes end with the line "x \xe9",
+# the text with "x é", an edge, so the text's error stands above it too.
+ABOVE_A_BAD_BYTE = {
+    "self-loop": "1 1\n",
+    "repeated edge": "0 1\n# café\n1 0\n",
+    "one token": "0 1\r\n2\r\n",
+    "lone CR": "0 1\r1 0\r",
+    "vertical tab": "0 1\x0b1 1\x0b",
+}
+
+
+@pytest.mark.parametrize("above", ABOVE_A_BAD_BYTE.values(), ids=ABOVE_A_BAD_BYTE)
+def test_a_bad_line_above_a_byte_that_is_not_utf8_is_reported_first(above):
+    with pytest.raises(nh.EdgeListError) as want:
+        nh.load_edge_list(above + "x é\n")
+    with pytest.raises(type(want.value)) as got:
+        nh.load_edge_list(above.encode("utf-8") + b"x \xe9\n")
+    assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+    assert got.value.__cause__ is None
+
+
+def test_a_repeat_that_dedupe_keeps_leaves_the_byte_reported():
+    data = b"0 1\n1 0\n2 \xe9\n"
+    assert nh.load_edge_list(data.decode("latin-1"), dedupe=True).m == 2
+    with pytest.raises(nh.EdgeListError) as exc:
+        nh.load_edge_list(data, dedupe=True)
+    assert exc.value.line == 3 and isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
+BODY = "".join(f"{i} {i + 1}\n" for i in range(200))
+BODY2 = "".join(f"{i}  {i + 2}\n" for i in range(200))  # other edges, two spaces apart
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# a header\n# of two lines\n" + BODY,
+        BODY + "# between\n" + BODY2,
+        BODY + "# at the end, with no line end",
+        "0 1 # a comment # with a second '#'\n" + BODY,
+        "# café\n" + BODY + "7 8 # naïve ☃\n",
+        "# start\r\n" + BODY + "# middle\r" + BODY2 + "5 9 # end\r\n",
+        BODY,
+    ],
+    ids=["start", "middle", "end", "hash in a comment", "non-ASCII", "three", "none"],
+)
+def test_comments_are_removed_where_they_stand(text):
+    """The token bounds are those of the text with every comment cut out."""
+    want = graphs._tokenize(graphs._COMMENT.sub(b"", text.encode("utf-8")))
+    for data in (text, text.encode("utf-8")):
+        got = graphs._tokenize(data)
+        assert got is not None and len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert _outcome(nh.load_edge_list, text, False) == _outcome(reference_load, text, False)
