@@ -64,8 +64,12 @@ class _Record:
     Assigning or deleting any attribute raises ``AttributeError``, and the
     repr lists the fields in order. A record compares and hashes by the
     values of its fields, unless its class is declared with ``eq=False``,
-    which keeps identity. ``__match_args__`` is the field tuple. Nothing is
-    generated at import: a record type costs what a plain class costs.
+    which keeps identity. Fields compare as tuple items do, by identity and
+    then ``==``, except that an ndarray field compares by shape and entries;
+    so, as in dataclasses, a nan field makes two records unequal unless both
+    hold the same object. A record with an ndarray field is unhashable.
+    ``__match_args__`` is the field tuple. Nothing is generated at import: a
+    record type costs what a plain class costs.
     """
 
     _fields: tuple[str, ...] = ()
@@ -96,7 +100,10 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(
+            a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+            for a, b in zip(self._values(), other._values())
+        )
 
     def __hash__(self) -> int:
         return hash(self._values())

@@ -394,6 +394,7 @@ class TestVersionEmbedding:
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _run_python(args, threads):
@@ -440,3 +441,63 @@ class TestEntryPoint:
         proc = _run_python(["-m", "nethom", "--version"], None)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout == f"nethom {nh.__version__}\n"
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["toy-curve", "--edges", "4", "--out", os.devnull], "0"),
+            (["toy-curve", "--edges", "1"], "2"),
+            (["oracle-check", "--graph", str(DATA / "golden_graph.edges"), "--profile", "15,15",
+              "--limit", "1"], "3"),
+            (["--version"], "SystemExit(0)"),
+            (["no-such-command"], "SystemExit(2)"),
+        ],
+        ids=["exit-0", "exit-2", "exit-3", "version", "usage-error"],
+    )
+    def test_main_returns_the_cli_code_then_freezes_the_collector(self, argv, want):
+        # a fresh interpreter, so that the test process itself is never frozen
+        code = (
+            "import gc, sys\n"
+            "from nethom import cli, __main__ as entry\n"
+            "def run(main):\n"
+            "    try:\n"
+            "        return str(main(sys.argv[1:]))\n"
+            "    except SystemExit as exc:\n"
+            "        return f'SystemExit({exc.code})'\n"
+            "library = run(cli.main)\n"
+            "frozen_by_library = gc.get_freeze_count()\n"
+            "entry_point = run(entry.main)\n"
+            "print(library, frozen_by_library, entry_point, gc.get_freeze_count() > 0)\n"
+        )
+        proc = _run_python(["-c", code, *argv], None)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == f"{want} 0 {want} True"
+
+    def test_atexit_handlers_run_after_the_report(self, capsys):
+        assert main(["toy-curve", "--edges", "4"]) == 0
+        report = capsys.readouterr().out
+        code = (
+            "import atexit, sys\n"
+            "from nethom.__main__ import main\n"
+            "atexit.register(print, 'atexit handler ran')\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = _run_python(["-c", code, "toy-curve", "--edges", "4"], None)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == report + "atexit handler ran\n"
+
+    def test_piped_report_matches_out_file(self, tmp_path):
+        argv = ["-m", "nethom", "analyze", "--graph", str(DATA / "golden_graph.edges"),
+                "--coloring", str(DATA / "golden_coloring.tsv"), "--format", "tsv"]
+        out = tmp_path / "report.tsv"
+        piped = _run_python(argv, None)
+        written = _run_python([*argv, "--out", str(out)], None)
+        assert piped.returncode == written.returncode == 0, piped.stderr + written.stderr
+        assert written.stdout == ""
+
+        def without_timing(text):
+            return [line for line in text.splitlines(True) if not line.startswith("timing.")]
+
+        assert without_timing(piped.stdout) == without_timing(out.read_text(encoding="utf-8"))
+        golden = (DATA / "golden_analyze.tsv").read_text(encoding="utf-8")
+        assert without_timing(piped.stdout) == golden.splitlines(True)

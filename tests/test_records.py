@@ -52,8 +52,7 @@ RECORDS = {
         False,
         True,
     ),
-    # one weight, so that comparing the two arrays gives one truth value
-    "WeightVector": (dict(w=np.array([0.5])), True, False),
+    "WeightVector": (dict(w=np.array([0.5, 1.0, 2.0])), True, False),
     "IndexReport": (
         dict(
             observed=(1,), mbar=(0.5,), z=(1.0,), gamma=-0.25, a=0.5, r=0.5, h=None,
@@ -226,6 +225,28 @@ def test_weight_vector_keeps_a_read_only_float_copy():
     assert w.w.dtype == np.float64 and not w.w.flags.writeable
     given[0] = 5  # the caller's array stays writable and is not shared
     assert w.w.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "other,equal",
+    [([1.0, 2.0, 3.0], True), ([1, 2, 3], True), ([1.0, 2.0, 4.0], False), ([1.0, 2.0], False),
+     ([1.0, 2.0, 3.0, 0.0], False)],
+    ids=["equal", "equal-from-ints", "different-entries", "shorter", "longer"],
+)
+def test_weight_vectors_compare_by_shape_and_entries(other, equal):
+    a = nh.WeightVector(np.array([1.0, 2.0, 3.0]))
+    b = nh.WeightVector(np.array(other))
+    assert (a == b) is equal and (b == a) is equal
+    assert (a != b) is not equal and (b != a) is not equal
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(b)
+
+
+def test_nan_fields_compare_unequal():
+    edgeless = nh.Graph.from_edges(2, [])
+    a, b = nh.summarize(edgeless), nh.summarize(edgeless)
+    assert np.isnan(a.upsilon) and a.upsilon is not b.upsilon
+    assert a != b and a == a
 
 
 @pytest.mark.parametrize(
