@@ -8,52 +8,37 @@ rank-one-structured covariance matrix, and one-sided tail inequalities
 combine into a family of homophily indices on a universal [-1, 1] scale,
 validated against an exact enumeration oracle on small instances.
 
-Public names load on first use (PEP 562): ``import nethom`` imports no
-submodule, and so no numpy, until one of the names in ``__all__`` is read.
+The public names are ``__version__`` and then the ``__all__`` of each
+submodule in ``_SUBMODULES``, in that order. They load on first use
+(PEP 562): ``import nethom`` imports no submodule, and so no numpy, until a
+public name or ``__all__`` is read; then the submodules load in order and
+bind their names here. Reading any other dunder name loads nothing.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# public name -> the submodule that defines it
-_EXPORTS = {
-    **dict.fromkeys((
-        "Graph", "GraphSummary", "EdgeListError", "SelfLoopError", "DuplicateEdgeError",
-        "MalformedLineError", "load_edge_list", "summarize", "gamma_invariant",
-        "dispersion_margin",
-    ), "graphs"),
-    **dict.fromkeys((
-        "Profile", "Coloring", "ObservedOutcome", "ColoringError", "MissingVertexError",
-        "UnknownVertexError", "DuplicateVertexError", "falling_factorial", "load_coloring",
-        "homophilic_counts", "random_coloring", "sample_counts",
-    ), "colorings"),
-    **dict.fromkeys((
-        "MomentSummary", "CovarianceStructure", "moment_summary", "covariance_exact",
-        "covariance_structure",
-    ), "moments"),
-    **dict.fromkeys((
-        "WeightVector", "IndexReport", "IndexEvaluator", "UndefinedQuantityError", "z_scores",
-        "index_a", "index_r", "index_h", "index_j_theta", "weight_preset", "newman_modularity",
-        "descriptive_ratio", "build_index_report",
-    ), "indices"),
-    **dict.fromkeys((
-        "ExactDistribution", "TailEstimate", "TreeGammaReport", "EnumerationLimitError",
-        "enumerate_colorings", "exact_moments", "exact_tail", "mc_tail", "matching_graph",
-        "matching_tail_table", "tree_gamma_scan",
-    ), "oracle"),
-}
+_SUBMODULES = ("graphs", "colorings", "moments", "indices", "oracle")
 
-__all__ = ["__version__", *_EXPORTS]
+
+def _load():
+    names = ["__version__"]
+    for sub in _SUBMODULES:
+        module = importlib.import_module(f".{sub}", __name__)
+        names += module.__all__
+        globals().update((name, getattr(module, name)) for name in module.__all__)
+    globals()["__all__"] = names
 
 
 def __getattr__(name):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    if name == "__all__" or not name.startswith("__"):
+        _load()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_EXPORTS})
+    _load()
+    return sorted(globals())

@@ -77,9 +77,9 @@ def falling_factorial(a: int, q: int) -> int:
 class Profile(_Record):
     """Class sizes (c_1, ..., c_s) of a labeled partition; all sizes >= 1."""
 
-    _fields = ("sizes",)
+    sizes: tuple[int, ...]
 
-    def __init__(self, sizes: tuple[int, ...]):
+    def __init__(self, sizes):
         checked = []
         for c in sizes:
             try:
@@ -109,13 +109,19 @@ class Profile(_Record):
 
 
 class Coloring(_Record, eq=False):
-    """Assignment of each vertex index to a class index in 0..s-1."""
+    """Assignment of each vertex index to a class index in 0..s-1, as a 1-D integer array."""
 
-    _fields = ("assignment", "class_labels")
+    assignment: np.ndarray
+    class_labels: tuple[str, ...]
 
-    def __init__(self, assignment: np.ndarray, class_labels: tuple[str, ...]):
+    def __init__(self, assignment, class_labels):
+        a, s = assignment, len(class_labels)
+        if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
+            raise ValueError("a coloring's assignment must be a 1-D integer array")
+        bad = np.flatnonzero((a < 0) | (a >= s))
+        if bad.size:
+            raise ValueError(f"vertex {bad[0]} has class index {a[bad[0]]}, outside 0..{s - 1}")
         super().__init__(assignment, class_labels)
-        assignment.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -134,10 +140,7 @@ class Coloring(_Record, eq=False):
 class ObservedOutcome(_Record):
     """Per-class homophilic edge counts (edges with both endpoints in class i)."""
 
-    _fields = ("counts",)
-
-    def __init__(self, counts: tuple[int, ...]):
-        super().__init__(counts)
+    counts: tuple[int, ...]
 
     @property
     def s(self) -> int:

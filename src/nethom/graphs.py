@@ -58,9 +58,24 @@ class MalformedLineError(EdgeListError):
     pass
 
 
-class _Record:
-    """The frozen record types' base: the fields named by ``_fields``, set once by ``__init__``.
+class _Signature:
+    """A record class's ``__signature__``: its fields in order, with their annotations."""
 
+    def __get__(self, record, cls):
+        import inspect  # only when a caller asks, as inspect.signature and help() do
+
+        kind, notes = inspect.Parameter.POSITIONAL_OR_KEYWORD, cls.__annotations__
+        params = [inspect.Parameter(field, kind, annotation=notes[field]) for field in cls._fields]
+        return inspect.Signature(params)
+
+
+class _Record:
+    """The frozen record types' base: the fields are the annotations of the class body, in order.
+
+    ``__init__`` takes one value per field, positionally or by keyword, with
+    no defaults; a missing, unknown or repeated field raises ``TypeError``
+    naming it. It sets every ndarray it is given read-only, in place. A
+    subclass defines ``__init__`` only to check or normalise its values.
     Assigning or deleting any attribute raises ``AttributeError``, and the
     repr lists the fields in order. A record compares and hashes by the
     values of its fields, unless its class is declared with ``eq=False``,
@@ -68,21 +83,34 @@ class _Record:
     then ``==``, except that an ndarray field compares by shape and entries;
     so, as in dataclasses, a nan field makes two records unequal unless both
     hold the same object. A record with an ndarray field is unhashable.
-    ``__match_args__`` is the field tuple. Nothing is generated at import: a
-    record type costs what a plain class costs.
+    ``__match_args__`` and ``inspect.signature`` list the fields. Nothing is
+    generated at import: a record type costs what a plain class costs.
     """
 
     _fields: tuple[str, ...] = ()
+    __signature__ = _Signature()
 
     def __init_subclass__(cls, eq: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = cls._fields
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
         if not eq:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__
 
-    def __init__(self, *values):
-        self.__dict__.update(zip(self._fields, values))
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            if not rest or kwargs.keys() != set(rest):  # a field missing, unknown or given twice
+                try:
+                    type(self).__signature__.bind(*args, **kwargs)
+                except TypeError as exc:
+                    raise TypeError(f"{type(self).__name__}(): {exc}") from None
+            args += tuple(map(kwargs.__getitem__, rest))
+        for value in args:
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(zip(fields, args))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -146,20 +174,11 @@ class Graph(_Record, eq=False):
     graph joins its labels when a coloring first needs them.
     """
 
-    _fields = ("n", "edges_u", "edges_v", "degrees", "labels")
-    labels = _Labels()
-
-    def __init__(
-        self,
-        n: int,
-        edges_u: np.ndarray,
-        edges_v: np.ndarray,
-        degrees: np.ndarray,
-        labels: tuple[str, ...] | None,
-    ):
-        super().__init__(n, edges_u, edges_v, degrees, labels)
-        for arr in (edges_u, edges_v, degrees):
-            arr.setflags(write=False)
+    n: int
+    edges_u: np.ndarray
+    edges_v: np.ndarray
+    degrees: np.ndarray
+    labels: tuple[str, ...] | None = _Labels()
 
     @property
     def m(self) -> int:
@@ -200,16 +219,18 @@ class Graph(_Record, eq=False):
         ``dedupe`` is set, which keeps the first copy of each edge;
         :func:`_simple_edges` is the check. The error names the first bad
         pair. An (m, 2) array of integer dtype is checked as it is; any
-        other ``edges`` is read pair by pair. ``labels``, one distinct id per
-        vertex, default to "0".."n-1".
+        other ``edges`` is read pair by pair. ``labels``, one distinct id
+        string per vertex, default to "0".."n-1" and are kept as a tuple.
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        elif len(labels) != n:
+        labels = tuple(map(str, range(n)) if labels is None else labels)
+        if len(labels) != n:
             raise ValueError("labels must have length n")
-        elif len(set(labels)) != n:
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"label {label!r} is not a string")
+        if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
         pairs = edges  # an (m, 2) integer array is checked as it is
         if not (
@@ -621,26 +642,15 @@ class GraphSummary(_Record):
     degree distribution (nan when there are no edges).
     """
 
-    _fields = (
-        "n", "m", "pi3", "ordered_disjoint_pairs", "sum_sq_degrees", "rho", "delta1", "delta2",
-        "upsilon",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        pi3: int,
-        ordered_disjoint_pairs: int,
-        sum_sq_degrees: int,
-        rho: float,
-        delta1: float,
-        delta2: float,
-        upsilon: float,
-    ):
-        super().__init__(
-            n, m, pi3, ordered_disjoint_pairs, sum_sq_degrees, rho, delta1, delta2, upsilon
-        )
+    n: int
+    m: int
+    pi3: int
+    ordered_disjoint_pairs: int
+    sum_sq_degrees: int
+    rho: float
+    delta1: float
+    delta2: float
+    upsilon: float
 
 
 def summarize(g: Graph) -> GraphSummary:

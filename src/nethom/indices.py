@@ -169,11 +169,10 @@ def index_r(o: ObservedOutcome, cs: CovarianceStructure) -> float:
 class WeightVector(_Record):
     """Finite, nonnegative, nonzero per-class weights, kept as a read-only float copy."""
 
-    _fields = ("w",)
+    w: np.ndarray
 
-    def __init__(self, w: np.ndarray):
+    def __init__(self, w):
         w = np.array(w, dtype=float)
-        w.setflags(write=False)
         if not np.isfinite(w).all() or np.any(w < 0) or not np.any(w > 0):
             raise ValueError("weights must be finite, nonnegative and not all zero")
         super().__init__(w)
@@ -271,28 +270,17 @@ def descriptive_ratio(o: ObservedOutcome, m: int) -> float | None:
 class IndexReport(_Record):
     """Every quantifier for one (graph, coloring) pair, plus degeneracy notes."""
 
-    _fields = (
-        "observed", "mbar", "z", "gamma", "a", "r", "h", "j_theta", "newman_q",
-        "descriptive_ratio", "notes",
-    )
-
-    def __init__(
-        self,
-        observed: tuple[int, ...],
-        mbar: tuple[float, ...],
-        z: tuple[float, ...],
-        gamma: float,
-        a: float | None,
-        r: float,
-        h: float | None,
-        j_theta: dict[str, float | None],
-        newman_q: float | None,
-        descriptive_ratio: float | None,
-        notes: tuple[str, ...],
-    ):
-        super().__init__(
-            observed, mbar, z, gamma, a, r, h, j_theta, newman_q, descriptive_ratio, notes
-        )
+    observed: tuple[int, ...]
+    mbar: tuple[float, ...]
+    z: tuple[float, ...]
+    gamma: float
+    a: float | None
+    r: float
+    h: float | None
+    j_theta: dict[str, float | None]
+    newman_q: float | None
+    descriptive_ratio: float | None
+    notes: tuple[str, ...]
 
 
 class IndexEvaluator:

@@ -65,16 +65,10 @@ class MomentSummary(_Record, eq=False):
     every slot holds a class.
     """
 
-    _fields = ("size", "mbar", "var", "slot")
-
-    def __init__(
-        self,
-        size: tuple[int, ...],
-        mbar: tuple[Fraction, ...],
-        var: tuple[Fraction, ...],
-        slot: np.ndarray,
-    ):
-        super().__init__(size, mbar, var, slot)
+    size: tuple[int, ...]
+    mbar: tuple[Fraction, ...]
+    var: tuple[Fraction, ...]
+    slot: np.ndarray
 
 
 def moment_summary(s: GraphSummary, p: Profile) -> MomentSummary:

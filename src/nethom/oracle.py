@@ -78,12 +78,10 @@ class ExactDistribution(_Record, eq=False):
     among the ``total`` colorings of the profile.
     """
 
-    _fields = ("graph", "profile", "outcome_counts", "total")
-
-    def __init__(
-        self, graph: Graph, profile: Profile, outcome_counts: dict[tuple[int, ...], int], total: int
-    ):
-        super().__init__(graph, profile, outcome_counts, total)
+    graph: Graph
+    profile: Profile
+    outcome_counts: dict[tuple[int, ...], int]
+    total: int
 
     @cached_property
     def support(self) -> dict[tuple[int, ...], Fraction]:
@@ -341,10 +339,10 @@ def validate(d: ExactDistribution, cs: CovarianceStructure) -> list[dict]:
 class TailEstimate(_Record):
     """Monte Carlo tail estimate with a 99% normal-approximation half-width."""
 
-    _fields = ("estimate", "half_width", "samples", "seed")
-
-    def __init__(self, estimate: float, half_width: float, samples: int, seed: int):
-        super().__init__(estimate, half_width, samples, seed)
+    estimate: float
+    half_width: float
+    samples: int
+    seed: int
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -434,25 +432,14 @@ class TreeGammaReport(_Record):
     one tree shape is both, so the two extremes coincide.
     """
 
-    _fields = (
-        "n", "gamma_max", "gamma_min", "max_count", "min_count", "max_all_paths", "min_all_stars",
-        "tree_count",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        gamma_max: Fraction,
-        gamma_min: Fraction,
-        max_count: int,
-        min_count: int,
-        max_all_paths: bool,
-        min_all_stars: bool,
-        tree_count: int,
-    ):
-        super().__init__(
-            n, gamma_max, gamma_min, max_count, min_count, max_all_paths, min_all_stars, tree_count
-        )
+    n: int
+    gamma_max: Fraction
+    gamma_min: Fraction
+    max_count: int
+    min_count: int
+    max_all_paths: bool
+    min_all_stars: bool
+    tree_count: int
 
 
 def tree_gamma_scan(n: int) -> TreeGammaReport:

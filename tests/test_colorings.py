@@ -119,6 +119,33 @@ class TestProfile:
         assert nh.Profile((4, 4)).coloring_count() == 70
 
 
+class TestColoring:
+    @pytest.mark.parametrize(
+        "assignment,message",
+        [
+            ([0, 1, 0], "1-D integer array"),
+            (np.array([0.0, 1.0, 0.0]), "1-D integer array"),
+            (np.array([True, False, True]), "1-D integer array"),
+            (np.array([[0, 1, 0]]), "1-D integer array"),
+            (np.array([0, 2, 1], dtype=np.int32), "vertex 1 has class index 2, outside 0..1"),
+            (np.array([3, 3], dtype=np.int32), "vertex 0 has class index 3, outside 0..1"),
+            (np.array([0, -1, 1], dtype=np.int64), "vertex 1 has class index -1, outside 0..1"),
+        ],
+        ids=["list", "float", "bool", "2-d", "too-large", "all-too-large", "negative"],
+    )
+    def test_rejects(self, assignment, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            nh.Coloring(assignment, ("a", "b"))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
+    def test_accepts_any_integer_dtype(self, dtype):
+        f = nh.Coloring(np.array([1, 0, 1], dtype=dtype), ("a", "b"))
+        assert f.profile == nh.Profile((1, 2))
+
+    def test_accepts_no_vertices(self):
+        assert nh.Coloring(np.array([], dtype=np.int32), ("a",)).n == 0
+
+
 class TestLoadColoring:
     def test_profile_by_first_appearance(self, p3):
         f = nh.load_coloring("a\tred\nb\tred\nc\tblue", p3)

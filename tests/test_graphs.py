@@ -192,6 +192,17 @@ class TestFromEdges:
         with pytest.raises(ValueError, match="distinct"):
             nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=("a", "a", "b"))
 
+    def test_labels_given_as_a_list_are_kept_as_a_tuple(self):
+        g = nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])
+        assert g.labels == ("a", "b", "c")
+        f = nh.load_coloring("a\tx\nb\tx\nc\ty\n", g)
+        assert f.assignment.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("labels", [(1, 2, 3), ("a", None, "c"), ("a", b"b", "c")])
+    def test_label_that_is_not_a_string_rejected(self, labels):
+        with pytest.raises(ValueError, match="is not a string"):
+            nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=labels)
+
 
 class TestSummarize:
     def test_k4_two_paths(self, k4):

@@ -14,6 +14,10 @@ import nethom as nh
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE = ROOT / "perfbench" / "trace.py"
+SUBMODULES = [
+    importlib.import_module(f"nethom.{name}")
+    for name in ("graphs", "colorings", "moments", "indices", "oracle")
+]
 
 
 def _traced_functions():
@@ -31,15 +35,36 @@ def test_public_name_resolves(name):
 @pytest.mark.parametrize("name", nh.__all__[1:])
 def test_public_name_is_the_object_its_submodule_defines(name):
     obj = getattr(nh, name)
-    assert obj.__module__ == f"nethom.{nh._EXPORTS[name]}"
-    assert vars(importlib.import_module(obj.__module__))[name] is obj
+    (module,) = [module for module in SUBMODULES if name in module.__all__]
+    if hasattr(obj, "__module__"):  # a class or function, not a constant
+        assert obj.__module__ == module.__name__
+    assert vars(module)[name] is obj
+
+
+def test_all_is_the_submodule_lists_in_order():
+    assert nh.__all__ == ["__version__", *(name for module in SUBMODULES for name in module.__all__)]
+
+
+@pytest.mark.parametrize(
+    "name,module", [("validate", "oracle"), ("REL_TOL", "moments"), ("PRESET_NAMES", "indices")]
+)
+def test_submodule_name_resolves_at_the_package(name, module):
+    assert getattr(nh, name) is vars(importlib.import_module(f"nethom.{module}"))[name]
+
+
+def _loads_numpy(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = f"import sys, nethom; {code}; sys.exit('numpy' in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
 
 
 def test_import_loads_no_numpy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, nethom; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert not _loads_numpy("pass")
+
+
+def test_version_and_dunder_probes_load_no_numpy():
+    assert not _loads_numpy("nethom.__version__; assert not hasattr(nethom, '__wrapped__')")
 
 
 def test_dir_covers_all():

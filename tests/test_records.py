@@ -6,6 +6,7 @@ by keyword, with no defaults; it is frozen (assignment and deletion raise
 others by identity; the repr lists the fields; and pickling round-trips.
 """
 
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -121,6 +122,22 @@ def test_every_field_is_required(name):
         cls(*values.values(), None)
     with pytest.raises(TypeError, match="no_such_field"):
         cls(**values, no_such_field=None)
+
+
+@records
+def test_signature_lists_the_fields(name):
+    params = list(inspect.signature(getattr(nh, name)).parameters.values())
+    assert [p.name for p in params] == list(RECORDS[name][0])
+    for p in params:
+        assert p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty, p.name
+        assert p.annotation is not p.empty and p.annotation, p.name
+
+
+@records
+def test_a_field_given_twice_raises(name):
+    first, value = next(iter(RECORDS[name][0].items()))
+    with pytest.raises(TypeError, match=repr(first)):
+        getattr(nh, name)(value, **{first: value})
 
 
 @records
@@ -250,7 +267,12 @@ def test_nan_fields_compare_unequal():
 
 
 @pytest.mark.parametrize(
-    "name,fields", [("Graph", ("edges_u", "edges_v", "degrees")), ("Coloring", ("assignment",))]
+    "name,fields",
+    [
+        ("Graph", ("edges_u", "edges_v", "degrees")),
+        ("Coloring", ("assignment",)),
+        ("MomentSummary", ("slot",)),
+    ],
 )
 def test_arrays_are_made_read_only(name, fields):
     record = _build(name)
