@@ -19,7 +19,6 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import (
-    _SPACE,
     Graph,
     TextSource,
     _decode,
@@ -133,8 +132,14 @@ class Coloring(_Record, eq=False):
 
     @property
     def profile(self) -> Profile:
+        """The class sizes in class order; ``ValueError`` names the classes that no vertex is in."""
         counts = np.bincount(self.assignment, minlength=self.s)
-        return Profile(tuple(int(c) for c in counts))
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            names = ", ".join(repr(self.class_labels[i]) for i in empty[:5])
+            more = "" if empty.size <= 5 else f" (+{empty.size - 5} more)"
+            raise ValueError(f"no vertex is in class {names}{more}")
+        return Profile(tuple(counts.tolist()))
 
 
 class ObservedOutcome(_Record):
@@ -227,19 +232,17 @@ def _line_pass(text: str, graph: Graph) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.frombuffer(assign, dtype=np.int32), tuple(class_index)
 
 
-_TAB = ord("\t")
-
-
 def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     """The general path's coloring of a TSV file of printable-ASCII tokens, or None.
 
     Vectorized over the bytes, with no per-line Python loop, no
     ``graph.index`` and no ``graph.labels``. It applies only when the graph
     has an id text (``graph._id_text``, which needs every label to be a
-    nonempty token of printable ASCII) and, after comments are removed
-    (:func:`~nethom.graphs._tokenize`), every non-blank line holds the id of
-    a graph vertex, then blanks holding the line's first tab, then one label
-    of printable ASCII, with each vertex named on exactly one line.
+    nonempty token of printable ASCII) and, after comments are removed,
+    every non-blank line holds the id of a graph vertex, then blanks holding
+    the line's first tab, then one label of printable ASCII, with each
+    vertex named on exactly one line. The tokens and the place of each
+    line's first tab are :func:`~nethom.graphs._tokenize`'s, with ``tabbed``.
 
     The graph's ids and the file's ids are keyed in one
     :func:`~nethom.graphs._keys` call, and the class labels in another. Any
@@ -250,7 +253,7 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     id_text = graph._id_text if n else None
     if id_text is None:
         return None
-    tokens = _tokenize(data)
+    tokens = _tokenize(data, tabbed=True)
     if tokens is None:
         return None
     raw, start, length = tokens
@@ -258,25 +261,16 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     if start.size != 2 * n:  # a vertex is missing, unknown or repeated
         return None
     id_start, id_length, label_start, label_length = start[0::2], length[0::2], start[1::2], length[1::2]
-    # The tabs and line ends around each id: the one before it must not be a
-    # tab, and the one after it must be a tab before the label.
-    breaks = np.flatnonzero(raw < _SPACE)
-    at = np.searchsorted(breaks, id_start)
-    if not bool((at < breaks.size).all()):
-        return None
-    after, before = breaks[at], breaks[at - 1]  # at - 1 wraps where at == 0, which is masked
-    ok = (raw[after] == _TAB) & (after < label_start) & ((at == 0) | (raw[before] != _TAB))
-    if not bool(ok.all()):
-        return None
-    del breaks, at, after, before, ok
     # The graph's ids, one per line of its id text, then the file's ids: an
     # id is a graph vertex exactly when its index is below n.
     text = np.frombuffer(id_text, dtype=np.uint8)
-    ends = np.flatnonzero(text == ord("\n"))
-    vertex_start = np.concatenate(([0], ends[:-1] + 1))
+    offset = np.int32 if text.size + raw.size < 2**31 else np.int64  # offsets in the joined text
+    ends = np.flatnonzero(text == ord("\n")).astype(offset)
+    vertex_start = np.zeros_like(ends)
+    vertex_start[1:] = ends[:-1] + 1
     keys = _keys(
         np.concatenate((text, raw)),
-        np.concatenate((vertex_start, id_start + text.size)),
+        np.concatenate((vertex_start, id_start.astype(offset) + text.size)),
         np.concatenate((ends - vertex_start, id_length)),
     )
     vertex = _first_appearance(keys)[1][keys[n:]]

@@ -1,0 +1,172 @@
+"""The token paths read a text in chunks cut after line ends; where the cuts fall must not matter.
+
+``graphs._CHUNK`` is patched down to a few bytes, so that cuts fall after
+nearly every line end: between the CR and the LF of a pair, before a line
+longer than a chunk, next to blank lines, "v" lines and the places comments
+were cut from. Every loader, and every token path, must return what it
+returns with the default chunk size, on the case tables of the path tests
+and on inputs built around those cuts.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import nethom as nh
+from nethom import colorings, graphs
+import test_coloring_paths as coloring_paths
+import test_edge_list_paths as edge_paths
+
+CHUNKS = [1, 3, 7, 64]
+
+
+def _arrays(value):
+    """A token path's result with every array as its dtype and entries."""
+    if value is None:
+        return None
+    if isinstance(value, nh.Coloring):
+        value = (value.assignment, value.class_labels)
+    return tuple((a.dtype.str, a.tolist()) if isinstance(a, np.ndarray) else a for a in value)
+
+
+def _edge_outcomes(data):
+    return (
+        _arrays(graphs._token_edges(data)),
+        edge_paths._outcome(nh.load_edge_list, data, False),
+        edge_paths._outcome(nh.load_edge_list, data, True),
+    )
+
+
+def _coloring_outcomes(data, graph):
+    """The token path's coloring and the loader's, each against a fresh copy of ``graph``."""
+    return (
+        _arrays(colorings._token_coloring(data, graph())),
+        coloring_paths._outcome(nh.load_coloring, data, graph),
+    )
+
+
+def _same_at_every_chunk_size(outcomes, *args):
+    want = outcomes(*args)
+    for size in CHUNKS:
+        with mock.patch.object(graphs, "_CHUNK", size):
+            assert outcomes(*args) == want, size
+    return want
+
+
+# Inputs built around the cuts: each holds what its name says, with LF,
+# CR LF and CR line ends.
+AROUND_CUTS = {
+    "CR LF pairs": "1 2\r\n2 3\r\n\r\n3 4\r\nv 9\r\n",
+    "lone CRs": "1 2\r2 3\r\r3 4\rv 9\r",
+    "a line longer than a chunk": "1234567890123 2\n2 98765432109876543210\nv 3\n",
+    "long lines of short ids": "1" + " " * 70 + "2\n2\t\t\t\t\t\t\t\t\t\t3\n",
+    "comments across cuts": "# a header longer than the chunks\n1 2 # a comment\n# another\n2 3\n",
+    "a comment between CR and LF": "1 2\r# c\n2 3\r#\n3 4\n",
+    "a self-loop after a comment between CR and LF": "1 2\r# c\n2 3\r#\n3 3\n",
+    "v lines": "v 5\nv 6\n5 6\nv 7\nv v\nu v\n",
+    "blank lines": "\n\n1 2\n  \n\t\n2 3\n\n \r\n\r\n3 1\n\n",
+    "no final line end": "1 2\n2 3\n3 4",
+    "no final line end, CR": "1 2\r2 3",
+    "a last line of one token": "1 2\n2 3\n4",
+    "three tokens on a line after a cut": "1 2\n2 3\n3 4 5\n",
+    "string ids": "u1 u22\nu22 v\nv u333\nabcdefghijk u1\n",
+    "a self-loop": "1 2\n2 3\n3 3\n",
+    "a repeated edge": "1 2\r\n2 3\r\n3 1\r\n2 1\r\n",
+}
+
+
+def _spoiled(name):
+    """A clean integer edge list with one line from the edge path tests' spoilers."""
+    return "1 2\n2 3\nv 9\n" + edge_paths.SPOILERS[name]("12", "345", "6", "\t") + "\n3 1\n"
+
+
+EDGE_TEXTS = {
+    **AROUND_CUTS,
+    **{f"spoiler: {name}": _spoiled(name) for name in sorted(edge_paths.SPOILERS)},
+    **{f"above a bad byte: {name}": above for name, above in edge_paths.ABOVE_A_BAD_BYTE.items()},
+    "comments where they stand": "# a header\n# of two lines\n" + edge_paths.BODY + "# between\n" + edge_paths.BODY2,
+}
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS.values(), ids=EDGE_TEXTS)
+def test_edge_lists(text):
+    outcomes = _same_at_every_chunk_size(_edge_outcomes, text)
+    assert outcomes[1] == edge_paths._outcome(edge_paths.reference_load, text, False)
+    _same_at_every_chunk_size(_edge_outcomes, text.encode("utf-8"))
+    # a byte that is not UTF-8 on one more line: the first bad line is reported
+    _same_at_every_chunk_size(_edge_outcomes, text.encode("utf-8") + b"x \xe9\n")
+
+
+def test_edge_lists_are_read_by_the_token_path():
+    """The inputs around the cuts that hold two tokens on every line take the token path."""
+    declined = {"a last line of one token", "three tokens on a line after a cut"}
+    for name, text in AROUND_CUTS.items():
+        for size in CHUNKS:
+            with mock.patch.object(graphs, "_CHUNK", size):
+                assert (graphs._token_edges(text) is None) == (name in declined), (name, size)
+
+
+def _coloring(lines, ends):
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+VIDS = coloring_paths.VIDS
+CLEAN = ["  " + v + " \t c" + str(i % 3) + "  " for i, v in enumerate(VIDS)]  # blanks around each field
+COLORING_TEXTS = {
+    "LF": _coloring(CLEAN, ["\n"] * len(VIDS)),
+    "CR LF": _coloring(CLEAN, ["\r\n"] * len(VIDS)),
+    "CR": _coloring(CLEAN, ["\r"] * len(VIDS)),
+    "tabs only": "".join(f"{v}\tclass-{i % 2}\n" for i, v in enumerate(VIDS)),
+    "several tabs": "".join(f"{v} \t\t  \t{'x' * 70}{i % 2}\r\n" for i, v in enumerate(VIDS)),
+    "comments and blank lines": "# vertex\tclass\n\n"
+    + "".join(f"{v}\tc{i % 3} # a comment\n\r\n# c\n" for i, v in enumerate(VIDS)),
+    "a comment between CR and LF": "".join(f"{v}\tc{i % 3}\r#\n" for i, v in enumerate(VIDS)),
+    "an unknown id after comments between CR and LF": "".join(f"{v}\tc\r#\n" for v in VIDS) + "x\tc\n",
+    "no final line end": "".join(f"{v}\tc{i % 3}\n" for i, v in enumerate(VIDS)).rstrip("\n"),
+    "a tab before an id": "\t" + "".join(f"{v}\tc\n" for v in VIDS),
+    "a tab before an id after a cut": "".join(f"{v}\tc\n" for v in VIDS[:-1]) + " \t" + VIDS[-1] + "\tc\n",
+    "a trailing tab": "".join(f"{v}\tc\t\n" for v in VIDS),
+    "a space, no tab": "".join(f"{v}\tc\n" for v in VIDS[:-1]) + VIDS[-1] + " c\n",
+    **{
+        f"spoiler: {name}": _coloring(
+            [spoil(v, "red") if v == VIDS[3] else f"{v}\tred" for v in VIDS], ["\n"] * len(VIDS)
+        )
+        for name, spoil in sorted(coloring_paths.SPOILERS.items())
+    },
+    **{f"above a bad byte: {name}": above for name, above in coloring_paths.ABOVE_A_BAD_BYTE.items()},
+}
+
+
+@pytest.mark.parametrize("text", COLORING_TEXTS.values(), ids=COLORING_TEXTS)
+def test_colorings(text):
+    graph = coloring_paths._graph
+    outcomes = _same_at_every_chunk_size(_coloring_outcomes, text, graph)
+    assert outcomes[1] == coloring_paths._outcome(coloring_paths._reference, text)
+    _same_at_every_chunk_size(_coloring_outcomes, text.encode("utf-8"), graph)
+    _same_at_every_chunk_size(_coloring_outcomes, text.encode("utf-8") + b"3\t\xe9\n", graph)
+
+
+@pytest.mark.parametrize("kind", sorted(coloring_paths.KEPT_TEXT_IDS))
+def test_colorings_of_kept_id_texts(kind):
+    """Graphs whose id text came from the token path, with ids of every kind."""
+    ids = coloring_paths.KEPT_TEXT_IDS[kind]
+    edges = "".join(f"{ids[i]} {ids[(3 * i + 1) % len(ids)]}\r\n" for i in range(len(ids)))
+    text = "".join(f"{v}\tclass-{i % 3}\n" for i, v in enumerate(reversed(ids)))
+    _same_at_every_chunk_size(_edge_outcomes, edges)
+
+    def graph():
+        return nh.load_edge_list(edges)
+
+    assert _same_at_every_chunk_size(_coloring_outcomes, text, graph)[0] is not None
+
+
+def test_the_clean_colorings_take_the_token_path():
+    """At every chunk size the token path takes the clean colorings and declines the others."""
+    taken = {"LF", "CR LF", "CR", "tabs only", "several tabs", "comments and blank lines",
+             "a comment between CR and LF", "no final line end", "a trailing tab"}
+    for name in COLORING_TEXTS:
+        for size in CHUNKS:
+            with mock.patch.object(graphs, "_CHUNK", size):
+                token = colorings._token_coloring(COLORING_TEXTS[name], coloring_paths._graph())
+            assert (token is not None) == (name in taken), (name, size)

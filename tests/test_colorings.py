@@ -145,6 +145,23 @@ class TestColoring:
     def test_accepts_no_vertices(self):
         assert nh.Coloring(np.array([], dtype=np.int32), ("a",)).n == 0
 
+    @pytest.mark.parametrize(
+        "assignment, labels, message",
+        [
+            ([0, 0, 0], ("a", "b"), "no vertex is in class 'b'"),
+            ([2, 2, 0], ("a", "b", "c"), "no vertex is in class 'b'"),
+            ([1, 1], ("a", "b", "c"), "no vertex is in class 'a', 'c'"),
+            ([], ("a",), "no vertex is in class 'a'"),
+            ([0], tuple("abcdefgh"), "no vertex is in class 'b', 'c', 'd', 'e', 'f' (+2 more)"),
+        ],
+    )
+    def test_profile_names_the_empty_classes(self, assignment, labels, message):
+        f = nh.Coloring(np.array(assignment, dtype=np.int32), labels)
+        assert f.n == len(assignment)  # the coloring itself is valid
+        with pytest.raises(ValueError) as exc:
+            f.profile
+        assert str(exc.value) == message
+
 
 class TestLoadColoring:
     def test_profile_by_first_appearance(self, p3):
