@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import (
+    _CHUNK,
     Graph,
     TextSource,
     _decode,
@@ -245,9 +246,11 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     line's first tab are :func:`~nethom.graphs._tokenize`'s, with ``tabbed``.
 
     The graph's ids and the file's ids are keyed in one
-    :func:`~nethom.graphs._keys` call, and the class labels in another. Any
-    other input, every bad one included, returns None and takes the general
-    path, which raises the error.
+    :func:`~nethom.graphs._keys` call, over the graph's id text followed by
+    the file's ids joined as lines (:func:`~nethom.graphs._join`), so no
+    label or blank of the file is copied; the class labels are keyed in
+    another call. Any other input, every bad one included, returns None and
+    takes the general path, which raises the error.
     """
     n = graph.n
     id_text = graph._id_text if n else None
@@ -263,16 +266,13 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     id_start, id_length, label_start, label_length = start[0::2], length[0::2], start[1::2], length[1::2]
     # The graph's ids, one per line of its id text, then the file's ids: an
     # id is a graph vertex exactly when its index is below n.
-    text = np.frombuffer(id_text, dtype=np.uint8)
-    offset = np.int32 if text.size + raw.size < 2**31 else np.int64  # offsets in the joined text
-    ends = np.flatnonzero(text == ord("\n")).astype(offset)
-    vertex_start = np.zeros_like(ends)
-    vertex_start[1:] = ends[:-1] + 1
-    keys = _keys(
-        np.concatenate((text, raw)),
-        np.concatenate((vertex_start, id_start.astype(offset) + text.size)),
-        np.concatenate((ends - vertex_start, id_length)),
-    )
+    text = np.frombuffer(id_text + _join(raw, id_start, id_length), dtype=np.uint8)
+    ends = np.flatnonzero(text == ord("\n")).astype(np.int32 if text.size < 2**31 else np.int64)
+    line_start = np.zeros_like(ends)
+    line_start[1:] = ends[:-1] + 1
+    ends -= line_start  # the length of each line's id
+    keys = _keys(text, line_start, ends)
+    del text, line_start, ends
     vertex = _first_appearance(keys)[1][keys[n:]]
     del keys
     if not bool((vertex < n).all()):
@@ -290,11 +290,18 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
 
 
 def homophilic_counts(g: Graph, f: Coloring) -> ObservedOutcome:
-    """Count, for each class, the edges with both endpoints in that class."""
+    """Count, for each class, the edges with both endpoints in that class.
+
+    Memory: the edges are counted :data:`~nethom.graphs._CHUNK` at a time,
+    so besides the s counts each step makes only block-sized gathers and
+    intp copies of the block's endpoints.
+    """
     if f.n != g.n:
         raise ValueError("coloring does not cover the graph's vertex set")
-    u, v = _edge_index(g)
-    return ObservedOutcome(tuple(_count(f.assignment, u, v, f.s).tolist()))
+    counts = np.zeros(f.s, dtype=np.int64)
+    for at in range(0, g.m, _CHUNK):
+        counts += _count(f.assignment, g.edges_u[at : at + _CHUNK], g.edges_v[at : at + _CHUNK], f.s)
+    return ObservedOutcome(tuple(counts.tolist()))
 
 
 def random_coloring(p: Profile, seed: int) -> Coloring:
@@ -323,7 +330,8 @@ def sample_counts(g: Graph, p: Profile, seeds: Iterable[int]) -> tuple[np.ndarra
         raise ValueError("profile does not cover the graph's vertex set")
     seeds = list(seeds)
     pool = _pool(p)
-    u, v = _edge_index(g)
+    # intp endpoints, which take uses without a cast per sample
+    u, v = g.edges_u.astype(np.intp, copy=False), g.edges_v.astype(np.intp, copy=False)
     degrees = g.degrees.astype(np.float64)
     counts = np.empty((len(seeds), p.s), dtype=np.int64)
     mass = np.empty((len(seeds), p.s), dtype=np.int64)
@@ -346,11 +354,6 @@ def _draw(pool: np.ndarray, seed: int) -> np.ndarray:
     the pool's dtype.
     """
     return pool[np.random.default_rng(seed).permutation(pool.shape[0])]
-
-
-def _edge_index(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The edge endpoints as intp, which ``take`` uses without a cast per call."""
-    return g.edges_u.astype(np.intp, copy=False), g.edges_v.astype(np.intp, copy=False)
 
 
 def _count(a: np.ndarray, u: np.ndarray, v: np.ndarray, s: int) -> np.ndarray:

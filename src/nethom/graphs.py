@@ -267,35 +267,66 @@ class Graph(_Record, eq=False):
 
 
 def _graph(n: int, labels: tuple[str, ...] | None, eu: np.ndarray, ev: np.ndarray) -> Graph:
-    """The :class:`Graph` of edges that passed :func:`_simple_edges`."""
-    degrees = (np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)).astype(np.int64)
+    """The :class:`Graph` of edges that passed :func:`_simple_edges`.
+
+    Memory: the degrees are counted max(:data:`_CHUNK`, n) edges at a time,
+    so besides the int64 degrees each step makes an intp copy of one block
+    of endpoints and one count per vertex; the block is at least n long,
+    which keeps the count linear when n is far above m.
+    """
+    degrees = np.zeros(n, dtype=np.int64)
+    step = max(_CHUNK, n)
+    for at in range(0, eu.size, step):
+        degrees += np.bincount(eu[at : at + step], minlength=n)
+        degrees += np.bincount(ev[at : at + step], minlength=n)
     return Graph(n=n, edges_u=eu, edges_v=ev, degrees=degrees, labels=labels)
 
 
 def _simple_edges(
     n: int, eu: np.ndarray, ev: np.ndarray, dedupe: bool
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """The simple-graph check on dense endpoint arrays over n vertices.
+    """The simple-graph check on dense int32 endpoint arrays over n vertices.
 
     Returns ``(eu, ev, k)``. ``k`` is the position of the first edge that
     breaks a rule, or None: a self-loop breaks one, and so does a repeat of
     an earlier edge, in either orientation, unless ``dedupe`` is set. When
     ``k`` is None and ``dedupe`` is set, only the first copy of each edge is
     kept; otherwise the arrays come back as given.
+
+    Memory: a simple graph costs one key per edge (:func:`_edge_keys`, 4
+    bytes while n <= 2**16), sorted in place, and one bool per edge at a
+    time. Only a self-loop or a repeat makes more: the keys are built again
+    in edge order, and ``np.unique`` finds the first copy of each edge.
     """
-    loop = eu == ev
-    packed = np.minimum(eu, ev).astype(np.int64)
-    packed *= n
-    packed += np.maximum(eu, ev)
-    sorted_packed = np.sort(packed)
-    if not (loop.any() or (sorted_packed[1:] == sorted_packed[:-1]).any()):
+    keys = _edge_keys(n, eu, ev)
+    keys.sort()
+    if not ((keys[1:] == keys[:-1]).any() or (eu == ev).any()):
         return eu, ev, None
-    first = np.zeros(packed.size, dtype=bool)
-    first[np.unique(packed, return_index=True)[1]] = True
+    del keys  # sorted; np.unique needs them in edge order
+    keys = _edge_keys(n, eu, ev)
+    first = np.zeros(keys.size, dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    loop = eu == ev
     bad = loop if dedupe else loop | ~first
     if bad.any():
         return eu, ev, int(bad.argmax())
     return eu[first], ev[first], None
+
+
+def _edge_keys(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """The key min(u, v) * n + max(u, v) of each edge, equal exactly for the two orientations of an edge.
+
+    Built in place as min(u, v) * (n - 1) + u + v, in uint32 while n * n <=
+    2**32, which bounds every key by n * n - 1, and in int64 above that.
+    """
+    keys = np.empty(eu.size, dtype=np.uint32 if n * n <= 2**32 else np.int64)
+    if keys.dtype == np.uint32:  # the endpoints are below n, so their uint32 views hold their values
+        eu, ev = eu.view(np.uint32), ev.view(np.uint32)
+    np.minimum(eu, ev, out=keys)
+    keys *= max(n - 1, 0)
+    keys += eu
+    keys += ev
+    return keys
 
 
 def _read(source: TextSource) -> str | bytes:
@@ -739,7 +770,10 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
     bytes read included, stays under 4 times the size of the file: beside
     the text it holds the int32 start, length and key of every token, and
     buffers of :data:`_CHUNK` bytes or tokens. The test suite traces it with
-    tracemalloc on a 200,000-edge file, where it is 3.4 times the file.
+    tracemalloc on a 200,000-edge file, where it is 3.4 times the file. The
+    simple-graph check and the degree count after the tokenizer make no
+    temporary as large as the two endpoint arrays (:func:`_simple_edges`,
+    :func:`_graph`).
     """
     data = _read(source)
     tokens = _token_edges(data)

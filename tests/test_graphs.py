@@ -204,6 +204,69 @@ class TestFromEdges:
             nh.Graph.from_edges(3, [(0, 1), (1, 2)], labels=labels)
 
 
+def _int64_rule(n, eu, ev, dedupe):
+    """The simple-graph check on int64 keys min(u, v) * n + max(u, v), whatever n."""
+    loop = eu == ev
+    packed = np.minimum(eu, ev).astype(np.int64) * n + np.maximum(eu, ev)
+    first = np.zeros(packed.size, dtype=bool)
+    first[np.unique(packed, return_index=True)[1]] = True
+    bad = loop if dedupe else loop | ~first
+    if bad.any():
+        return eu, ev, int(bad.argmax())
+    return eu[first], ev[first], None
+
+
+# Edges over n vertices that reach the largest keys. At n = 2**16 + 1 the keys
+# of (0, n - 2) and (n - 2, n - 1) are 2**32 apart, so 32-bit keys would
+# call them a repeat; at n = 2**16 a self-loop at n - 1 has the key 2**32 - 1.
+KEY_WIDTH_CASES = {
+    "simple": lambda n: [(0, n - 2), (n - 2, n - 1), (n - 1, 0)],
+    "repeat": lambda n: [(0, n - 2), (n - 2, n - 1), (n - 2, n - 1)],
+    "reversed repeat": lambda n: [(0, n - 2), (n - 2, n - 1), (n - 1, n - 2), (n - 2, 0)],
+    "self-loop": lambda n: [(0, n - 2), (n - 1, n - 1), (n - 2, n - 1)],
+}
+
+
+@pytest.mark.parametrize("dedupe", [False, True], ids=["strict", "dedupe"])
+@pytest.mark.parametrize("case", KEY_WIDTH_CASES)
+@pytest.mark.parametrize("n", [2**16, 2**16 + 1], ids=["uint32 keys", "int64 keys"])
+class TestKeyWidth:
+    """The simple-graph check on both sides of the widest graph whose edge keys fit in 32 bits."""
+
+    def test_check_matches_int64_rule(self, n, case, dedupe):
+        edges = np.array(KEY_WIDTH_CASES[case](n), dtype=np.int32)
+        eu, ev = edges[:, 0].copy(), edges[:, 1].copy()
+        assert nh.graphs._edge_keys(n, eu, ev).dtype == (np.uint32 if n == 2**16 else np.int64)
+        got, want = nh.graphs._simple_edges(n, eu, ev, dedupe), _int64_rule(n, eu, ev, dedupe)
+        assert got[2] == want[2]
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+    def test_from_edges_matches_reference(self, n, case, dedupe):
+        edges = KEY_WIDTH_CASES[case](n)
+        expected = _from_edges_outcome(reference_from_edges, n, edges, dedupe)
+        assert _from_edges_outcome(nh.Graph.from_edges, n, edges, dedupe) == expected
+
+    def test_load_matches_int64_rule_and_names_the_line(self, n, case, dedupe):
+        # vertex i is declared on line i + 1, so its index is i and edge k is on line n + k + 1
+        edges = KEY_WIDTH_CASES[case](n)
+        text = "".join(f"v {i}\n" for i in range(n)) + "".join(f"{u} {v}\n" for u, v in edges)
+        pairs = np.array(edges, dtype=np.int32)
+        eu, ev, k = _int64_rule(n, pairs[:, 0], pairs[:, 1], dedupe)
+        if k is None:
+            g = nh.load_edge_list(text, dedupe=dedupe)
+            assert g.edges_u.tolist() == eu.tolist() and g.edges_v.tolist() == ev.tolist()
+            return
+        u, v = edges[k]
+        error, message = (
+            (nh.SelfLoopError, f"self-loop at vertex '{u}'")
+            if u == v
+            else (nh.DuplicateEdgeError, f"duplicate edge '{u}' '{v}'")
+        )
+        with pytest.raises(error) as info:
+            nh.load_edge_list(text, dedupe=dedupe)
+        assert (str(info.value), info.value.line) == (f"line {n + k + 1}: {message}", n + k + 1)
+
+
 class TestSummarize:
     def test_k4_two_paths(self, k4):
         s = nh.summarize(k4)
