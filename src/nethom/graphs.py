@@ -16,7 +16,7 @@ import operator
 import re
 from functools import cached_property
 from fractions import Fraction
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -295,22 +295,28 @@ def _simple_edges(
 
     Memory: a simple graph costs one key per edge (:func:`_edge_keys`, 4
     bytes while n <= 2**16), sorted in place, and one bool per edge at a
-    time. Only a self-loop or a repeat makes more: the keys are built again
-    in edge order, and ``np.unique`` finds the first copy of each edge.
+    time. A self-loop or a repeat adds one 4-byte position per edge: each
+    edge finds the place of its key among the sorted keys, :data:`_CHUNK`
+    edges at a time, and the least position of the edges at each place is
+    that edge's first copy.
     """
     keys = _edge_keys(n, eu, ev)
     keys.sort()
     if not ((keys[1:] == keys[:-1]).any() or (eu == ev).any()):
         return eu, ev, None
-    del keys  # sorted; np.unique needs them in edge order
-    keys = _edge_keys(n, eu, ev)
-    first = np.zeros(keys.size, dtype=bool)
-    first[np.unique(keys, return_index=True)[1]] = True
+    first = np.full(keys.size, keys.size, dtype=np.int32 if keys.size < 2**31 else np.int64)
+    for at in range(0, keys.size, _CHUNK):
+        place = np.searchsorted(keys, _edge_keys(n, eu[at : at + _CHUNK], ev[at : at + _CHUNK]))
+        np.minimum.at(first, place, np.arange(at, at + place.size, dtype=first.dtype))
+    del keys
+    kept = np.zeros(first.size, dtype=bool)
+    kept[first[first < first.size]] = True
+    del first
     loop = eu == ev
-    bad = loop if dedupe else loop | ~first
+    bad = loop if dedupe else loop | ~kept
     if bad.any():
         return eu, ev, int(bad.argmax())
-    return eu[first], ev[first], None
+    return eu[kept], ev[kept], None
 
 
 def _edge_keys(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -330,16 +336,9 @@ def _edge_keys(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
 
 
 def _read(source: TextSource) -> str | bytes:
-    """The text of ``source``, kept once, without one leading UTF-8 byte-order mark.
-
-    The UTF-8 bytes without comments (:func:`_uncommented`), which have the
-    lines of the text as read; where those do not apply, the text or bytes
-    as read.
-    """
+    """The text of ``source`` as read, kept once, without one leading UTF-8 byte-order mark."""
     data = source if isinstance(source, (str, bytes)) else source.read()
-    data = data.removeprefix(b"\xef\xbb\xbf" if isinstance(data, bytes) else "\ufeff")
-    text = _uncommented(data)
-    return data if text is None else text
+    return data.removeprefix(b"\xef\xbb\xbf" if isinstance(data, bytes) else "\ufeff")
 
 
 def _decode(data: str | bytes) -> str:
@@ -357,6 +356,13 @@ def _undecodable(exc: UnicodeDecodeError) -> tuple[str, int, str]:
     lines = (valid + "#").splitlines()  # the "#" stands on the bad byte's line
     message = f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
     return message, len(lines), "\n".join(lines[:-1])
+
+
+def _bad_edge(u: str, v: str, line: int) -> EdgeListError:
+    """The error of the edge ``u v`` on ``line``, which loops or repeats an earlier edge."""
+    if u == v:
+        return SelfLoopError(f"self-loop at vertex {u!r}", line)
+    return DuplicateEdgeError(f"duplicate edge {u!r} {v!r}", line)
 
 
 def _scan(text: str, dedupe: bool) -> Graph:
@@ -400,44 +406,35 @@ def _scan(text: str, dedupe: bool) -> Graph:
         len(labels), np.asarray(us, dtype=np.int32), np.asarray(vs, dtype=np.int32), dedupe
     )
     if k is not None:
-        u, v = labels[eu[k]], labels[ev[k]]
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u!r}", lines[k])
-        raise DuplicateEdgeError(f"duplicate edge {u!r} {v!r}", lines[k])
+        raise _bad_edge(labels[eu[k]], labels[ev[k]], lines[k])
     if len(parts) == 1:
         raise MalformedLineError(f"expected two endpoints, got {parts[0]!r}", lineno)
     return _graph(len(labels), labels, eu, ev)
 
 
-# A comment runs to the next byte that str.splitlines() treats as a line end.
-_COMMENT = re.compile(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*")
-# A comment right after a CR: cut out, it would join that CR to an LF after it.
-_CR_COMMENT = re.compile(rb"\r" + _COMMENT.pattern)
 _LINE_END = re.compile(rb"[\n\r]")
 # line ends to str.splitlines() that a comment runs past: U+0085, U+2028 and U+2029
 _ODD_LINE_ENDS = tuple(c.encode("utf-8") for c in "\x85\u2028\u2029")
 _PRINTABLE = bytes(range(0x20, 0x7F)) + b"\t\n\r"  # printable ASCII, the space, tab, LF and CR
 _LABEL_BYTES = bytes(range(0x21, 0x7F)) + b"\n"  # printable tokens, one per line
-_SPACE, _TAB, _LF, _CR, _V, _ZERO = map(ord, " \t\n\rv0")
+_SPACE, _TAB, _LF, _CR, _V, _ZERO, _HASH = map(ord, " \t\n\rv0#")
+# The bytes a '#' comment stops at: those that str.splitlines() ends a line at.
+_COMMENT_END = np.zeros(256, dtype=bool)
+_COMMENT_END[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = True
 _MAX_DIGITS = 9  # every canonical id of up to 9 digits fits in int32
 # The bytes of text tokenized, and the tokens keyed, at a time: small enough that
 # each step's temporaries stay in cache and the loaders' peak memory stays near
-# that of the text and the token arrays, large enough that numpy's cost per call
-# is small (picked by measurement; CHANGES.md has the figures).
+# that of the text and the arrays they return, large enough that numpy's cost per
+# call is small (picked by measurement; CHANGES.md has the figures).
 _CHUNK = 1 << 15
 
 
-def _uncommented(data: str | bytes) -> bytes | None:
-    """The UTF-8 bytes of ``data`` with every '#' comment removed, or None.
+def _utf8(data: str | bytes) -> bytes | None:
+    """The UTF-8 bytes of ``data``, which the token paths read, or None.
 
     None when ``data`` is not UTF-8, or holds U+0085, U+2028 or U+2029, line
-    ends to ``str.splitlines()`` that :data:`_COMMENT` runs past. Otherwise
-    no comment reaches past the end of its line, and one that directly
-    follows a CR is replaced by a space, which keeps that CR from pairing
-    with an LF after the comment. So the result has the lines of ``data``
-    without their comments, and a line pass reads the same graph, or
-    coloring, and errors from either. ASCII bytes without a '#' are
-    returned as they are, so the function is cheap to call again.
+    ends to ``str.splitlines()`` that a comment runs past in the tokenizer,
+    which ends comments at ASCII bytes only (:data:`_COMMENT_END`).
     """
     if isinstance(data, str):
         try:
@@ -451,75 +448,140 @@ def _uncommented(data: str | bytes) -> bytes | None:
             return None
     if not data.isascii() and any(end in data for end in _ODD_LINE_ENDS):
         return None
-    first = data.find(b"#")
-    if first >= 0:  # only the span around the comments is scanned
-        first = max(first - 1, 0)  # from the byte before the first "#", which may be a CR
-        last = _COMMENT.match(data, data.rfind(b"#")).end()
-        view = memoryview(data)
-        span = view[first:last]
-        if data.find(b"\r#", first, last) >= 0:
-            span = _CR_COMMENT.sub(b"\r ", span)
-        data = b"".join((view[:first], _COMMENT.sub(b"", span), view[last:]))
     return data
+
+
+def _line_ends(data: bytes, stop: int | None = None) -> int:
+    """The line ends in ``data[:stop]``, LF, CR and CR LF, each counted once as ``str.splitlines()`` does.
+
+    The LFs are counted :data:`_CHUNK` bytes at a time, which is faster
+    than ``bytes.count`` and makes only chunk-sized masks.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)[:stop]
+    stop = raw.size
+    ends = sum(int(np.count_nonzero(raw[at : at + _CHUNK] == _LF)) for at in range(0, stop, _CHUNK))
+    if data.find(b"\r", 0, stop) >= 0:
+        ends += data.count(b"\r", 0, stop) - data.count(b"\r\n", 0, stop)
+    return ends
 
 
 def _tokenize(data: str | bytes, tabbed: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Token bounds of a text whose every line holds zero or two tokens, or None.
 
-    The byte-level steps both vectorized loaders share. '#' comments are
-    removed (:func:`_uncommented`), and what remains must be printable ASCII,
-    spaces, tabs, LF and CR. LF and CR end lines, and a token is a run of
-    bytes above the space. Returns a uint8 view of the bytes without
-    comments, and the start offset and the length of every token (int32
-    below 2 GiB of text). Any other input, including one with a line of one
-    or three tokens, returns None. With ``tabbed``, so does one where a
-    line's first tab does not stand between its two tokens.
+    The whole text's tokens, cut by :func:`_token_pieces`: returns a uint8
+    view of the UTF-8 bytes (:func:`_utf8`), and the start offset and the
+    length of every token in them (int32 below 2 GiB of text). Any input the
+    pieces decline, including one with a line of one or three tokens,
+    returns None; with ``tabbed``, so does one where a line's first tab
+    does not stand between its two tokens.
 
-    Memory: the text is read :data:`_CHUNK` bytes at a time, cut after a
-    line end (:func:`_chunk_tokens`), so its byte masks and offsets are
-    chunk-sized. Beside the text without comments, which is a copy only
-    when comments were removed, the two token arrays are all that grow with
-    the input: 8 bytes a token, about 1.4 times the bytes of an edge list
-    of 5-digit ids.
+    Memory: beside the text, the two token arrays are all that grow with the
+    input, 8 bytes a token, and they are allocated once, two per line.
     """
-    data = _uncommented(data)
-    if data is None or data.translate(None, _PRINTABLE):
+    data = _utf8(data)
+    if data is None:
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
-    lines = int(np.count_nonzero(raw == _LF)) + 1  # the last line may have no line end
-    if b"\r" in data:  # a CR ends a line too, unless an LF follows it
-        after = np.flatnonzero(raw == _CR) + 1
-        lines += int(np.count_nonzero(raw.take(after, mode="clip") != _LF))  # a last CR reads itself
-        del after
-    start = np.empty(2 * lines, dtype=np.int32 if raw.size < 2**31 else np.int64)
+    start = np.empty(2 * (_line_ends(data) + 1), dtype=np.int32 if raw.size < 2**31 else np.int64)
     length = np.empty_like(start)
-    count = at = 0
-    while at < raw.size:
-        cut = _LINE_END.search(data, at + _CHUNK - 1)
-        end = raw.size if cut is None else cut.end()
-        tokens = _chunk_tokens(raw[at:end], tabbed)
+    count = 0
+    for tokens in _token_pieces(data, tabbed):
         if tokens is None:
             return None
-        first, stop = tokens
-        np.add(first, at, out=start[count : count + first.size], casting="unsafe")
-        np.subtract(stop, first, out=length[count : count + first.size], casting="unsafe")
-        count += first.size
-        at = end
+        size = tokens[0].size
+        start[count : count + size], length[count : count + size] = tokens
+        count += size
     return raw, start[:count], length[:count]
 
 
-def _chunk_tokens(chunk: np.ndarray, tabbed: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """The offsets where the tokens of ``chunk`` start and stop, or None, as :func:`_tokenize` says.
+def _token_blocks(data: bytes) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
+    """The start offset and the length of every token of ``data``, a block of about :data:`_CHUNK` tokens at a time.
 
-    ``chunk`` is whole lines. One scan finds its events in order: where a
+    The pieces of :func:`_token_pieces`, joined until they hold
+    :data:`_CHUNK` tokens; so each block is whole lines. The first piece is
+    a block of its own, so that a file whose ids are of another form than
+    the caller keys is told at once. Where the pieces are declined, None is
+    yielded and the blocks end.
+    """
+    starts, lengths, count, size = [], [], 0, 1
+    for tokens in _token_pieces(data, False):
+        if tokens is None:
+            yield None
+            return
+        starts.append(tokens[0])
+        lengths.append(tokens[1])
+        count += tokens[0].size
+        if count >= size:
+            block, starts, lengths, count, size = (np.concatenate(starts), np.concatenate(lengths)), [], [], 0, _CHUNK
+            yield block
+    if count:
+        yield np.concatenate(starts), np.concatenate(lengths)
+
+
+def _token_pieces(data: bytes, tabbed: bool) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
+    """The start offset and the length of every token of ``data``, a piece of about :data:`_CHUNK` bytes at a time.
+
+    The byte-level steps both vectorized loaders share. ``data`` is UTF-8
+    (:func:`_utf8`). '#' starts a comment, which runs to the next line end
+    of ``str.splitlines()``, and the rest must be printable ASCII, spaces,
+    tabs, LF and CR. LF and CR end lines, and a token is a run of bytes
+    above the space. The arrays are int32 below 2 GiB of text. At the first
+    line with one or three tokens, at a byte outside a comment that is not
+    taken, or, with ``tabbed``, where a line's first tab does not stand
+    between its two tokens, None is yielded and the pieces end.
+
+    Memory: the text is read :data:`_CHUNK` bytes at a time, cut after a
+    line end, and each piece is copied with its comments overwritten by
+    spaces (:func:`_blank_comments`), so the offsets are those in ``data``
+    and the text is never copied whole; its byte masks and offsets are
+    piece-sized (:func:`_chunk_tokens`).
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    dtype = np.int32 if raw.size < 2**31 else np.int64
+    at = 0
+    while at < raw.size:
+        cut = _LINE_END.search(data, at + _CHUNK - 1)
+        end = raw.size if cut is None else cut.end()
+        text = np.empty(end - at + 1, dtype=np.uint8)
+        text[:-1] = raw[at:end]
+        text[-1] = _LF  # a closing line end, so that every token stops inside the text
+        if data.find(b"#", at, end) >= 0:
+            _blank_comments(text)
+        tokens = None if text.tobytes().translate(None, _PRINTABLE) else _chunk_tokens(text, tabbed)
+        if tokens is None:
+            yield None
+            return
+        first, stop = tokens
+        start = np.add(first, at, dtype=dtype, casting="unsafe")
+        stop -= first
+        yield start, stop.astype(dtype)
+        at = end
+
+
+def _blank_comments(text: np.ndarray) -> None:
+    """Overwrite every '#' comment of ``text`` with spaces, in place.
+
+    A comment runs from its '#' to the next byte of :data:`_COMMENT_END`,
+    which it leaves, so the text keeps its lines and the offset of every
+    token. A comment right after a CR leaves that CR followed by a space,
+    not joined to an LF after the comment.
+    """
+    hashes = np.cumsum(text == _HASH)  # the '#' bytes up to each byte
+    ends = np.where(_COMMENT_END[text], hashes, 0)
+    np.maximum.accumulate(ends, out=ends)  # the '#' bytes up to the last line end at or before it
+    text[hashes > ends] = _SPACE
+
+
+def _chunk_tokens(text: np.ndarray, tabbed: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The offsets where the tokens of ``text`` start and stop, or None, as :func:`_token_pieces` says.
+
+    ``text`` is whole lines without comments, the last one ended by an LF
+    that closes the text. One scan finds its events in order: where a
     token starts or stops, and every line end. Between two token starts
     stand exactly the first token's stop and any line ends, so whether a
     line holds 0 or 2 tokens is read from the events around each start,
     with no search over the line ends.
     """
-    text = np.empty(chunk.size + 1, dtype=np.uint8)
-    text[:-1] = chunk
-    text[-1] = _LF  # a closing line end, so that every token stops inside the text
     token = text > _SPACE
     edge = np.empty_like(token)
     edge[0] = token[0]
@@ -557,30 +619,65 @@ def _chunk_tokens(chunk: np.ndarray, tabbed: bool) -> tuple[np.ndarray, np.ndarr
 def _token_edges(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray] | None:
     """The id text and endpoint arrays of an edge list of printable-ASCII ids, or None.
 
-    Vectorized over the raw bytes by :func:`_tokenize`, with no per-line
-    Python loop. It applies when, after comments are removed, the input is
-    printable ASCII, spaces, tabs, LF and CR, and every non-blank line holds
-    exactly two tokens: "v <id>" declares a vertex and any other line is an
-    edge, so a "v" in second position is an id. The ids are numbered by
-    :func:`_keys`; the distinct ids come back as ASCII lines in
-    first-appearance order (:func:`_join`), with the dense endpoint arrays of
-    every edge. No simple-graph rule is checked here and nothing is raised:
-    any other input returns None.
+    Vectorized over the raw bytes by :func:`_token_blocks`, with no per-line
+    Python loop. It applies when, outside comments, the input is printable
+    ASCII, spaces, tabs, LF and CR, and every non-blank line holds exactly
+    two tokens: "v <id>" declares a vertex and any other line is an edge,
+    so a "v" in second position is an id. The ids are numbered in
+    first-appearance order (:class:`_Edges`); the distinct ids come back as
+    ASCII lines in that order (:func:`_join`), with the dense endpoint
+    arrays of every edge. No simple-graph rule is checked here and nothing
+    is raised: any other input returns None.
+
+    While every id is a small canonical decimal, each block is keyed by
+    :func:`_decimals` as soon as it is cut and its numbered endpoints are
+    written into the endpoint arrays, so no array per token is made. At the
+    first block with an id of any other form, the text's tokens are cut
+    again whole and all keyed at once (:func:`_ranked_edges`), as for
+    every id before.
+
+    Memory: on decimal ids, beside the text, the peak holds the two int32
+    endpoint arrays, allocated once, one entry per line, and cut to the edge
+    count in place; the table of :class:`_Edges`, as long as the largest
+    id; and block-sized temporaries.
+    """
+    data = _utf8(data)
+    if data is None:
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    lines = _line_ends(data) + 1
+    edges = _Edges(lines)
+    blocks = _token_blocks(data)
+    for block in blocks:
+        if block is None:
+            return None
+        _declare(raw, *block)
+        keys = _decimals(raw, *block, 8 * lines + 1024)  # as _keys bounds them: two tokens a line
+        if keys is None:
+            break
+        edges.add(keys, *block)
+    else:
+        return edges.result(raw)
+    del edges, blocks, block  # freed before the whole text is cut again
+    return _ranked_edges(data)
+
+
+def _ranked_edges(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray] | None:
+    """:func:`_token_edges` for ids of any form: the whole text's tokens (:func:`_tokenize`), keyed at once by :func:`_ranks`.
 
     Memory: besides the text, the peak holds the int32 start, length and
-    key of every token, and only chunk-sized temporaries; a line "v <id>"
-    keys its "v" as the id it declares, so no token array is compacted.
+    key of every token, and only chunk-sized temporaries; the keys are
+    numbered in place and the token arrays freed before the endpoint
+    arrays are made.
     """
     tokens = _tokenize(data)
     if tokens is None:
         return None
     raw, start, length = tokens
     del tokens
-    short = 2 * np.flatnonzero(length[0::2] == 1)  # the first tokens of one byte
-    declared = short[raw[start[short]] == _V]  # the "v" of each line "v <id>"
-    start[declared] = start[declared + 1]
-    length[declared] = length[declared + 1]
-    keys = _keys(raw, start, length)
+    _declare(raw, start, length)
+    declared = np.flatnonzero(start[0::2] == start[1::2])  # the lines "v <id>", which give no edge
+    keys = _ranks(raw, start, length)
     first, table = _first_appearance(keys)
     start, length = start[first], length[first]  # the distinct ids; the token arrays are freed
     del first
@@ -589,25 +686,107 @@ def _token_edges(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray] | No
         table.take(block, out=block)
     del table
     text = _join(raw, start, length)
-    if declared.size:  # the lines "v <id>" give no edge
+    if declared.size:
         edge = np.ones(keys.size // 2, dtype=bool)
-        edge[declared // 2] = False
+        edge[declared] = False
         return text, keys[0::2][edge], keys[1::2][edge]
     return text, keys[0::2].copy(), keys[1::2].copy()
 
 
-def _decimals(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+def _declare(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> None:
+    """Point the "v" of every line "v <id>" at the id it declares, in place.
+
+    The line then holds its id twice at one offset, which tells it from an
+    edge, whose two tokens start at different offsets.
+    """
+    short = 2 * np.flatnonzero(length[0::2] == 1)  # the first tokens of one byte
+    declared = short[raw[start[short]] == _V]
+    start[declared] = start[declared + 1]
+    length[declared] = length[declared + 1]
+
+
+_UNSEEN = np.iinfo(np.int32).max  # above every position in a block and every id number
+
+
+class _Edges:
+    """Endpoint arrays written a block of tokens at a time, ids numbered by first appearance across blocks.
+
+    A block is the keys, start offsets and lengths of the tokens of whole
+    lines, two a line, after :func:`_declare`; equal keys are equal ids.
+    ``table`` maps each key to the number of its id, :data:`_UNSEEN` for a
+    key not seen yet, and grows with the largest key.
+    """
+
+    def __init__(self, lines: int):
+        self.eu = np.empty(lines, dtype=np.int32)  # a line holds at most one edge
+        self.ev = np.empty(lines, dtype=np.int32)
+        self.m = self.n = 0
+        self.table = np.empty(0, dtype=np.int32)
+        # the start and length of each id's first appearance, a block at a time
+        self.starts, self.lengths = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+
+    def add(self, keys: np.ndarray, start: np.ndarray, length: np.ndarray) -> None:
+        top = int(keys.max(initial=-1)) + 1
+        if top > self.table.size:
+            table = np.full(max(top, self.table.size + self.table.size // 4), _UNSEEN, dtype=np.int32)
+            table[: self.table.size] = self.table
+            self.table = table
+        number = self.table.take(keys)
+        fresh = np.flatnonzero(number == _UNSEEN).astype(np.int32)  # the tokens of ids not numbered yet
+        if fresh.size:
+            new = keys[fresh]
+            np.minimum.at(self.table, new, fresh)  # the first position of each new id
+            first = fresh[self.table.take(new) == fresh]
+            self.table[keys[first]] = np.arange(self.n, self.n + first.size, dtype=np.int32)
+            self.n += first.size
+            self.starts.append(start[first])
+            self.lengths.append(length[first])
+            number[fresh] = self.table.take(new)
+        edge = start[0::2] != start[1::2]
+        m = self.m + int(np.count_nonzero(edge))
+        self.eu[self.m : m] = number[0::2][edge]
+        self.ev[self.m : m] = number[1::2][edge]
+        self.m = m
+
+    def result(self, raw: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
+        """The id text and the endpoint arrays, cut to the edges written."""
+        del self.table
+        start, length = np.concatenate(self.starts), np.concatenate(self.lengths)
+        del self.starts, self.lengths
+        text = _join(raw, start, length)
+        del start, length
+        self.eu.resize(self.m, refcheck=False)  # in place: no view of either array is kept
+        self.ev.resize(self.m, refcheck=False)
+        return text, self.eu, self.ev
+
+
+def _edge_at(data: bytes, k: int) -> tuple[str, str, int]:
+    """The two ids of edge ``k`` of an edge list :func:`_token_edges` read, and its line.
+
+    The blocks are cut again up to the edge; its line is the count of line
+    ends above its first id, as ``str.splitlines()`` counts them, plus one.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    for start, length in _token_blocks(data):
+        _declare(raw, start, length)
+        edges = np.flatnonzero(start[0::2] != start[1::2])
+        if k < edges.size:
+            at = 2 * int(edges[k])
+            (a, b), (la, lb) = start[at : at + 2].tolist(), length[at : at + 2].tolist()
+            return data[a : a + la].decode("ascii"), data[b : b + lb].decode("ascii"), _line_ends(data, a) + 1
+        k -= edges.size
+
+
+def _decimals(raw: np.ndarray, start: np.ndarray, length: np.ndarray, bound: int) -> np.ndarray | None:
     """The int32 value of every token ``raw[start:start + length]``, or None.
 
     None unless every token is a canonical decimal (1 to 9 ASCII digits with
     no leading zero, so that a value and its text determine each other)
-    below 4 per token plus 1024, which keeps the table of
-    :func:`_first_appearance` small. The tokens are read :data:`_CHUNK` at a
-    time, on intp offsets, and each value is accumulated in place one digit
-    column at a time, so that besides the values only chunk-sized buffers
-    are made.
+    below ``bound``, which keeps the tables numbering the keys small. The
+    tokens are read :data:`_CHUNK` at a time, on intp offsets, and each
+    value is accumulated in place one digit column at a time, so that
+    besides the values only chunk-sized buffers are made.
     """
-    bound = 4 * start.size + 1024
     if int(length.max(initial=0)) > min(len(str(bound)), _MAX_DIGITS):
         return None
     keys = np.empty(start.size, dtype=np.int32)
@@ -638,11 +817,11 @@ def _keys(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """One int32 key per token ``raw[start:start + length]``, equal exactly when the tokens are.
 
     The keys hold within one call only, and are small enough for the table
-    of :func:`_first_appearance`: small canonical decimals
-    (:func:`_decimals`) are keyed by their values, and any other tokens are
-    numbered by :func:`_ranks`.
+    of :func:`_first_appearance`: canonical decimals below 4 per token plus
+    1024 (:func:`_decimals`) are keyed by their values, and any other tokens
+    are numbered by :func:`_ranks`.
     """
-    keys = _decimals(raw, start, length)
+    keys = _decimals(raw, start, length, 4 * start.size + 1024)
     return _ranks(raw, start, length) if keys is None else keys
 
 
@@ -759,21 +938,21 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
     :class:`EdgeListError` naming its line, unless a line above it is bad.
     Files of printable-ASCII ids with exactly two tokens on every
     non-blank line are tokenized vectorized (:func:`_token_edges`), whether
-    the ids are integers or not, and the graph is kept when its edges pass
-    the check. Any other input, and every bad one, is read by the line pass,
-    :func:`_scan`, which gives the same graph and raises every error from
-    its one scan.
+    the ids are integers or not, and checked; the first bad edge there is
+    named by cutting the text's tokens again up to it (:func:`_edge_at`).
+    Any other input is read by the line pass, :func:`_scan`, which gives
+    the same graph and raises every error from its one scan.
 
-    Memory: one copy of the text is kept (:func:`_read`). When comments are
-    removed, the text without them replaces the bytes read, and the line
-    pass reads that. On an edge list of integer ids, SNAP style, the transient peak, the
-    bytes read included, stays under 4 times the size of the file: beside
-    the text it holds the int32 start, length and key of every token, and
-    buffers of :data:`_CHUNK` bytes or tokens. The test suite traces it with
-    tracemalloc on a 200,000-edge file, where it is 3.4 times the file. The
-    simple-graph check and the degree count after the tokenizer make no
-    temporary as large as the two endpoint arrays (:func:`_simple_edges`,
-    :func:`_graph`).
+    Memory: one copy of the text is kept (:func:`_read`), comments
+    included; the tokenizer overwrites comments in its piece-sized copies
+    only. On an edge list of integer ids, SNAP style, the transient peak,
+    the bytes read included, stays under 2.6 times the size of the file:
+    beside the text it holds the two int32 endpoint arrays, the table that
+    numbers the ids, and buffers of :data:`_CHUNK` bytes or tokens. The
+    test suite traces it with tracemalloc on a 200,000-edge file, where it
+    is 2.5 times the file. The simple-graph check and the degree count after
+    the tokenizer make no temporary as large as the two endpoint arrays
+    (:func:`_simple_edges`, :func:`_graph`).
     """
     data = _read(source)
     tokens = _token_edges(data)
@@ -782,10 +961,12 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
         del tokens  # the unchecked arrays are not kept past the check
         n = text.count(b"\n")
         eu, ev, k = _simple_edges(n, eu, ev, dedupe)
-        if k is None:
-            graph = _graph(n, None, eu, ev)
-            graph.__dict__["_id_text"] = text
-            return graph
+        if k is not None:
+            del text, eu, ev
+            raise _bad_edge(*_edge_at(_utf8(data), k))
+        graph = _graph(n, None, eu, ev)
+        graph.__dict__["_id_text"] = text
+        return graph
     try:
         text = _decode(data)
     except UnicodeDecodeError as exc:

@@ -73,7 +73,16 @@ AROUND_CUTS = {
     "string ids": "u1 u22\nu22 v\nv u333\nabcdefghijk u1\n",
     "a self-loop": "1 2\n2 3\n3 3\n",
     "a repeated edge": "1 2\r\n2 3\r\n3 1\r\n2 1\r\n",
+    # Ids that stop being canonical decimals after the first block of tokens, at every
+    # chunk size: the block path falls back to keying every token in the middle of the file.
+    "a leading zero late": "".join(f"{i} {i + 1}\n" for i in range(1, 50)) + "7 007\n3 9\n",
+    "a 10-digit id late": "".join(f"{i} {i + 1}\n" for i in range(1, 50)) + "1234567890 5\n5 6\n",
+    "u1 in a late v line": "".join(f"{i}\t{i + 1}\r\n" for i in range(1, 50)) + "v 60\r\nv u1\r\n",
+    "a repeated edge after a late fall-back": "".join(f"{i} {i + 1}\n" for i in range(1, 50)) + "v x\n2 1\n",
+    # a "v" line at a block boundary, whichever chunk size
+    "a v line on a block boundary": "".join(f"{i} {i + 1}\nv {i + 100}\n" for i in range(1, 50)),
 }
+LATE = ["a leading zero late", "a 10-digit id late", "u1 in a late v line", "a repeated edge after a late fall-back"]
 
 
 def _spoiled(name):
@@ -105,6 +114,24 @@ def test_edge_lists_are_read_by_the_token_path():
         for size in CHUNKS:
             with mock.patch.object(graphs, "_CHUNK", size):
                 assert (graphs._token_edges(text) is None) == (name in declined), (name, size)
+
+
+@pytest.mark.parametrize("name", LATE)
+def test_the_block_path_falls_back_in_the_middle_of_the_file(name):
+    """Decimal blocks are keyed before the one with an id of another form, at every chunk size."""
+    decimals = graphs._decimals
+    calls = []
+
+    def spy(*args):
+        keys = decimals(*args)
+        calls.append(keys is not None)
+        return keys
+
+    for size in CHUNKS:
+        calls.clear()
+        with mock.patch.object(graphs, "_CHUNK", size), mock.patch.object(graphs, "_decimals", spy):
+            assert graphs._token_edges(AROUND_CUTS[name]) is not None
+        assert calls[0] and not calls[-1], (size, calls)
 
 
 def _coloring(lines, ends):

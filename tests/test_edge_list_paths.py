@@ -8,6 +8,7 @@ loop that shares no code with the library, since the two paths share their
 error selection.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -393,7 +394,11 @@ REPEATED_EDGE = "0 1\n1 2\n2 0\n1 0\n"
     ],
 )
 def test_a_failing_load_scans_the_lines_once(data, error, message):
-    """Every error, whichever pass read the file first, comes from one scan of its lines."""
+    """Every error, whichever pass read the file first, comes from at most one scan of its lines.
+
+    A bad edge in a file the token path read is named without the line pass.
+    """
+    scans = 0 if graphs._token_edges(data) is not None else 1
     calls = []
     scan = graphs._scan
 
@@ -403,7 +408,7 @@ def test_a_failing_load_scans_the_lines_once(data, error, message):
 
     with mock.patch.object(graphs, "_scan", spy), pytest.raises(error) as exc:
         nh.load_edge_list(data)
-    assert (str(exc.value), len(calls)) == (message, 1)
+    assert (str(exc.value), len(calls)) == (message, scans)
     assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, data, False)
 
 
@@ -502,11 +507,13 @@ BODY2 = "".join(f"{i}  {i + 2}\n" for i in range(200))  # other edges, two space
     ids=["start", "middle", "end", "hash in a comment", "non-ASCII", "three", "none"],
 )
 def test_comments_are_removed_where_they_stand(text):
-    """The token bounds are those of the text with every comment cut out."""
-    want = graphs._tokenize(graphs._COMMENT.sub(b"", text.encode("utf-8")))
+    """The token bounds are those of the text with every comment overwritten by spaces."""
+    blank = re.sub(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*", lambda comment: b" " * len(comment[0]), text.encode("utf-8"))
+    want = graphs._tokenize(blank)
     for data in (text, text.encode("utf-8")):
         got = graphs._tokenize(data)
         assert got is not None and len(got) == len(want) == 3
-        for a, b in zip(got, want):
+        assert got[0].tobytes() == text.encode("utf-8")  # the offsets are those of the text as given
+        for a, b in zip(got[1:], want[1:]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
     assert _outcome(nh.load_edge_list, text, False) == _outcome(reference_load, text, False)
