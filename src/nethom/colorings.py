@@ -23,7 +23,7 @@ from .graphs import (
     Graph,
     TextSource,
     _decode,
-    _first_appearance,
+    _Ids,
     _join,
     _keys,
     _read,
@@ -248,9 +248,11 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     The graph's ids and the file's ids are keyed in one
     :func:`~nethom.graphs._keys` call, over the graph's id text followed by
     the file's ids joined as lines (:func:`~nethom.graphs._join`), so no
-    label or blank of the file is copied; the class labels are keyed in
-    another call. Any other input, every bad one included, returns None and
-    takes the general path, which raises the error.
+    label or blank of the file is copied; the graph's ids are distinct, so a
+    table from key to vertex gives each file id its vertex. The class labels
+    are keyed in another call and numbered by :class:`~nethom.graphs._Ids`.
+    Any other input, every bad one included, returns None and takes the
+    general path, which raises the error.
     """
     n = graph.n
     id_text = graph._id_text if n else None
@@ -273,19 +275,20 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     ends -= line_start  # the length of each line's id
     keys = _keys(text, line_start, ends)
     del text, line_start, ends
-    vertex = _first_appearance(keys)[1][keys[n:]]
-    del keys
-    if not bool((vertex < n).all()):
-        return None
-    seen = np.zeros(n, dtype=bool)
+    table = np.full(int(keys.max()) + 1, n, dtype=np.int32)  # n for a key of no graph vertex
+    table[keys[:n]] = np.arange(n, dtype=np.int32)  # the graph's ids are distinct
+    vertex = table[keys[n:]]
+    del keys, table
+    seen = np.zeros(n + 1, dtype=bool)
     seen[vertex] = True
-    if not bool(seen.all()):  # n ids, all in the graph: a repeat leaves a vertex unnamed
+    if not bool(seen[:n].all()):  # n ids: an unknown or repeated one leaves a vertex unnamed
         return None
     keys = _keys(raw, label_start, label_length)
-    first, table = _first_appearance(keys)
+    labels = _Ids()
+    labels.number(keys, label_start, label_length)
     assignment = np.empty(n, dtype=np.int32)
-    assignment[vertex] = table[keys]
-    names = _join(raw, label_start[first], label_length[first]).decode("ascii").splitlines()
+    assignment[vertex] = keys
+    names = labels.text(raw).decode("ascii").splitlines()
     return Coloring(assignment=assignment, class_labels=tuple(names))
 
 

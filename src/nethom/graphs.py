@@ -619,78 +619,69 @@ def _chunk_tokens(text: np.ndarray, tabbed: bool) -> tuple[np.ndarray, np.ndarra
 def _token_edges(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray] | None:
     """The id text and endpoint arrays of an edge list of printable-ASCII ids, or None.
 
-    Vectorized over the raw bytes by :func:`_token_blocks`, with no per-line
-    Python loop. It applies when, outside comments, the input is printable
-    ASCII, spaces, tabs, LF and CR, and every non-blank line holds exactly
-    two tokens: "v <id>" declares a vertex and any other line is an edge,
-    so a "v" in second position is an id. The ids are numbered in
-    first-appearance order (:class:`_Edges`); the distinct ids come back as
-    ASCII lines in that order (:func:`_join`), with the dense endpoint
-    arrays of every edge. No simple-graph rule is checked here and nothing
-    is raised: any other input returns None.
+    Vectorized over the raw bytes, with no per-line Python loop. It applies
+    when, outside comments, the input is printable ASCII, spaces, tabs, LF
+    and CR, and every non-blank line holds exactly two tokens: "v <id>"
+    declares a vertex and any other line is an edge, so a "v" in second
+    position is an id. Every token is keyed, and one :class:`_Ids` numbers
+    the keys by first appearance; the distinct ids come back as ASCII lines
+    in that order, with the dense endpoint arrays of every edge. No
+    simple-graph rule is checked here and nothing is raised: any other input
+    returns None.
 
-    While every id is a small canonical decimal, each block is keyed by
-    :func:`_decimals` as soon as it is cut and its numbered endpoints are
-    written into the endpoint arrays, so no array per token is made. At the
-    first block with an id of any other form, the text's tokens are cut
-    again whole and all keyed at once (:func:`_ranked_edges`), as for
-    every id before.
+    While every id is a small canonical decimal, the keys are the values
+    :func:`_decimals` reads from each block of :func:`_token_blocks` as it is
+    cut, and each block's numbered endpoints are written into the endpoint
+    arrays. At the first block with an id of any other form, the text's
+    tokens are cut again whole (:func:`_tokenize`) and keyed at once by
+    :func:`_ranks`, and every id is numbered afresh.
 
-    Memory: on decimal ids, beside the text, the peak holds the two int32
+    Memory: beside the text, on decimal ids the peak holds the two int32
     endpoint arrays, allocated once, one entry per line, and cut to the edge
-    count in place; the table of :class:`_Edges`, as long as the largest
-    id; and block-sized temporaries.
+    count in place; the table of :class:`_Ids`, as long as the largest id;
+    and block-sized temporaries. On other ids it holds the int32 start,
+    length and key of every token, the table, and chunk-sized temporaries.
     """
     data = _utf8(data)
     if data is None:
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     lines = _line_ends(data) + 1
-    edges = _Edges(lines)
+    ids, m = _Ids(), 0
+    eu = np.empty(lines, dtype=np.int32)  # a line holds at most one edge
+    ev = np.empty(lines, dtype=np.int32)
     blocks = _token_blocks(data)
     for block in blocks:
         if block is None:
             return None
-        _declare(raw, *block)
-        keys = _decimals(raw, *block, 8 * lines + 1024)  # as _keys bounds them: two tokens a line
+        start, length = block
+        _declare(raw, start, length)
+        keys = _decimals(raw, start, length, 8 * lines + 1024)  # as _keys bounds them: two tokens a line
         if keys is None:
             break
-        edges.add(keys, *block)
+        ids.number(keys, start, length)
+        edge = start[0::2] != start[1::2]
+        top = m + int(np.count_nonzero(edge))
+        eu[m:top], ev[m:top], m = keys[0::2][edge], keys[1::2][edge], top
     else:
-        return edges.result(raw)
-    del edges, blocks, block  # freed before the whole text is cut again
-    return _ranked_edges(data)
-
-
-def _ranked_edges(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray] | None:
-    """:func:`_token_edges` for ids of any form: the whole text's tokens (:func:`_tokenize`), keyed at once by :func:`_ranks`.
-
-    Memory: besides the text, the peak holds the int32 start, length and
-    key of every token, and only chunk-sized temporaries; the keys are
-    numbered in place and the token arrays freed before the endpoint
-    arrays are made.
-    """
+        text = ids.text(raw)
+        eu.resize(m, refcheck=False)  # in place: no view of either array is kept
+        ev.resize(m, refcheck=False)
+        return text, eu, ev
+    del ids, eu, ev, blocks, block, start, length  # freed before the whole text is cut again
     tokens = _tokenize(data)
     if tokens is None:
         return None
     raw, start, length = tokens
     del tokens
     _declare(raw, start, length)
-    declared = np.flatnonzero(start[0::2] == start[1::2])  # the lines "v <id>", which give no edge
     keys = _ranks(raw, start, length)
-    first, table = _first_appearance(keys)
-    start, length = start[first], length[first]  # the distinct ids; the token arrays are freed
-    del first
-    for at in range(0, keys.size, _CHUNK):  # each key becomes its number, in place
-        block = keys[at : at + _CHUNK]
-        table.take(block, out=block)
-    del table
-    text = _join(raw, start, length)
-    if declared.size:
-        edge = np.ones(keys.size // 2, dtype=bool)
-        edge[declared] = False
-        return text, keys[0::2][edge], keys[1::2][edge]
-    return text, keys[0::2].copy(), keys[1::2].copy()
+    ids = _Ids()
+    ids.number(keys, start, length)
+    edge = start[0::2] != start[1::2]
+    del start, length
+    text = ids.text(raw)
+    return text, keys[0::2][edge], keys[1::2][edge]
 
 
 def _declare(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> None:
@@ -705,59 +696,49 @@ def _declare(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> None:
     length[declared] = length[declared + 1]
 
 
-_UNSEEN = np.iinfo(np.int32).max  # above every position in a block and every id number
+_UNSEEN = np.iinfo(np.int32).max  # above every position in a chunk and every id number
 
 
-class _Edges:
-    """Endpoint arrays written a block of tokens at a time, ids numbered by first appearance across blocks.
+class _Ids:
+    """Ids numbered by first appearance, across calls to :meth:`number`.
 
-    A block is the keys, start offsets and lengths of the tokens of whole
-    lines, two a line, after :func:`_declare`; equal keys are equal ids.
-    ``table`` maps each key to the number of its id, :data:`_UNSEEN` for a
-    key not seen yet, and grows with the largest key.
+    Equal keys are equal ids. ``table`` maps each key to the number of its
+    id, :data:`_UNSEEN` for a key not seen yet, and grows with the largest
+    key. :meth:`number` keeps the start offset and the length of each id's
+    first token, from its ``start`` and ``length``, for :meth:`text`.
     """
 
-    def __init__(self, lines: int):
-        self.eu = np.empty(lines, dtype=np.int32)  # a line holds at most one edge
-        self.ev = np.empty(lines, dtype=np.int32)
-        self.m = self.n = 0
+    def __init__(self):
+        self.n = 0
         self.table = np.empty(0, dtype=np.int32)
-        # the start and length of each id's first appearance, a block at a time
         self.starts, self.lengths = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
 
-    def add(self, keys: np.ndarray, start: np.ndarray, length: np.ndarray) -> None:
-        top = int(keys.max(initial=-1)) + 1
-        if top > self.table.size:
-            table = np.full(max(top, self.table.size + self.table.size // 4), _UNSEEN, dtype=np.int32)
-            table[: self.table.size] = self.table
-            self.table = table
-        number = self.table.take(keys)
-        fresh = np.flatnonzero(number == _UNSEEN).astype(np.int32)  # the tokens of ids not numbered yet
-        if fresh.size:
-            new = keys[fresh]
-            np.minimum.at(self.table, new, fresh)  # the first position of each new id
-            first = fresh[self.table.take(new) == fresh]
-            self.table[keys[first]] = np.arange(self.n, self.n + first.size, dtype=np.int32)
-            self.n += first.size
-            self.starts.append(start[first])
-            self.lengths.append(length[first])
-            number[fresh] = self.table.take(new)
-        edge = start[0::2] != start[1::2]
-        m = self.m + int(np.count_nonzero(edge))
-        self.eu[self.m : m] = number[0::2][edge]
-        self.ev[self.m : m] = number[1::2][edge]
-        self.m = m
+    def number(self, keys: np.ndarray, start: np.ndarray, length: np.ndarray) -> None:
+        """Replace each key (nonnegative) by the number of its id, in place, :data:`_CHUNK` keys at a time."""
+        missing = int(keys.max(initial=-1)) + 1 - self.table.size  # the keys above the table
+        if missing > 0:
+            grow = np.full(max(missing, self.table.size // 4), _UNSEEN, dtype=np.int32)
+            self.table = np.concatenate([self.table, grow])
+        table = self.table
+        for at in range(0, keys.size, _CHUNK):
+            block = keys[at : at + _CHUNK]
+            fresh = np.flatnonzero(table.take(block) == _UNSEEN).astype(np.int32)  # the keys not numbered yet
+            if fresh.size:
+                new = block[fresh]
+                np.minimum.at(table, new, fresh)  # the first position of each new key
+                first = fresh[table.take(new) == fresh]
+                table[block[first]] = np.arange(self.n, self.n + first.size, dtype=np.int32)
+                self.n += first.size
+                self.starts.append(start[at + first])
+                self.lengths.append(length[at + first])
+            table.take(block, out=block)
 
-    def result(self, raw: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
-        """The id text and the endpoint arrays, cut to the edges written."""
+    def text(self, raw: np.ndarray) -> bytes:
+        """The ids as ASCII lines in the order of their numbers; the table is freed before they are joined."""
         del self.table
         start, length = np.concatenate(self.starts), np.concatenate(self.lengths)
         del self.starts, self.lengths
-        text = _join(raw, start, length)
-        del start, length
-        self.eu.resize(self.m, refcheck=False)  # in place: no view of either array is kept
-        self.ev.resize(self.m, refcheck=False)
-        return text, self.eu, self.ev
+        return _join(raw, start, length)
 
 
 def _edge_at(data: bytes, k: int) -> tuple[str, str, int]:
@@ -817,9 +798,9 @@ def _keys(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """One int32 key per token ``raw[start:start + length]``, equal exactly when the tokens are.
 
     The keys hold within one call only, and are small enough for the table
-    of :func:`_first_appearance`: canonical decimals below 4 per token plus
-    1024 (:func:`_decimals`) are keyed by their values, and any other tokens
-    are numbered by :func:`_ranks`.
+    of :class:`_Ids`: canonical decimals below 4 per token plus 1024
+    (:func:`_decimals`) are keyed by their values, and any other tokens are
+    numbered by :func:`_ranks`.
     """
     keys = _decimals(raw, start, length, 4 * start.size + 1024)
     return _ranks(raw, start, length) if keys is None else keys
@@ -882,23 +863,6 @@ def _numbers(box: list[np.ndarray]) -> tuple[np.ndarray, int]:
     return numbers, int(count[-1]) + 1 if count.size else perm.size
 
 
-def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each distinct key first appears, in order, and a table that numbers keys in that order.
-
-    ``keys`` are nonnegative integers; the table (int32) is as long as the
-    largest key. The keys are read :data:`_CHUNK` at a time, so no other
-    buffer as long as ``keys`` is made.
-    """
-    first = np.full(int(keys.max(initial=-1)) + 1, keys.size, dtype=np.int32)
-    for at in range(0, keys.size, _CHUNK):
-        block = keys[at : at + _CHUNK]
-        np.minimum.at(first, block, np.arange(at, at + block.size, dtype=np.int32))
-    table = first  # the first positions are read out before the table is written over them
-    first = np.sort(first[first < keys.size])
-    table[keys[first]] = np.arange(first.size, dtype=np.int32)
-    return first, table
-
-
 def _join(raw: np.ndarray, start: np.ndarray, length: np.ndarray) -> bytes:
     """The tokens ``raw[start:start + length]`` as ASCII lines, one per token.
 
@@ -945,14 +909,16 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
 
     Memory: one copy of the text is kept (:func:`_read`), comments
     included; the tokenizer overwrites comments in its piece-sized copies
-    only. On an edge list of integer ids, SNAP style, the transient peak,
-    the bytes read included, stays under 2.6 times the size of the file:
-    beside the text it holds the two int32 endpoint arrays, the table that
-    numbers the ids, and buffers of :data:`_CHUNK` bytes or tokens. The
-    test suite traces it with tracemalloc on a 200,000-edge file, where it
-    is 2.5 times the file. The simple-graph check and the degree count after
-    the tokenizer make no temporary as large as the two endpoint arrays
-    (:func:`_simple_edges`, :func:`_graph`).
+    only. Both token paths number ids with one :class:`_Ids`, whose table is
+    as long as the largest key. On an edge list of integer ids, SNAP style,
+    the transient peak, the bytes read included, stays under 2.6 times the
+    size of the file: beside the text it holds the two int32 endpoint
+    arrays, that table, and buffers of :data:`_CHUNK` bytes or tokens. Ids
+    of other forms add an int32 start, length and key per token. The test
+    suite traces both with tracemalloc on a 200,000-edge file, where they
+    are 2.5 and 4.7 times the file. The simple-graph check and the degree
+    count after the tokenizer make no temporary as large as the two
+    endpoint arrays (:func:`_simple_edges`, :func:`_graph`).
     """
     data = _read(source)
     tokens = _token_edges(data)

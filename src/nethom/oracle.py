@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .colorings import ColoringError, ObservedOutcome, Profile, sample_counts
 from .graphs import Graph, _gamma_from_counts, _Record
@@ -213,12 +213,11 @@ def exact_tail(
     """Exact probability mass of {outcome : statistic(outcome) <side> threshold}.
 
     ``side`` is "ge" or "le". The statistic must be evaluable on every
-    support point; comparisons are taken as given, so callers wanting exact
-    tie handling should compute the threshold with the same statistic.
+    support point; comparisons are taken as given, and a nan is in neither
+    tail; for exact ties, compute the threshold with the same statistic.
     """
-    keep = _keep(side)
-    hits = sum(c for out, c in d.outcome_counts.items() if keep(statistic(out), threshold))
-    return Fraction(hits, d.total)
+    _keep(side)  # a bad side raises before the statistic is evaluated
+    return _ScoreLaw(d, map(statistic, d.outcome_counts)).tail(threshold, side)
 
 
 def _keep(side: str) -> Callable:
@@ -227,27 +226,28 @@ def _keep(side: str) -> Callable:
     return _SIDES[side]
 
 
-def _sorted_tails(d: ExactDistribution, values: Sequence) -> Callable[..., Fraction]:
-    """Exact tails of a statistic taking ``values[k]`` on the k-th outcome of
-    ``d.outcome_counts``: one sort, then ``tail(v, "ge" | "le")`` bisects prefix
-    sums of the integer coloring counts, the same mass as :func:`exact_tail`."""
-    order = sorted(zip(values, d.outcome_counts.values()), key=lambda vc: vc[0])
-    keys = [v for v, _ in order]
-    cum = [0, *itertools.accumulate(c for _, c in order)]
+class _ScoreLaw:
+    """The exact law of a score, ``scores[k]`` on the k-th outcome of ``d.outcome_counts``: its
+    sorted values, the prefix sums of their coloring counts, and the total; a nan score is dropped."""
 
-    def tail(v, side: str) -> Fraction:
-        k = cum[-1] - cum[bisect_left(keys, v)] if side == "ge" else cum[bisect_right(keys, v)]
-        return Fraction(k, d.total)
+    def __init__(self, d: ExactDistribution, scores: Iterable):
+        order = sorted(vc for vc in zip(scores, d.outcome_counts.values()) if vc[0] == vc[0])
+        self.values, self.total = [v for v, _ in order], d.total
+        self.cum = [0, *itertools.accumulate(c for _, c in order)]
 
-    return tail
+    def tail(self, v, side: str) -> Fraction:
+        """P(score >= v) for side "ge", P(score <= v) for "le", by bisection; 0 at a nan ``v``."""
+        at = bisect_left(self.values, v) if side == "ge" else bisect_right(self.values, v)
+        k = self.cum[-1] - self.cum[at] if side == "ge" else self.cum[at]
+        return Fraction(k if v == v else 0, self.total)
 
 
 def _bound_holds(d: ExactDistribution, cs: CovarianceStructure, scores: Sequence, fold) -> bool:
     """P(score >= v) for v > 0, else P(score <= v), is at most 1 - |fold(v, cs)|
     + 1e-12 at every outcome's own score v: the index bounds the tail. A zero
     score folds to 0, whose bound 1 always holds."""
-    tail = _sorted_tails(d, scores)
-    return all(float(tail(v, "ge" if v > 0 else "le")) <= 1.0 - abs(fold(v, cs)) + 1e-12
+    law = _ScoreLaw(d, scores)
+    return all(float(law.tail(v, "ge" if v > 0 else "le")) <= 1.0 - abs(fold(v, cs)) + 1e-12
                for v in scores)
 
 

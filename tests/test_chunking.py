@@ -134,6 +134,40 @@ def test_the_block_path_falls_back_in_the_middle_of_the_file(name):
         assert calls[0] and not calls[-1], (size, calls)
 
 
+def _block_path(text):
+    """What the block path gives ``text``, or None where it does not key every block as decimals."""
+    decimals, keyed = graphs._decimals, []
+
+    def spy(*args):
+        keys = decimals(*args)
+        keyed.append(keys is not None)
+        return keys
+
+    with mock.patch.object(graphs, "_decimals", spy):
+        result = graphs._token_edges(text)
+    return _arrays(result) if result is not None and all(keyed) else None
+
+
+def test_decimal_ids_forced_down_the_rank_path_are_numbered_alike():
+    """With ``_decimals`` keying nothing, every decimal input is keyed by ``_ranks`` over the whole text.
+
+    The one first-appearance numbering must give the same id text, dtypes
+    and endpoint arrays whichever keys it is fed, at every chunk size.
+    """
+    forced = set()
+    for name, text in EDGE_TEXTS.items():
+        for size in CHUNKS:
+            with mock.patch.object(graphs, "_CHUNK", size):
+                want = _block_path(text)
+                if want is None:
+                    continue
+                with mock.patch.object(graphs, "_decimals", lambda *args: None):
+                    assert _arrays(graphs._token_edges(text)) == want, (name, size)
+            forced.add(name)
+    assert {"CR LF pairs", "lone CRs", "a v line on a block boundary", "comments where they stand"} <= forced
+    assert not forced & {"string ids", *LATE}
+
+
 def _coloring(lines, ends):
     return "".join(line + end for line, end in zip(lines, ends))
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import nethom as nh
 from conftest import per_class_moments
 from nethom import indices, oracle
 from nethom.graphs import _gamma_from_counts
-from nethom.oracle import _sorted_tails, exact_moments, validate
+from nethom.oracle import _ScoreLaw, exact_moments, validate
 
 
 class TestEnumerateColorings:
@@ -384,7 +385,15 @@ def _named(request, name):
     return request.getfixturevalue(name)
 
 
+def _counted(dist, values, v, side):
+    """The mass of the outcomes whose value compares to ``v`` as ``side`` says, counted outcome by outcome."""
+    keep = {"ge": operator.ge, "le": operator.le}[side]
+    return Fraction(sum(c for x, c in zip(values, dist.outcome_counts.values()) if keep(x, v)), dist.total)
+
+
 class TestSortedTails:
+    """The exact score law's tails, by one sort and bisection, against a count outcome by outcome."""
+
     @pytest.mark.parametrize("name,sizes", _TIED_INSTANCES)
     def test_matches_exact_tail_on_every_value(self, request, name, sizes):
         g = _cycle(6) if name == "c6" else request.getfixturevalue(name)
@@ -397,10 +406,30 @@ class TestSortedTails:
         ]
         for stat in stats:
             values = [stat(o) for o in dist.outcome_counts]
-            tail = _sorted_tails(dist, values)
+            law = _ScoreLaw(dist, values)
             for v in values + [min(values) - 1, max(values) + 1]:
                 for side in ("ge", "le"):
-                    assert tail(v, side) == nh.exact_tail(dist, stat, v, side), (v, side)
+                    want = _counted(dist, values, v, side)
+                    assert law.tail(v, side) == nh.exact_tail(dist, stat, v, side) == want, (v, side)
+
+    def test_a_nan_counts_in_neither_tail(self, p4):
+        """A nan score is in neither tail, and a nan threshold has neither tail, as ``>=`` and ``<=`` say."""
+        dist, _ = _oracle_instance(p4, (2, 2))
+        nan = float("nan")
+
+        def stat(o):
+            return nan if o[0] == 0 else float(sum(o))
+
+        values = [stat(o) for o in dist.outcome_counts]
+        assert 0 < sum(v != v for v in values) < len(values)
+        law = _ScoreLaw(dist, values)
+        for v in [*values, -1.0, 1.5, 3.0]:
+            for side in ("ge", "le"):
+                want = _counted(dist, values, v, side)
+                assert law.tail(v, side) == nh.exact_tail(dist, stat, v, side) == want, (v, side)
+        for side in ("ge", "le"):
+            assert law.tail(nan, side) == nh.exact_tail(dist, sum, nan, side) == 0
+        assert law.tail(1.0, "ge") + law.tail(1.0, "le") < 1  # the nan scores' mass is in neither
 
 
 class TestValidate:
