@@ -22,14 +22,13 @@ from .graphs import (
     _CHUNK,
     Graph,
     TextSource,
-    _decode,
+    _general,
     _Ids,
     _join,
     _keys,
     _read,
     _Record,
     _tokenize,
-    _undecodable,
 )
 
 __all__ = [
@@ -169,39 +168,33 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     Two paths give the same result. When every graph label is one token of
     printable ASCII and every non-blank line is one such id, blanks holding
     the line's first tab and one printable-ASCII label, with every vertex
-    named once, :func:`_token_coloring` parses the file vectorized: it
-    keys the ids together with the graph's id text, which a graph from
-    :func:`~nethom.graphs.load_edge_list`'s vectorized path kept from its
-    own parse, and builds neither ``graph.index`` nor ``graph.labels``. Any
-    other input takes the general path, whose one pass over the lines
-    (:func:`_line_pass`) raises at the first bad one: a line without a tab
-    or with an empty field (:class:`ColoringError`), an id not in the graph
+    named once, :func:`_token_coloring` reads the file from the edge list's
+    token stream: it keys the ids together with the graph's id text, and
+    builds neither ``graph.index`` nor ``graph.labels``. Any other input
+    takes the general path the edge list takes too
+    (:func:`~nethom.graphs._general`), with :func:`_line_pass` as its line
+    pass, which raises at the first bad line: a line without a tab or with
+    an empty field (:class:`ColoringError`), an id not in the graph
     (:class:`UnknownVertexError`) or a vertex already assigned
-    (:class:`DuplicateVertexError`); the error names that line. After the
-    pass, unassigned vertices raise :class:`MissingVertexError`. A byte that
-    is not UTF-8 raises :class:`ColoringError` naming its line, unless a
-    line above it is bad. Only the general path raises, so every error
-    comes from it.
+    (:class:`DuplicateVertexError`); the error names that line. A byte
+    that is not UTF-8 raises :class:`ColoringError` naming its line, unless
+    a line above it is bad. After the pass, unassigned vertices raise
+    :class:`MissingVertexError`. Only the general path raises, so every
+    error comes from it.
     """
     data = _read(source)
     fast = _token_coloring(data, graph)
     if fast is not None:
         return fast
-    try:
-        text = _decode(data)
-    except UnicodeDecodeError as exc:
-        bad = exc
-    else:
-        assignment, class_labels = _line_pass(text, graph)
-        missing = np.flatnonzero(assignment < 0)
-        if missing.size:
-            names = ", ".join(repr(graph.labels[int(i)]) for i in missing[:5])
-            more = "" if missing.size <= 5 else f" (+{missing.size - 5} more)"
-            raise MissingVertexError(f"no class assigned to vertex {names}{more}")
-        return Coloring(assignment=assignment, class_labels=class_labels)
-    message, line, above = _undecodable(bad)
-    _line_pass(above, graph)  # a bad line above the byte is the first bad line
-    raise ColoringError(f"line {line}: {message}") from bad
+    assignment, class_labels = _general(
+        data, lambda text: _line_pass(text, graph), lambda message, line: ColoringError(f"line {line}: {message}")
+    )
+    missing = np.flatnonzero(assignment < 0)
+    if missing.size:
+        names = ", ".join(repr(graph.labels[int(i)]) for i in missing[:5])
+        more = "" if missing.size <= 5 else f" (+{missing.size - 5} more)"
+        raise MissingVertexError(f"no class assigned to vertex {names}{more}")
+    return Coloring(assignment=assignment, class_labels=class_labels)
 
 
 def _line_pass(text: str, graph: Graph) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -234,7 +227,7 @@ def _line_pass(text: str, graph: Graph) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
-    """The general path's coloring of a TSV file of printable-ASCII tokens, or None.
+    """The coloring of a TSV file of printable-ASCII tokens, read from the token stream, or None.
 
     Vectorized over the bytes, with no per-line Python loop, no
     ``graph.index`` and no ``graph.labels``. It applies only when the graph
@@ -242,8 +235,8 @@ def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
     nonempty token of printable ASCII) and, after comments are removed,
     every non-blank line holds the id of a graph vertex, then blanks holding
     the line's first tab, then one label of printable ASCII, with each
-    vertex named on exactly one line. The tokens and the place of each
-    line's first tab are :func:`~nethom.graphs._tokenize`'s, with ``tabbed``.
+    vertex named on exactly one line. The tokens are the whole token stream
+    (:func:`~nethom.graphs._tokenize`), with ``tabbed`` for the first tabs.
 
     The graph's ids and the file's ids are keyed in one
     :func:`~nethom.graphs._keys` call, over the graph's id text followed by

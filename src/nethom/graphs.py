@@ -16,7 +16,7 @@ import operator
 import re
 from functools import cached_property
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Callable, Iterable, Iterator, TypeVar, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 TextSource = Union[str, bytes, IO]
+_T = TypeVar("_T")
 
 
 class EdgeListError(ValueError):
@@ -214,13 +215,13 @@ class Graph(_Record, eq=False):
     ) -> "Graph":
         """Build a graph from index pairs under the rules of :func:`load_edge_list`.
 
-        Every endpoint must be an integer (one that ``operator.index``
+        Every item must be a pair of integers (ones ``operator.index``
         accepts) in 0..n-1. A self-loop or a repeated edge raises, unless
-        ``dedupe`` is set, which keeps the first copy of each edge;
-        :func:`_simple_edges` is the check. The error names the first bad
-        pair. An (m, 2) array of integer dtype is checked as it is; any
-        other ``edges`` is read pair by pair. ``labels``, one distinct id
-        string per vertex, default to "0".."n-1" and are kept as a tuple.
+        ``dedupe`` is set, which keeps the first copy of each edge
+        (:func:`_simple_edges`). The error names the first bad pair. An
+        (m, 2) array of integer dtype is checked as it is; any other
+        ``edges`` is read pair by pair. ``labels``, one distinct id string
+        per vertex, default to "0".."n-1" and are kept as a tuple.
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
@@ -237,13 +238,17 @@ class Graph(_Record, eq=False):
             isinstance(edges, np.ndarray) and edges.dtype.kind in "biu" and edges.shape[1:] == (2,)
         ):
             edges = list(edges)
-            pairs = np.array(edges).reshape(len(edges), 2)
-        if pairs.dtype.kind not in "biu":  # a non-integer endpoint, or one beyond int64
-            ints = []
+            try:
+                pairs = np.array(edges)
+            except ValueError:  # pairs of unequal lengths
+                pairs = np.empty(0)
+        if pairs.dtype.kind not in "biu" or pairs.shape != (len(edges), 2):
+            ints = []  # up to a non-integer endpoint or an item that is not a pair; ints beyond int64 kept
             for pair in edges:
                 try:
-                    ints.append(tuple(map(operator.index, pair)))
-                except TypeError:
+                    u, v = pair
+                    ints.append((operator.index(u), operator.index(v)))
+                except (TypeError, ValueError):
                     break
             pairs = np.array(ints, dtype=object).reshape(len(ints), 2)
         outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
@@ -261,7 +266,10 @@ class Graph(_Record, eq=False):
             u, v = pairs[stop].tolist()
             raise EdgeListError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if stop < len(edges):
-            u, v = edges[stop]
+            try:
+                u, v = edges[stop]
+            except (TypeError, ValueError):
+                raise EdgeListError(f"edge {edges[stop]!r} is not a pair of endpoints") from None
             raise EdgeListError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
         return _graph(n, labels, eu, ev)
 
@@ -341,21 +349,22 @@ def _read(source: TextSource) -> str | bytes:
     return data.removeprefix(b"\xef\xbb\xbf" if isinstance(data, bytes) else "\ufeff")
 
 
-def _decode(data: str | bytes) -> str:
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+def _general(data: str | bytes, line_pass: Callable[[str], _T], error: Callable[[str, int], Exception]) -> _T:
+    """The general path of both loaders: ``line_pass`` over the text of ``data``, decoded as UTF-8.
 
-
-def _undecodable(exc: UnicodeDecodeError) -> tuple[str, int, str]:
-    """The first byte that is not UTF-8: its message, its line, and the complete lines above it.
-
-    Lines are counted as ``str.splitlines()`` counts them; the lines above
-    come back as one text, which the caller's line pass reads first, so that
-    a bad line above the byte is reported ahead of it.
+    At the first byte that is not UTF-8, the line pass reads the complete
+    lines above it first, so that a bad line there is reported ahead of it;
+    then ``error(message, line)`` names the byte and its line.
     """
-    valid = exc.object[: exc.start].decode("utf-8")
-    lines = (valid + "#").splitlines()  # the "#" stands on the bad byte's line
-    message = f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
-    return message, len(lines), "\n".join(lines[:-1])
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        bad = exc
+    else:
+        return line_pass(text)
+    lines = (bad.object[: bad.start].decode("utf-8") + "#").splitlines()  # the "#" stands on the bad byte's line
+    line_pass("\n".join(lines[:-1]))
+    raise error(f"byte {bad.object[bad.start]:#04x} is not UTF-8 ({bad.reason})", len(lines)) from bad
 
 
 def _bad_edge(u: str, v: str, line: int) -> EdgeListError:
@@ -466,17 +475,14 @@ def _line_ends(data: bytes, stop: int | None = None) -> int:
 
 
 def _tokenize(data: str | bytes, tabbed: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Token bounds of a text whose every line holds zero or two tokens, or None.
+    """The whole token stream of :func:`_token_blocks` at once, or None where the stream declines the text.
 
-    The whole text's tokens, cut by :func:`_token_pieces`: returns a uint8
-    view of the UTF-8 bytes (:func:`_utf8`), and the start offset and the
-    length of every token in them (int32 below 2 GiB of text). Any input the
-    pieces decline, including one with a line of one or three tokens,
-    returns None; with ``tabbed``, so does one where a line's first tab
-    does not stand between its two tokens.
+    Returns a uint8 view of the UTF-8 bytes (:func:`_utf8`), and the start
+    offset and the length of every token in them.
 
     Memory: beside the text, the two token arrays are all that grow with the
-    input, 8 bytes a token, and they are allocated once, two per line.
+    input, 8 bytes a token. They are allocated once, two entries per line,
+    and filled one piece-sized block at a time.
     """
     data = _utf8(data)
     if data is None:
@@ -485,7 +491,7 @@ def _tokenize(data: str | bytes, tabbed: bool = False) -> tuple[np.ndarray, np.n
     start = np.empty(2 * (_line_ends(data) + 1), dtype=np.int32 if raw.size < 2**31 else np.int64)
     length = np.empty_like(start)
     count = 0
-    for tokens in _token_pieces(data, tabbed):
+    for tokens in _token_blocks(data, tabbed, 1):
         if tokens is None:
             return None
         size = tokens[0].size
@@ -494,51 +500,29 @@ def _tokenize(data: str | bytes, tabbed: bool = False) -> tuple[np.ndarray, np.n
     return raw, start[:count], length[:count]
 
 
-def _token_blocks(data: bytes) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
-    """The start offset and the length of every token of ``data``, a block of about :data:`_CHUNK` tokens at a time.
+def _token_blocks(data: bytes, tabbed: bool, size: int) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
+    """The start offset and the length of every token of ``data``, in blocks of at least ``size`` tokens.
 
-    The pieces of :func:`_token_pieces`, joined until they hold
-    :data:`_CHUNK` tokens; so each block is whole lines. The first piece is
-    a block of its own, so that a file whose ids are of another form than
-    the caller keys is told at once. Where the pieces are declined, None is
-    yielded and the blocks end.
-    """
-    starts, lengths, count, size = [], [], 0, 1
-    for tokens in _token_pieces(data, False):
-        if tokens is None:
-            yield None
-            return
-        starts.append(tokens[0])
-        lengths.append(tokens[1])
-        count += tokens[0].size
-        if count >= size:
-            block, starts, lengths, count, size = (np.concatenate(starts), np.concatenate(lengths)), [], [], 0, _CHUNK
-            yield block
-    if count:
-        yield np.concatenate(starts), np.concatenate(lengths)
-
-
-def _token_pieces(data: bytes, tabbed: bool) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
-    """The start offset and the length of every token of ``data``, a piece of about :data:`_CHUNK` bytes at a time.
-
-    The byte-level steps both vectorized loaders share. ``data`` is UTF-8
+    The one token stream of both vectorized loaders. ``data`` is UTF-8
     (:func:`_utf8`). '#' starts a comment, which runs to the next line end
     of ``str.splitlines()``, and the rest must be printable ASCII, spaces,
     tabs, LF and CR. LF and CR end lines, and a token is a run of bytes
     above the space. The arrays are int32 below 2 GiB of text. At the first
     line with one or three tokens, at a byte outside a comment that is not
     taken, or, with ``tabbed``, where a line's first tab does not stand
-    between its two tokens, None is yielded and the pieces end.
+    between its two tokens, None is yielded and the blocks end.
 
-    Memory: the text is read :data:`_CHUNK` bytes at a time, cut after a
-    line end, and each piece is copied with its comments overwritten by
-    spaces (:func:`_blank_comments`), so the offsets are those in ``data``
-    and the text is never copied whole; its byte masks and offsets are
-    piece-sized (:func:`_chunk_tokens`).
+    The text is cut into pieces of about :data:`_CHUNK` bytes after a line
+    end, so every block is whole lines; the first piece with a token is a
+    block of its own, so that a file whose ids are of another form than the
+    caller keys is told at once. Each piece is copied with its comments overwritten by
+    spaces (:func:`_blank_comments`), so the offsets are those in ``data``,
+    and its byte masks and offsets (:func:`_chunk_tokens`) are freed before
+    a block is yielded: the text is never copied whole.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     dtype = np.int32 if raw.size < 2**31 else np.int64
-    at = 0
+    starts, lengths, count, least, at = [], [], 0, 1, 0
     while at < raw.size:
         cut = _LINE_END.search(data, at + _CHUNK - 1)
         end = raw.size if cut is None else cut.end()
@@ -552,10 +536,15 @@ def _token_pieces(data: bytes, tabbed: bool) -> Iterator[tuple[np.ndarray, np.nd
             yield None
             return
         first, stop = tokens
-        start = np.add(first, at, dtype=dtype, casting="unsafe")
         stop -= first
-        yield start, stop.astype(dtype)
+        starts.append(np.add(first, at, dtype=dtype, casting="unsafe"))
+        lengths.append(stop.astype(dtype))
+        del text, tokens, first, stop
+        count += starts[-1].size
         at = end
+        if count and (count >= least or at == raw.size):
+            block, starts, lengths, count, least = (np.concatenate(starts), np.concatenate(lengths)), [], [], 0, size
+            yield block
 
 
 def _blank_comments(text: np.ndarray) -> None:
@@ -573,7 +562,7 @@ def _blank_comments(text: np.ndarray) -> None:
 
 
 def _chunk_tokens(text: np.ndarray, tabbed: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """The offsets where the tokens of ``text`` start and stop, or None, as :func:`_token_pieces` says.
+    """The offsets where the tokens of ``text`` start and stop, or None, as :func:`_token_blocks` says.
 
     ``text`` is whole lines without comments, the last one ended by an LF
     that closes the text. One scan finds its events in order: where a
@@ -632,8 +621,8 @@ def _token_edges(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray] | No
     While every id is a small canonical decimal, the keys are the values
     :func:`_decimals` reads from each block of :func:`_token_blocks` as it is
     cut, and each block's numbered endpoints are written into the endpoint
-    arrays. At the first block with an id of any other form, the text's
-    tokens are cut again whole (:func:`_tokenize`) and keyed at once by
+    arrays. At the first block with an id of any other form, the whole
+    stream is read again (:func:`_tokenize`) and keyed at once by
     :func:`_ranks`, and every id is numbered afresh.
 
     Memory: beside the text, on decimal ids the peak holds the two int32
@@ -650,7 +639,7 @@ def _token_edges(data: str | bytes) -> tuple[bytes, np.ndarray, np.ndarray] | No
     ids, m = _Ids(), 0
     eu = np.empty(lines, dtype=np.int32)  # a line holds at most one edge
     ev = np.empty(lines, dtype=np.int32)
-    blocks = _token_blocks(data)
+    blocks = _token_blocks(data, False, _CHUNK)
     for block in blocks:
         if block is None:
             return None
@@ -744,11 +733,11 @@ class _Ids:
 def _edge_at(data: bytes, k: int) -> tuple[str, str, int]:
     """The two ids of edge ``k`` of an edge list :func:`_token_edges` read, and its line.
 
-    The blocks are cut again up to the edge; its line is the count of line
+    The token stream is read again up to the edge; its line is the count of line
     ends above its first id, as ``str.splitlines()`` counts them, plus one.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
-    for start, length in _token_blocks(data):
+    for start, length in _token_blocks(data, False, _CHUNK):
         _declare(raw, start, length)
         edges = np.flatnonzero(start[0::2] != start[1::2])
         if k < edges.size:
@@ -898,17 +887,18 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
     :class:`SelfLoopError` and a repeated edge :class:`DuplicateEdgeError`,
     unless ``dedupe`` is set, which keeps the first copy of each edge. A
     line with one token raises :class:`MalformedLineError`. Each error
-    names the first bad line; a byte that is not UTF-8 raises
-    :class:`EdgeListError` naming its line, unless a line above it is bad.
-    Files of printable-ASCII ids with exactly two tokens on every
-    non-blank line are tokenized vectorized (:func:`_token_edges`), whether
-    the ids are integers or not, and checked; the first bad edge there is
-    named by cutting the text's tokens again up to it (:func:`_edge_at`).
-    Any other input is read by the line pass, :func:`_scan`, which gives
-    the same graph and raises every error from its one scan.
+    names the first bad line. A file the token stream takes
+    (:func:`_token_blocks`: printable-ASCII ids, two tokens on every
+    non-blank line) is read vectorized (:func:`_token_edges`) and checked;
+    the first bad edge there is named by reading the stream again up to it
+    (:func:`_edge_at`). Any other input takes the general path
+    (:func:`_general`), whose line pass :func:`_scan` gives the same graph
+    and raises every error from its one scan; a byte that is not UTF-8
+    raises :class:`EdgeListError` naming its line, unless a line above it
+    is bad.
 
     Memory: one copy of the text is kept (:func:`_read`), comments
-    included; the tokenizer overwrites comments in its piece-sized copies
+    included; the token stream overwrites comments in its piece-sized copies
     only. Both token paths number ids with one :class:`_Ids`, whose table is
     as long as the largest key. On an edge list of integer ids, SNAP style,
     the transient peak, the bytes read included, stays under 2.6 times the
@@ -933,15 +923,7 @@ def load_edge_list(source: TextSource, dedupe: bool = False) -> Graph:
         graph = _graph(n, None, eu, ev)
         graph.__dict__["_id_text"] = text
         return graph
-    try:
-        text = _decode(data)
-    except UnicodeDecodeError as exc:
-        bad = exc
-    else:
-        return _scan(text, dedupe)
-    message, line, above = _undecodable(bad)
-    _scan(above, dedupe)  # a bad line above the byte is the first bad line
-    raise EdgeListError(message, line) from bad
+    return _general(data, lambda text: _scan(text, dedupe), EdgeListError)
 
 
 class GraphSummary(_Record):

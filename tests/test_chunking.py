@@ -231,3 +231,50 @@ def test_the_clean_colorings_take_the_token_path():
             with mock.patch.object(graphs, "_CHUNK", size):
                 token = colorings._token_coloring(COLORING_TEXTS[name], coloring_paths._graph())
             assert (token is not None) == (name in taken), (name, size)
+
+
+def _stream(text, tabbed, size):
+    """The blocks of ``_token_blocks`` joined as ``_tokenize`` returns them, or None where the stream declines.
+
+    Every block must be whole lines: its token count is even, and a line
+    end stands between its last token and the next block's first.
+    """
+    data = graphs._utf8(text)
+    if data is None:
+        return None
+    starts, lengths, last = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)], None
+    for block in graphs._token_blocks(data, tabbed, size):
+        if block is None:
+            return None
+        start, length = block
+        assert start.size and start.size % 2 == 0
+        if last is not None:
+            assert graphs._LINE_END.search(data, last, int(start[0])), (last, int(start[0]))
+        last = int(start[-1] + length[-1])
+        starts.append(start)
+        lengths.append(length)
+    return np.frombuffer(data, dtype=np.uint8), np.concatenate(starts), np.concatenate(lengths)
+
+
+@pytest.mark.parametrize("tabbed", [False, True], ids=["edges", "tabbed"])
+def test_tokenize_is_the_one_stream_joined(tabbed):
+    """``_tokenize`` is the blocks of ``_token_blocks`` joined, at both block sizes, and both decline alike.
+
+    At either size the first block is the first piece with a token, as it is cut.
+    """
+    texts = [*EDGE_TEXTS.values(), *COLORING_TEXTS.values()]
+    texts += [text.encode("utf-8") + bad for text in texts for bad in (b"x \xe9\n", b"3\t\xe9\n")]
+    taken = set()
+    for text in texts:
+        for chunk in [*CHUNKS, graphs._CHUNK]:
+            with mock.patch.object(graphs, "_CHUNK", chunk):
+                want = _arrays(graphs._tokenize(text, tabbed))
+                for size in (1, chunk):
+                    assert _arrays(_stream(text, tabbed, size)) == want, (text, chunk, size)
+                if want is not None and want[1][1]:  # a stream with a token has a first block
+                    data = graphs._utf8(text)
+                    first = [_arrays(next(graphs._token_blocks(data, tabbed, size))) for size in (1, chunk)]
+                    assert first[0] == first[1], (text, chunk)
+            if want is not None:
+                taken.add(text)
+    assert (COLORING_TEXTS["CR LF"] if tabbed else EDGE_TEXTS["CR LF pairs"]) in taken

@@ -31,7 +31,11 @@ def reference_from_edges(n, edges, dedupe=False):
     """
     seen = set()
     us, vs = [], []
-    for u, v in edges:
+    for pair in edges:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise nh.EdgeListError(f"edge {pair!r} is not a pair of endpoints")
         try:
             operator.index(u), operator.index(v)
         except TypeError:
@@ -74,7 +78,10 @@ def _from_edges_outcome(build, n, edges, dedupe):
 
 @st.composite
 def small_edge_inputs(draw):
-    """n <= 6 and pairs with out-of-range or non-integer endpoints, self-loops and repeats."""
+    """n <= 6 and pairs with out-of-range or non-integer endpoints, self-loops and repeats.
+
+    Some items are not pairs: one or three endpoints, a bare integer, or None.
+    """
     n = draw(st.integers(0, 6))
     # most pairs are simple edges, so that the rules are met past the first few
     outside = st.one_of(st.integers(-2, -1), st.integers(n, n + 1), st.just(2**70))
@@ -87,14 +94,18 @@ def small_edge_inputs(draw):
     edges = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(
-            st.sampled_from(["edge"] * 10 + ["repeat"] * 3 + ["loop", "outside", "non_integer"])
+            st.sampled_from(["edge"] * 10 + ["repeat"] * 3 + ["loop", "outside", "non_integer", "not_a_pair"])
         )
-        if kind == "repeat" and edges:  # an earlier pair again, either way round
-            u, v = draw(st.sampled_from(edges))
+        pairs = [pair for pair in edges if isinstance(pair, tuple) and len(pair) == 2]
+        if kind == "repeat" and pairs:  # an earlier pair again, either way round
+            u, v = draw(st.sampled_from(pairs))
             edges.append(draw(st.sampled_from([(u, v), (v, u)])))
         elif kind == "loop":
             u = draw(endpoint)
             edges.append((u, u))
+        elif kind == "not_a_pair":
+            u = draw(endpoint)
+            edges.append(draw(st.sampled_from([(u,), (u, u, u), u, None])))
         elif kind in ("outside", "non_integer"):
             bad = draw(outside if kind == "outside" else non_integer)
             edges.append(tuple(draw(st.permutations([draw(endpoint), bad]))))
@@ -172,12 +183,22 @@ class TestFromEdges:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(small_edge_inputs(), st.booleans())
     @example((3, []), False)
+    @example((3, [(0, 0), (1, 2, 3)]), False)  # a self-loop above a pair of three endpoints
+    @example((3, [(0, 1), (0, 1, 2)]), False)
+    @example((3, [(0, 1), 5]), False)
+    @example((3, [(0, 1), (1,), (0, 1, 2)]), False)  # a bad pair after an earlier bad pair
+    @example((3, [(0, 1), (0, 3), None]), True)
+    @example((3, [(0, 1), ("x", 1), (2,)]), False)
+    @example((3, [(1, 0), (2,), (0, 1)]), False)  # a repeat below the bad pair
     def test_matches_reference_rule_loop(self, case, dedupe):
         n, edges = case
         expected = _from_edges_outcome(reference_from_edges, n, edges, dedupe)
         assert _from_edges_outcome(nh.Graph.from_edges, n, edges, dedupe) == expected
-        # the same pairs as (m, 2) integer arrays, when every endpoint fits in int32
-        if all(type(x) is int and abs(x) < 2**31 for pair in edges for x in pair):
+        # the same pairs as (m, 2) integer arrays, when every item is a pair whose endpoints fit in int32
+        if all(
+            isinstance(pair, tuple) and len(pair) == 2 and all(type(x) is int and abs(x) < 2**31 for x in pair)
+            for pair in edges
+        ):
             for dtype in (np.int64, np.int32):
                 pairs = np.array(edges, dtype=dtype).reshape(len(edges), 2)
                 assert _from_edges_outcome(nh.Graph.from_edges, n, pairs, dedupe) == expected

@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import statistics
 from collections import Counter
 from fractions import Fraction
 
@@ -141,6 +142,46 @@ def test_tail_bounds_hold_beyond_the_atlas(case):
     g, p = case
     checks = validate(nh.enumerate_colorings(g, p), nh.covariance_structure(nh.summarize(g), p))
     assert [c["name"] for c in checks if c["status"] == "FAIL"] == []
+
+
+def _wilson_low(hits: int, samples: int) -> float:
+    """The lower end of the 99 % Wilson score interval of the frequency hits / samples."""
+    z = statistics.NormalDist().inv_cdf(0.995)
+    freq, z2 = hits / samples, z * z / samples
+    half = z * math.sqrt(freq * (1 - freq) / samples + z2 / (4 * samples))
+    return (freq + z2 / 2 - half) / (1 + z2)
+
+
+def test_tail_bounds_hold_at_scale_under_the_null():
+    """Each index's tail bound holds on 2000 uniform colorings of a 20,000-vertex G(n, m) graph.
+
+    The Cantelli bound of an index is P(index >= u) <= 1 - u, and the same
+    for index <= -u. For a, r and every j_theta preset, and u in {0.5, 0.8,
+    0.9}, the 99 % Wilson lower end of each frequency must not exceed 1 - u.
+    """
+    n, m, samples = 20_000, 100_000, 2000
+    rng = np.random.default_rng(7)
+    u, v = rng.integers(0, n, (2, m + m // 10))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    first = np.sort(np.unique(lo * n + hi, return_index=True)[1])  # the first draw of each pair
+    first = first[lo[first] != hi[first]][:m]  # a uniform m-subset of the pairs of distinct vertices
+    g = nh.Graph.from_edges(n, np.stack([u[first], v[first]], axis=1))
+    p = nh.Profile(tuple(range(525, 1500, 50)))  # 20 classes of distinct sizes, n vertices in all
+    assert (g.m, p.n, p.s) == (m, n, 20)
+    cs = nh.covariance_structure(nh.summarize(g), p)
+    evaluator = nh.IndexEvaluator(g, p, cs, tuple(map(str, range(p.s))))
+    counts, mass = nh.sample_counts(g, p, range(samples))
+    reports = [evaluator.report(row, w) for row, w in zip(counts.tolist(), mass.tolist())]
+    values = {"a": [rep.a for rep in reports], "r": [rep.r for rep in reports]}
+    for name in indices.PRESET_NAMES:
+        values[f"j_theta.{name}"] = [rep.j_theta[name] for rep in reports]
+    for name, index in values.items():
+        index = np.array(index, dtype=float)  # every index is defined: a None would read nan
+        assert not np.isnan(index).any(), name
+        for u in (0.5, 0.8, 0.9):
+            for side, hits in (("ge", index >= u), ("le", index <= -u)):
+                low = _wilson_low(int(np.count_nonzero(hits)), samples)
+                assert low <= 1 - u, (name, side, u, low)
 
 
 class TestExactMoments:
