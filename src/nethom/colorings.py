@@ -6,7 +6,9 @@ equally likely; :func:`random_coloring` draws from that law by shuffling the
 multiset of class labels with a seed-deterministic uniform shuffle, and
 :func:`sample_counts` is the one resampling loop: it draws the same coloring
 for each seed of a list and keeps only its homophilic counts and class
-degree masses.
+degree masses. It counts up to eight colorings at once, packed into one
+64-bit word per vertex, so that one gather of the edge endpoints serves
+them all.
 """
 
 from __future__ import annotations
@@ -318,24 +320,76 @@ def sample_counts(g: Graph, p: Profile, seeds: Iterable[int]) -> tuple[np.ndarra
 
     Returns two int64 arrays of shape (len(seeds), s): row k holds
     ``homophilic_counts(g, random_coloring(p, seeds[k])).counts`` and the
-    degree sum of each class under that coloring. Only the rows are kept:
-    beyond them, the loop holds one coloring and intp copies of the edge
-    arrays.
+    degree sum of each class under that coloring.
+
+    The seeds are taken in batches of L = 8 // itemsize of the sampling
+    pool: 8 while s <= 256, 4 for 16-bit and 2 for 32-bit class indices.
+    The colorings of a batch fill the L columns of one (n, L) block, so
+    one gather of a 64-bit word per edge endpoint serves the whole batch
+    (:func:`_batch_counts`). The unused columns of a last, partial batch
+    repeat its last coloring, so that batch costs what a full one does and
+    its extra rows are dropped. A seed's row does not depend on its batch.
+    Memory: beyond the rows, the float degrees, one coloring, the block and
+    buffers for :data:`~nethom.graphs._CHUNK` // 8 edges at a time; no copy
+    of an edge array is made.
     """
     if p.n != g.n:
         raise ValueError("profile does not cover the graph's vertex set")
     seeds = list(seeds)
     pool = _pool(p)
-    # intp endpoints, which take uses without a cast per sample
-    u, v = g.edges_u.astype(np.intp, copy=False), g.edges_v.astype(np.intp, copy=False)
+    lanes = 8 // pool.itemsize
     degrees = g.degrees.astype(np.float64)
     counts = np.empty((len(seeds), p.s), dtype=np.int64)
     mass = np.empty((len(seeds), p.s), dtype=np.int64)
-    for k, seed in enumerate(seeds):
-        a = _draw(pool, seed)
-        counts[k] = _count(a, u, v, p.s)
-        mass[k] = _degree_mass(a, degrees, p.s)
+    block = np.empty((g.n, lanes), dtype=pool.dtype)
+    for first in range(0, len(seeds), lanes):
+        batch = seeds[first : first + lanes]
+        for j, seed in enumerate(batch):
+            a = _draw(pool, seed)
+            block[:, j] = a
+            mass[first + j] = _degree_mass(a, degrees, p.s)
+        block[:, len(batch) :] = a[:, None]
+        counts[first : first + len(batch)] = _batch_counts(g, block, p.s)[: len(batch)]
     return counts, mass
+
+
+def _batch_counts(g: Graph, block: np.ndarray, s: int) -> np.ndarray:
+    """Per-class homophilic counts, (L, s) int64, of the colorings in the L columns of ``block``.
+
+    ``block`` is (n, L) with L * itemsize == 8, so the classes of a vertex
+    under the L colorings are one 64-bit word. The edges are walked
+    :data:`~nethom.graphs._CHUNK` // 8 at a time: the words at both
+    endpoints are gathered and compared lane by lane, giving L flags per
+    edge, true where the edge is inside a class. Read as one L-byte
+    integer, the flags pick the edges with any hit, and the hit lanes
+    (edge * L + lane) are searched for only among those, where they are
+    denser: numpy's nonzero search costs tens of nanoseconds a hit when
+    fewer than a tenth of the flags are set. Each hit adds one to the key
+    lane * s + class.
+    """
+    lanes = block.shape[1]
+    words = block.view(np.uint64).reshape(g.n)
+    step = _CHUNK // 8
+    at_u = np.empty(step, dtype=np.uint64)
+    at_v = np.empty(step, dtype=np.uint64)
+    lanes_u, lanes_v = at_u.view(block.dtype), at_v.view(block.dtype)
+    same = np.empty(step * lanes, dtype=bool)
+    flags = same.view(f"u{lanes}")
+    any_hit = np.empty(step, dtype=bool)
+    hits = np.zeros(lanes * s, dtype=np.int64)
+    eu, ev, m = g.edges_u, g.edges_v, g.m
+    for at in range(0, m, step):
+        k = min(step, m - at)
+        # mode="clip" writes straight into out; every endpoint is in range
+        words.take(eu[at : at + k], out=at_u[:k], mode="clip")
+        words.take(ev[at : at + k], out=at_v[:k], mode="clip")
+        np.equal(lanes_u[: k * lanes], lanes_v[: k * lanes], out=same[: k * lanes])
+        kept = np.not_equal(flags[:k], 0, out=any_hit[:k]).nonzero()[0]
+        hit = flags.take(kept).view(bool).nonzero()[0]
+        key = (hit & (lanes - 1)) * s
+        key += at_u.take(kept).view(block.dtype).take(hit)
+        np.add.at(hits, key, 1)  # O(hits) per step, where a bincount is O(lanes * s)
+    return hits.reshape(lanes, s)
 
 
 def _pool(p: Profile) -> np.ndarray:

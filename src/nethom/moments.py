@@ -157,10 +157,10 @@ class CovarianceStructure:
         b = self._vec_f[act] / self.sd  # vec in the correlation geometry
         self.var_zsum = len(act) + 2.0 * self._gamma_f * _pair_sum(b)
 
-        # Sherman-Morrison on the active set: Gamma^-1 = diag(var/q) - k * an an'
+        # Sherman-Morrison on the active set, for q of either sign: Gamma^-1 = diag(var/q) - k * an an'
         self.degenerate = True
         q_a = q_f[act]
-        if act.size and np.all(q_a > cut):
+        if act.size and np.all(np.abs(q_a) > cut):
             per_slot = np.bincount(slot[act], minlength=len(q)).tolist()
             denom = 1 + gamma * sum(c * vec[k] * vec[k] / q[k] for k, c in enumerate(per_slot) if c)
             if abs(float(denom)) > REL_TOL:

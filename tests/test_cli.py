@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nethom as nh
-from nethom import cli
+from nethom import cli, oracle
 from nethom.cli import main
 
 P4_EDGES = "a b\nb c\nc d\n"
@@ -268,6 +268,35 @@ class TestOracleCheck:
         assert main(["oracle-check", "--graph", str(graph), "--profile", profile]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert "".join(c["status"][0] for c in checks) == statuses
+
+    # The prism C6 x K2: 12 vertices, 3-regular, gamma > 0. A class of more
+    # than 6 has q = var - gamma * vec**2 < 0, which Sherman-Morrison inverts
+    # as it does q > 0. For two classes on a regular graph M_1 - M_2 is
+    # constant, so that covariance is singular and h stays withheld.
+    @pytest.mark.parametrize("sizes, degenerate", [((7, 3, 2), False), ((8, 4), True)], ids=["7,3,2", "8,4"])
+    def test_prism_withholds_h_only_on_a_singular_covariance(self, tmp_path, capsys, sizes, degenerate):
+        edges = "".join(f"{i} {(i + 1) % 6}\n{i + 6} {(i + 1) % 6 + 6}\n{i} {i + 6}\n" for i in range(6))
+        classes = [c for c, size in enumerate(sizes) for _ in range(size)]
+        graph, coloring = tmp_path / "prism.edges", tmp_path / "prism.tsv"
+        graph.write_text(edges)
+        coloring.write_text("".join(f"{v}\tc{c}\n" for v, c in enumerate(classes)))
+        g = nh.load_edge_list(edges)
+        cs = nh.covariance_structure(nh.summarize(g), nh.Profile(sizes))
+        assert (g.n, g.m, cs.gamma > 0, min(cs.q) < 0) == (12, 18, True, True)
+        assert (oracle._inverse(cs.exact()) is None) is degenerate
+        assert main(["analyze", "--graph", str(graph), "--coloring", str(coloring)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["degeneracy"]["degenerate"] is degenerate
+        if degenerate:
+            assert report["indices"]["h"] == "undefined"
+        else:
+            assert report["indices"]["h"] == pytest.approx(0.4528, abs=5e-5)
+        profile = ",".join(map(str, sizes))
+        assert main(["oracle-check", "--graph", str(graph), "--profile", profile]) == 0
+        statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        want = "SKIPPED" if degenerate else "PASS"
+        assert statuses["chebyshev_index_h"] == statuses["sherman_morrison"] == want
+        assert set(statuses.values()) <= {"PASS", "SKIPPED"}
 
     def test_empty_graph_exits_2(self, tmp_path, capsys):
         graph = tmp_path / "empty.edges"

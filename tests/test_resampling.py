@@ -126,6 +126,45 @@ def test_pool_uses_the_smallest_dtype_holding_every_class(s, dtype):
     assert np.bincount(pool).tolist() == [2] * s
 
 
+def _random_graph(n, m, seed):
+    """A simple graph on n vertices: the first m distinct non-loop pairs of seeded draws."""
+    rng = np.random.default_rng(seed)
+    draws = zip(rng.integers(0, n, 3 * m).tolist(), rng.integers(0, n, 3 * m).tolist())
+    pairs = dict.fromkeys((min(a, b), max(a, b)) for a, b in draws if a != b)
+    g = nh.Graph.from_edges(n, list(pairs)[:m])
+    assert g.m == m
+    return g
+
+
+# One profile per pool width: 8 lanes of uint8 (s <= 256), 4 of uint16 (s in
+# 257..65536), 2 of uint32 (s = 65,537: 65,536 singleton classes and one
+# class of 20,000, so that its lanes see hits).
+BATCH_PROFILES = {
+    np.uint8: (40, 70, 90, 100, 100),
+    np.uint16: (1, 2, 3) * 86 + (150, 150),
+    np.uint32: (1,) * 65536 + (20_000,),
+}
+STEP_EDGES = 2 * (colorings._CHUNK // 8) + 5  # three steps, the last a partial one
+
+
+@pytest.mark.parametrize("m", [0, STEP_EDGES], ids=["no edges", "three steps"])
+@pytest.mark.parametrize("dtype", list(BATCH_PROFILES), ids=lambda t: t.__name__)
+def test_rows_do_not_depend_on_the_batch(dtype, m):
+    """Seed lists end at every place in a batch; each row is its seed's coloring, alone or batched."""
+    p = nh.Profile(BATCH_PROFILES[dtype])
+    assert colorings._pool(p).dtype == dtype
+    g = _random_graph(p.n, m, seed=p.s)
+    lanes = 8 // np.dtype(dtype).itemsize
+    for length in (1, lanes - 1, lanes, lanes + 1, 2 * lanes + 1):
+        seeds = list(range(10 * length, 11 * length))
+        counts, mass = nh.sample_counts(g, p, seeds)
+        for seed, row, row_mass in zip(seeds, counts, mass):
+            assert tuple(row.tolist()) == nh.homophilic_counts(g, nh.random_coloring(p, seed)).counts
+            alone, alone_mass = nh.sample_counts(g, p, [seed])
+            assert np.array_equal(alone[0], row) and np.array_equal(alone_mass[0], row_mass)
+    assert m == 0 or counts.any()
+
+
 def test_mc_tail_counts_hits_across_seed_blocks():
     g = nh.Graph.from_edges(9, [(i, i + 1) for i in range(8)])
     p = nh.Profile((3, 3, 3))
