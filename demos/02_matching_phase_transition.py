@@ -12,7 +12,7 @@ Run:  python3 demos/02_matching_phase_transition.py
 """
 
 import nethom as nh
-from nethom.colorings import ObservedOutcome
+from nethom import reports
 
 M = 500
 
@@ -28,12 +28,13 @@ print(f"mean per-edge fraction exactly:  {mean / M}")
 # exact tails P(count >= k), all at once
 tails = nh.matching_tail_table(M)
 
+# the curve `nethom toy-curve --edges 500` writes: k, P(M < k), ratio, modularity, index a
+csv, _ = reports.toy_curve(M)
+rows = [[float(x) for x in line.split(",")] for line in csv.splitlines()[1:]]
+
 print("\n  k    P(M < k)      ratio   modularity   index a")
 for k in (0, 50, 100, 110, 120, 125, 130, 140, 141, 150, 200, 250):
-    F = float(1 - tails[k])
-    ratio = 2 * k / M
-    q = 2 * (k / M - 0.25)
-    a = nh.index_a(nh.z_scores(ObservedOutcome((k, k)), cs), cs)
+    _, F, ratio, q, a = rows[k]
     print(f"{k:4d}   {F:11.4e}   {ratio:5.2f}   {q:9.2f}   {a:8.4f}")
 
 lo, hi = 110, 140
@@ -42,18 +43,13 @@ print(f"P(M > {hi})  = {float(tails[hi + 1]):.4f}   (right tail: homophily)")
 print("outcomes outside that window are extremely unlikely, yet the ratio and")
 print("modularity columns move through it linearly, indifferent to the cliff.")
 
-# the same curve the CLI writes: nethom toy-curve --edges 500 --out curve.csv
 try:
     import matplotlib
 
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    ks = range(M // 2 + 1)
-    F = [float(1 - tails[k]) for k in ks]
-    ratio = [2 * k / M for k in ks]
-    q = [2 * (k / M - 0.25) for k in ks]
-    a = [nh.index_a(nh.z_scores(ObservedOutcome((k, k)), cs), cs) for k in ks]
+    ks, F, ratio, q, a = zip(*rows)
     fig, ax = plt.subplots(figsize=(8, 5))
     ax.plot(ks, F, label="P(M < k)", color="tab:red")
     ax.plot(ks, ratio, label="homophily ratio", color="black")

@@ -282,6 +282,24 @@ class IndexReport(_Record):
     descriptive_ratio: float | None
     notes: tuple[str, ...]
 
+    def index_fields(self) -> dict:
+        """The indices by name, in report order, with 1 - a, (1 - a) * 1e6 and 1 - r; None where undefined."""
+        a = self.a
+        return {
+            "a": a, "one_minus_a": None if a is None else 1.0 - a,
+            "one_minus_a_x1e6": None if a is None else (1.0 - a) * 1e6,
+            "r": self.r, "one_minus_r": 1.0 - self.r, "h": self.h, "j_theta": self.j_theta,
+            "newman_q": self.newman_q, "descriptive_ratio": self.descriptive_ratio,
+        }
+
+
+def _mean_indices(reports: Sequence[IndexReport]) -> dict:
+    """Each index's mean over ``reports`` (j_theta per preset), or None unless defined in every report."""
+    rows = [{"a": r.a, "r": r.r, "h": r.h, **{f"j_theta.{k}": v for k, v in r.j_theta.items()},
+             "newman_q": r.newman_q, "descriptive_ratio": r.descriptive_ratio} for r in reports]
+    return {key: None if any(row[key] is None for row in rows) else sum(row[key] for row in rows) / len(rows)
+            for key in rows[0]}
+
 
 class IndexEvaluator:
     """Every quantifier of :class:`IndexReport` for rows of counts of one instance.

@@ -23,7 +23,13 @@ correlation matrix Gamma, 1'Gamma 1 and z'Gamma^-1 z through the
 Sherman-Morrison identity
 
     Sigma^-1 = diag(1/q) - (gamma / (1 + gamma * vec' diag(1/q) vec)) a a',
-    a = diag(1/q) vec.
+    a = diag(1/q) vec,
+
+or, when exactly one active q_k is 0 (so var_k = gamma * vec_k^2), by
+solving Sigma x = y in O(s): row k gives vec'x = y_k / (gamma * vec_k), every
+other row its own x_j, and vec'x then x_k. With two or more active q equal
+to 0, or a vanishing Sherman-Morrison denominator, the block is singular and
+the structure is ``degenerate``.
 
 No s x s float matrix is ever built: :meth:`CovarianceStructure.exact` is
 the one dense form, in exact rationals. Everything here is a pure function
@@ -119,8 +125,9 @@ class CovarianceStructure:
     deviations. ``var_total`` = 1'Sigma 1 and ``var_zsum`` = 1'Gamma 1 on the
     active set are the variances of the total count and of the summed active
     z-scores. ``degenerate`` is set when the active block is singular at the
-    working tolerance; :meth:`corr_inv_quad` then raises. The only matrix
-    is the exact one :meth:`exact` returns.
+    working tolerance (one active q exactly 0 is solved, not withheld);
+    :meth:`corr_inv_quad` then raises. The only matrix is the exact one
+    :meth:`exact` returns.
     """
 
     def __init__(
@@ -159,8 +166,10 @@ class CovarianceStructure:
 
         # Sherman-Morrison on the active set, for q of either sign: Gamma^-1 = diag(var/q) - k * an an'
         self.degenerate = True
+        self._zero = None
         q_a = q_f[act]
-        if act.size and np.all(np.abs(q_a) > cut):
+        small = np.flatnonzero(np.abs(q_a) <= cut)
+        if act.size and not small.size:
             per_slot = np.bincount(slot[act], minlength=len(q)).tolist()
             denom = 1 + gamma * sum(c * vec[k] * vec[k] / q[k] for k, c in enumerate(per_slot) if c)
             if abs(float(denom)) > REL_TOL:
@@ -168,6 +177,13 @@ class CovarianceStructure:
                 self._k = float(gamma / denom)
                 self._inv_qn = self.var_f[act] / q_a
                 self._an = self._vec_f[act] / q_a * self.sd
+        elif small.size == 1 and self.q[self.active[small[0]]] == 0:
+            # one active q_k is exactly 0, so gamma * vec_k^2 = var_k > 0 and Sigma is nonsingular
+            self.degenerate = False
+            self._zero = int(small[0])
+            self._v = self._vec_f[act]
+            self._q = q_a.copy()
+            self._q[self._zero] = 1.0  # row k is solved apart
 
     @property
     def s(self) -> int:
@@ -178,10 +194,21 @@ class CovarianceStructure:
         return float(self.var_f @ (w * w)) + 2.0 * self._gamma_f * _pair_sum(w * self._vec_f)
 
     def corr_inv_quad(self, z: np.ndarray) -> float:
-        """z' Gamma^-1 z for z over the active set; the block must be nondegenerate."""
+        """z' Gamma^-1 z for z over the active set; the block must be nondegenerate.
+
+        With one active q_k = 0 it is y'x for y = sd * z, with Sigma x = y solved row by row.
+        """
         if self.degenerate:
             raise ValueError("correlation block is singular on the active set")
-        return float(self._inv_qn @ (z * z)) - self._k * float(self._an @ z) ** 2
+        k = self._zero
+        if k is None:
+            return float(self._inv_qn @ (z * z)) - self._k * float(self._an @ z) ** 2
+        y, v = self.sd * z, self._v
+        t = y[k] / (self._gamma_f * v[k])
+        x = (y - self._gamma_f * t * v) / self._q
+        x[k] = 0.0
+        x[k] = (t - float(v @ x)) / v[k]
+        return float(y @ x)
 
     def exact(self) -> list[list[Fraction]]:
         """Sigma as an exact matrix: variances on the diagonal, gamma * vec_i * vec_j off it."""

@@ -282,7 +282,8 @@ def validate(d: ExactDistribution, cs: CovarianceStructure) -> list[dict]:
     The last two read the enumerated covariance C: every off-diagonal entry
     must have the sign of gamma, and be 0 exactly when gamma is 0 or a class
     has fewer than two vertices; and ``cs.corr_inv_quad(z)`` must equal the
-    exact d'C^-1 d on the active set at every support point, to 1e-9 relative.
+    exact d'C^-1 d on the active set at every support point, to 1e-9 relative,
+    or, where ``cs.degenerate`` is set, C must be singular on the active set.
     """
     act = cs.active
     mean, cov = exact_moments(d)
@@ -316,9 +317,13 @@ def validate(d: ExactDistribution, cs: CovarianceStructure) -> list[dict]:
     else:
         checks.append(_check("sign_structure", None, "single class"))
 
-    if cs.degenerate:
-        return checks + [_check("sherman_morrison", None, "degenerate")]
+    if not act:
+        return checks + [_check("sherman_morrison", None, "empty active set")]
     inv = _inverse([[cov[i][j] for j in act] for i in act])
+    if cs.degenerate:  # the structure withholds the inverse, so C must have none
+        singular = inv is None
+        detail = "degenerate: enumerated covariance is " + ("singular" if singular else "invertible")
+        return checks + [_check("sherman_morrison", singular, detail + " on the active set")]
     if inv is None:
         detail = "enumerated covariance is singular on the active set"
         return checks + [_check("sherman_morrison", False, detail)]

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nethom as nh
-from nethom import cli, oracle
+from nethom import oracle, reports
 from nethom.cli import main
 
 P4_EDGES = "a b\nb c\nc d\n"
@@ -243,7 +244,8 @@ class TestOracleCheck:
         report = json.loads(capsys.readouterr().out)
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["moments"] == "PASS"
-        assert statuses["sherman_morrison"] == "SKIPPED"
+        # the structure withholds the inverse, and the enumerated covariance has none
+        assert statuses["sherman_morrison"] == "PASS"
         assert statuses["chebyshev_index_h"] == "SKIPPED"
 
     # Every SKIPPED branch and the zero-entry rule of sign_structure. Statuses
@@ -271,10 +273,15 @@ class TestOracleCheck:
 
     # The prism C6 x K2: 12 vertices, 3-regular, gamma > 0. A class of more
     # than 6 has q = var - gamma * vec**2 < 0, which Sherman-Morrison inverts
-    # as it does q > 0. For two classes on a regular graph M_1 - M_2 is
+    # as it does q > 0; a class of exactly 6 has q = 0, which the structure
+    # solves on its own. For two classes on a regular graph M_1 - M_2 is
     # constant, so that covariance is singular and h stays withheld.
-    @pytest.mark.parametrize("sizes, degenerate", [((7, 3, 2), False), ((8, 4), True)], ids=["7,3,2", "8,4"])
-    def test_prism_withholds_h_only_on_a_singular_covariance(self, tmp_path, capsys, sizes, degenerate):
+    @pytest.mark.parametrize(
+        "sizes, h",
+        [((7, 3, 2), 0.4528), ((6, 3, 3), 0.5460), ((6, 4, 2), 0.5122), ((8, 4), None), ((6, 6), None)],
+        ids=["7,3,2", "6,3,3", "6,4,2", "8,4", "6,6"],
+    )
+    def test_prism_withholds_h_only_on_a_singular_covariance(self, tmp_path, capsys, sizes, h):
         edges = "".join(f"{i} {(i + 1) % 6}\n{i + 6} {(i + 1) % 6 + 6}\n{i} {i + 6}\n" for i in range(6))
         classes = [c for c, size in enumerate(sizes) for _ in range(size)]
         graph, coloring = tmp_path / "prism.edges", tmp_path / "prism.tsv"
@@ -282,7 +289,8 @@ class TestOracleCheck:
         coloring.write_text("".join(f"{v}\tc{c}\n" for v, c in enumerate(classes)))
         g = nh.load_edge_list(edges)
         cs = nh.covariance_structure(nh.summarize(g), nh.Profile(sizes))
-        assert (g.n, g.m, cs.gamma > 0, min(cs.q) < 0) == (12, 18, True, True)
+        degenerate = h is None
+        assert (g.n, g.m, cs.gamma > 0, min(cs.q) <= 0) == (12, 18, True, True)
         assert (oracle._inverse(cs.exact()) is None) is degenerate
         assert main(["analyze", "--graph", str(graph), "--coloring", str(coloring)]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -290,12 +298,12 @@ class TestOracleCheck:
         if degenerate:
             assert report["indices"]["h"] == "undefined"
         else:
-            assert report["indices"]["h"] == pytest.approx(0.4528, abs=5e-5)
+            assert report["indices"]["h"] == pytest.approx(h, abs=5e-5)
         profile = ",".join(map(str, sizes))
         assert main(["oracle-check", "--graph", str(graph), "--profile", profile]) == 0
         statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
-        want = "SKIPPED" if degenerate else "PASS"
-        assert statuses["chebyshev_index_h"] == statuses["sherman_morrison"] == want
+        assert statuses["chebyshev_index_h"] == ("SKIPPED" if degenerate else "PASS")
+        assert statuses["sherman_morrison"] == "PASS"
         assert set(statuses.values()) <= {"PASS", "SKIPPED"}
 
     def test_empty_graph_exits_2(self, tmp_path, capsys):
@@ -373,7 +381,7 @@ class TestOracleCheck:
 
     def test_failed_check_exits_1(self, p4_files, monkeypatch, capsys):
         failed = [{"name": "moments", "status": "FAIL", "detail": "forced"}]
-        monkeypatch.setattr(cli, "validate", lambda *args: failed)
+        monkeypatch.setattr(reports, "validate", lambda *args: failed)
         assert main(["oracle-check", "--graph", p4_files[0], "--profile", "2,2"]) == 1
         assert json.loads(capsys.readouterr().out)["checks"] == failed
 
@@ -390,14 +398,18 @@ class TestToyCurve:
         assert float(row1[1]) == pytest.approx(2 / 3)
 
     def test_modularity_column_is_the_line(self, capsys):
-        main(["toy-curve", "--edges", "8"])
-        lines = capsys.readouterr().out.strip().split("\n")[1:]
-        for line in lines:
-            k, _, ratio, q, _ = line.split(",")
-            assert float(q) == pytest.approx(2 * (int(k) / 8 - 0.25), abs=1e-15)
-            assert float(ratio) == pytest.approx(2 * int(k) / 8, abs=1e-15)
+        # each cell is its exact value correctly rounded: (8k - 2m) / 4m and 2k / m
+        for m in range(2, 121):
+            assert main(["toy-curve", "--edges", str(m)]) == 0
+            lines = capsys.readouterr().out.strip().split("\n")[1:]
+            for line in lines:
+                k, _, ratio, q, _ = line.split(",")
+                k = int(k)
+                assert float(q) == float(Fraction(8 * k - 2 * m, 4 * m))
+                assert float(ratio) == float(Fraction(2 * k, m))
         # q crosses zero exactly at k = m/4
-        assert float(lines[2].split(",")[3]) == 0.0
+        main(["toy-curve", "--edges", "8"])
+        assert float(capsys.readouterr().out.split("\n")[3].split(",")[3]) == 0.0
 
     def test_csv_written_with_lf_endings(self, tmp_path):
         out = tmp_path / "curve.csv"

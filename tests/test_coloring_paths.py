@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nethom as nh
-from nethom import cli, colorings, graphs
+from nethom import cli, colorings, graphs, reports
 from test_colorings import reference_load_coloring
 
 PATHS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -275,7 +275,7 @@ def test_analyze_path_builds_no_vertex_labels(kind, tmp_path, capsys):
         loaded.append(nh.load_edge_list(*args, **kwargs))
         return loaded[-1]
 
-    with mock.patch.object(cli, "load_edge_list", load):
+    with mock.patch.object(reports, "load_edge_list", load):
         code = cli.main(["analyze", "--graph", str(tmp_path / "g.edges"), "--coloring", str(tmp_path / "f.tsv")])
     assert code == 0, capsys.readouterr().err
     assert [h.__dict__["labels"] for h in [g, *loaded]] == [None, None]

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nethom as nh
-from conftest import corr_inverse, sigma_inverse
+from conftest import corr_inverse, per_class_moments, sigma_inverse
 
+# the prism C6 x K2: 3-regular, gamma > 0, and a class of 6 vertices has q = 0
+PRISM = "".join(f"{i} {(i + 1) % 6}\n{i + 6} {(i + 1) % 6 + 6}\n{i} {i + 6}\n" for i in range(6))
 FORMS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -114,6 +116,9 @@ def test_quad_matches_exact_for_any_weights(data):
         ("a b\na c\na d\nb c\nb d\nc d", (2, 2), "zero"),  # K4: constant counts
         ("a b\nb c\nc d\nd e\ne a", (4, 1), "zero-variance"),
         ("a b\nb c\nc d\nd e\ne a\na c", (2, 2, 1), "zero-variance"),
+        (PRISM, (6, 3, 3), "zero-q"),  # one q = 0: solved row by row
+        (PRISM, (6, 4, 2), "zero-q"),
+        (PRISM, (6, 6), "zero-q"),  # two q = 0: Sigma singular
     ],
 )
 def test_forms_on_named_instances(edges, sizes, regime):
@@ -123,10 +128,22 @@ def test_forms_on_named_instances(edges, sizes, regime):
         assert cs.gamma < 0
     elif regime == "positive":
         assert cs.gamma > 0
+    elif regime == "zero-q":
+        assert cs.degenerate is (cs.q.count(0) > 1)
     elif regime == "small":  # no two edges are vertex-disjoint
         assert cs.gamma == -Fraction(g.m, math.perm(g.n, 2)) ** 2
     else:
         assert len(cs.active) < len(sizes)
+
+
+def test_only_an_exact_zero_q_is_solved():
+    # a q within the tolerance of 0 but not 0 is withheld as before, not solved row by row
+    p = nh.Profile((6, 3, 3))
+    cs = nh.covariance_structure(nh.summarize(nh.load_edge_list(PRISM)), p)
+    assert cs.q[0] == 0 and not cs.degenerate
+    var = (cs.var[0] + Fraction(1, 10**20), *cs.var[1:])
+    near = nh.CovarianceStructure(cs.gamma, cs.vec, per_class_moments(p.sizes, cs.mbar, var))
+    assert 0 < near.q[0] < 1e-12 * max(near.var) and near.degenerate
 
 
 def test_small_graphs_match_the_mean_vector_form():

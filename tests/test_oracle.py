@@ -551,6 +551,24 @@ class TestValidate:
         check = validate(dist, cs)[5]
         assert check["status"] == "FAIL" and "singular" in check["detail"]
 
+    def test_degenerate_claim_on_an_invertible_covariance_fails_sherman_morrison(self, p4):
+        dist, cs = _oracle_instance(p4, (2, 2))
+        cs.degenerate = True  # withholds an inverse that the enumerated law has
+        checks = validate(dist, cs)
+        assert [c["status"] for c in checks[3:]] == ["SKIPPED", "PASS", "FAIL"]
+        assert "invertible" in checks[5]["detail"]
+
+    def test_perturbed_zero_q_solve_fails_sherman_morrison(self):
+        # the prism C6 x K2 with a class of 6 has q = 0 there, solved row by row
+        prism = nh.load_edge_list("".join(f"{i} {(i + 1) % 6}\n{i + 6} {(i + 1) % 6 + 6}\n{i} {i + 6}\n"
+                                          for i in range(6)))
+        dist, cs = _oracle_instance(prism, (6, 3, 3))
+        assert cs.q[0] == 0 and not cs.degenerate
+        assert [c["status"] for c in validate(dist, cs)] == ["PASS"] * 6
+        cs._q[1] *= 1 + 1e-6
+        check = validate(dist, cs)[5]
+        assert (check["name"], check["status"]) == ("sherman_morrison", "FAIL")
+
     # each fold with half its spread, which claims less tail than Cantelli's bound allows
     HALF_SPREAD = {
         "_fold_a": ("cantelli_index_a", lambda total, cs: indices._squash(total, cs.var_zsum / 2)),

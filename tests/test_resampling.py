@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import nethom as nh
 from nethom import colorings, indices, oracle
-from nethom.cli import _PRESET_FLAGS
+from nethom.reports import PRESET_FLAGS
 
 ROWS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -42,7 +42,7 @@ def instances(draw):
         edges = [(int(a), int(b)) for a, b in zip(u, v) if a != b]
     g = nh.Graph.from_edges(n, edges, dedupe=True)
     seeds = draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=4))
-    presets = draw(st.sampled_from(tuple(_PRESET_FLAGS.values())))
+    presets = draw(st.sampled_from(tuple(PRESET_FLAGS.values())))
     return g, nh.Profile(tuple(sizes)), seeds, presets
 
 
