@@ -20,18 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import (
-    _CHUNK,
-    Graph,
-    TextSource,
-    _general,
-    _Ids,
-    _join,
-    _keys,
-    _read,
-    _Record,
-    _tokenize,
-)
+from ._text import _CHUNK, TextSource, _load, _token_coloring
+from .graphs import Graph, _Record
 
 __all__ = [
     "Profile",
@@ -170,26 +160,25 @@ def load_coloring(source: TextSource, graph: Graph) -> Coloring:
     Two paths give the same result. When every graph label is one token of
     printable ASCII and every non-blank line is one such id, blanks holding
     the line's first tab and one printable-ASCII label, with every vertex
-    named once, :func:`_token_coloring` reads the file from the edge list's
-    token stream: it keys the ids together with the graph's id text, and
-    builds neither ``graph.index`` nor ``graph.labels``. Any other input
-    takes the general path the edge list takes too
-    (:func:`~nethom.graphs._general`), with :func:`_line_pass` as its line
-    pass, which raises at the first bad line: a line without a tab or with
-    an empty field (:class:`ColoringError`), an id not in the graph
+    named once, :func:`~nethom._text._token_coloring` reads the file from
+    the edge list's token stream: it keys the ids together with the graph's
+    id text, and builds neither ``graph.index`` nor ``graph.labels``. Any
+    other input takes the general path the edge list takes too
+    (:func:`~nethom._text._load`), with :func:`_line_pass` as its line pass,
+    which raises at the first bad line: a line without a tab or with an
+    empty field (:class:`ColoringError`), an id not in the graph
     (:class:`UnknownVertexError`) or a vertex already assigned
-    (:class:`DuplicateVertexError`); the error names that line. A byte
-    that is not UTF-8 raises :class:`ColoringError` naming its line, unless
-    a line above it is bad. After the pass, unassigned vertices raise
+    (:class:`DuplicateVertexError`); the error names that line. A byte that
+    is not UTF-8 raises :class:`ColoringError` naming its line, unless a
+    line above it is bad. After the pass, unassigned vertices raise
     :class:`MissingVertexError`. Only the general path raises, so every
     error comes from it.
     """
-    data = _read(source)
-    fast = _token_coloring(data, graph)
-    if fast is not None:
-        return fast
-    assignment, class_labels = _general(
-        data, lambda text: _line_pass(text, graph), lambda message, line: ColoringError(f"line {line}: {message}")
+    assignment, class_labels = _load(
+        source,
+        lambda data: _token_coloring(data, graph._id_text, graph.n),
+        lambda text: _line_pass(text, graph),
+        lambda message, line: ColoringError(f"line {line}: {message}"),
     )
     missing = np.flatnonzero(assignment < 0)
     if missing.size:
@@ -228,69 +217,10 @@ def _line_pass(text: str, graph: Graph) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.frombuffer(assign, dtype=np.int32), tuple(class_index)
 
 
-def _token_coloring(data: str | bytes, graph: Graph) -> Coloring | None:
-    """The coloring of a TSV file of printable-ASCII tokens, read from the token stream, or None.
-
-    Vectorized over the bytes, with no per-line Python loop, no
-    ``graph.index`` and no ``graph.labels``. It applies only when the graph
-    has an id text (``graph._id_text``, which needs every label to be a
-    nonempty token of printable ASCII) and, after comments are removed,
-    every non-blank line holds the id of a graph vertex, then blanks holding
-    the line's first tab, then one label of printable ASCII, with each
-    vertex named on exactly one line. The tokens are the whole token stream
-    (:func:`~nethom.graphs._tokenize`), with ``tabbed`` for the first tabs.
-
-    The graph's ids and the file's ids are keyed in one
-    :func:`~nethom.graphs._keys` call, over the graph's id text followed by
-    the file's ids joined as lines (:func:`~nethom.graphs._join`), so no
-    label or blank of the file is copied; the graph's ids are distinct, so a
-    table from key to vertex gives each file id its vertex. The class labels
-    are keyed in another call and numbered by :class:`~nethom.graphs._Ids`.
-    Any other input, every bad one included, returns None and takes the
-    general path, which raises the error.
-    """
-    n = graph.n
-    id_text = graph._id_text if n else None
-    if id_text is None:
-        return None
-    tokens = _tokenize(data, tabbed=True)
-    if tokens is None:
-        return None
-    raw, start, length = tokens
-    del tokens
-    if start.size != 2 * n:  # a vertex is missing, unknown or repeated
-        return None
-    id_start, id_length, label_start, label_length = start[0::2], length[0::2], start[1::2], length[1::2]
-    # The graph's ids, one per line of its id text, then the file's ids: an
-    # id is a graph vertex exactly when its index is below n.
-    text = np.frombuffer(id_text + _join(raw, id_start, id_length), dtype=np.uint8)
-    ends = np.flatnonzero(text == ord("\n")).astype(np.int32 if text.size < 2**31 else np.int64)
-    line_start = np.zeros_like(ends)
-    line_start[1:] = ends[:-1] + 1
-    ends -= line_start  # the length of each line's id
-    keys = _keys(text, line_start, ends)
-    del text, line_start, ends
-    table = np.full(int(keys.max()) + 1, n, dtype=np.int32)  # n for a key of no graph vertex
-    table[keys[:n]] = np.arange(n, dtype=np.int32)  # the graph's ids are distinct
-    vertex = table[keys[n:]]
-    del keys, table
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[vertex] = True
-    if not bool(seen[:n].all()):  # n ids: an unknown or repeated one leaves a vertex unnamed
-        return None
-    keys = _keys(raw, label_start, label_length)
-    labels = _Ids()
-    labels.number(keys, label_start, label_length)
-    assignment = np.empty(n, dtype=np.int32)
-    assignment[vertex] = keys
-    names = labels.text(raw).decode("ascii").splitlines()
-    return Coloring(assignment=assignment, class_labels=tuple(names))
-
-
 def homophilic_counts(g: Graph, f: Coloring) -> ObservedOutcome:
     """Count, for each class, the edges with both endpoints in that class.
 
-    Memory: the edges are counted :data:`~nethom.graphs._CHUNK` at a time,
+    Memory: the edges are counted :data:`~nethom._text._CHUNK` at a time,
     so besides the s counts each step makes only block-sized gathers and
     intp copies of the block's endpoints.
     """
@@ -330,7 +260,7 @@ def sample_counts(g: Graph, p: Profile, seeds: Iterable[int]) -> tuple[np.ndarra
     repeat its last coloring, so that batch costs what a full one does and
     its extra rows are dropped. A seed's row does not depend on its batch.
     Memory: beyond the rows, the float degrees, one coloring, the block and
-    buffers for :data:`~nethom.graphs._CHUNK` // 8 edges at a time; no copy
+    buffers for :data:`~nethom._text._CHUNK` // 8 edges at a time; no copy
     of an edge array is made.
     """
     if p.n != g.n:
@@ -358,7 +288,7 @@ def _batch_counts(g: Graph, block: np.ndarray, s: int) -> np.ndarray:
 
     ``block`` is (n, L) with L * itemsize == 8, so the classes of a vertex
     under the L colorings are one 64-bit word. The edges are walked
-    :data:`~nethom.graphs._CHUNK` // 8 at a time: the words at both
+    :data:`~nethom._text._CHUNK` // 8 at a time: the words at both
     endpoints are gathered and compared lane by lane, giving L flags per
     edge, true where the edge is inside a class. Read as one L-byte
     integer, the flags pick the edges with any hit, and the hit lanes

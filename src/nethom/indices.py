@@ -273,7 +273,6 @@ class IndexReport(_Record):
     observed: tuple[int, ...]
     mbar: tuple[float, ...]
     z: tuple[float, ...]
-    gamma: float
     a: float | None
     r: float
     h: float | None
@@ -347,7 +346,6 @@ class IndexEvaluator:
 
         if g.m == 0:
             notes.append("modularity and descriptive ratio undefined: graph has no edges")
-        self._gamma = float(cs.gamma)
         self._notes = tuple(notes)
         self._mbar = tuple(cs.mbar_f.tolist())
 
@@ -361,7 +359,6 @@ class IndexEvaluator:
             observed=o.counts,
             mbar=self._mbar,
             z=tuple(z.tolist()),
-            gamma=self._gamma,
             a=index_a(z, cs),
             r=index_r(o, cs),
             h=index_h(z, cs),

@@ -6,6 +6,27 @@ import numpy as np
 import pytest
 
 import nethom as nh
+from nethom import _text
+
+
+# --- the loaders' token paths, on the UTF-8 bytes _load hands them ----------
+
+def token_edges(data):
+    """What ``load_edge_list``'s token path reads from ``data``, or None where it or the UTF-8 check declines."""
+    data = _text._utf8(data)
+    return None if data is None else _text._token_edges(data)
+
+
+def tokenize(data, tabbed=False):
+    """The whole token stream of ``data``, or None where it or the UTF-8 check declines."""
+    data = _text._utf8(data)
+    return None if data is None else _text._tokenize(data, tabbed)
+
+
+def token_coloring(data, graph):
+    """What ``load_coloring``'s token path reads from ``data`` for ``graph``, or None where it or the UTF-8 check declines."""
+    data = _text._utf8(data)
+    return None if data is None else _text._token_coloring(data, graph._id_text, graph.n)
 
 
 # --- small named graphs -----------------------------------------------------

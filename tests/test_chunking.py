@@ -1,6 +1,6 @@
 """The token paths read a text in chunks cut after line ends; where the cuts fall must not matter.
 
-``graphs._CHUNK`` is patched down to a few bytes, so that cuts fall after
+``_CHUNK`` is patched down to a few bytes, so that cuts fall after
 nearly every line end: between the CR and the LF of a pair, before a line
 longer than a chunk, next to blank lines, "v" lines and the places comments
 were cut from. Every loader, and every token path, must return what it
@@ -8,13 +8,15 @@ returns with the default chunk size, on the case tables of the path tests
 and on inputs built around those cuts.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import nethom as nh
-from nethom import colorings, graphs
+from nethom import _text, graphs
+from conftest import token_coloring, token_edges, tokenize
 import test_coloring_paths as coloring_paths
 import test_edge_list_paths as edge_paths
 
@@ -25,14 +27,19 @@ def _arrays(value):
     """A token path's result with every array as its dtype and entries."""
     if value is None:
         return None
-    if isinstance(value, nh.Coloring):
-        value = (value.assignment, value.class_labels)
     return tuple((a.dtype.str, a.tolist()) if isinstance(a, np.ndarray) else a for a in value)
+
+
+@contextmanager
+def _chunk(size):
+    """``_CHUNK`` patched to ``size`` in the text layer and in the graph steps after it."""
+    with mock.patch.object(_text, "_CHUNK", size), mock.patch.object(graphs, "_CHUNK", size):
+        yield
 
 
 def _edge_outcomes(data):
     return (
-        _arrays(graphs._token_edges(data)),
+        _arrays(token_edges(data)),
         edge_paths._outcome(nh.load_edge_list, data, False),
         edge_paths._outcome(nh.load_edge_list, data, True),
     )
@@ -41,7 +48,7 @@ def _edge_outcomes(data):
 def _coloring_outcomes(data, graph):
     """The token path's coloring and the loader's, each against a fresh copy of ``graph``."""
     return (
-        _arrays(colorings._token_coloring(data, graph())),
+        _arrays(token_coloring(data, graph())),
         coloring_paths._outcome(nh.load_coloring, data, graph),
     )
 
@@ -49,7 +56,7 @@ def _coloring_outcomes(data, graph):
 def _same_at_every_chunk_size(outcomes, *args):
     want = outcomes(*args)
     for size in CHUNKS:
-        with mock.patch.object(graphs, "_CHUNK", size):
+        with _chunk(size):
             assert outcomes(*args) == want, size
     return want
 
@@ -112,14 +119,14 @@ def test_edge_lists_are_read_by_the_token_path():
     declined = {"a last line of one token", "three tokens on a line after a cut"}
     for name, text in AROUND_CUTS.items():
         for size in CHUNKS:
-            with mock.patch.object(graphs, "_CHUNK", size):
-                assert (graphs._token_edges(text) is None) == (name in declined), (name, size)
+            with _chunk(size):
+                assert (token_edges(text) is None) == (name in declined), (name, size)
 
 
 @pytest.mark.parametrize("name", LATE)
 def test_the_block_path_falls_back_in_the_middle_of_the_file(name):
     """Decimal blocks are keyed before the one with an id of another form, at every chunk size."""
-    decimals = graphs._decimals
+    decimals = _text._decimals
     calls = []
 
     def spy(*args):
@@ -129,22 +136,22 @@ def test_the_block_path_falls_back_in_the_middle_of_the_file(name):
 
     for size in CHUNKS:
         calls.clear()
-        with mock.patch.object(graphs, "_CHUNK", size), mock.patch.object(graphs, "_decimals", spy):
-            assert graphs._token_edges(AROUND_CUTS[name]) is not None
+        with _chunk(size), mock.patch.object(_text, "_decimals", spy):
+            assert token_edges(AROUND_CUTS[name]) is not None
         assert calls[0] and not calls[-1], (size, calls)
 
 
 def _block_path(text):
     """What the block path gives ``text``, or None where it does not key every block as decimals."""
-    decimals, keyed = graphs._decimals, []
+    decimals, keyed = _text._decimals, []
 
     def spy(*args):
         keys = decimals(*args)
         keyed.append(keys is not None)
         return keys
 
-    with mock.patch.object(graphs, "_decimals", spy):
-        result = graphs._token_edges(text)
+    with mock.patch.object(_text, "_decimals", spy):
+        result = token_edges(text)
     return _arrays(result) if result is not None and all(keyed) else None
 
 
@@ -157,12 +164,12 @@ def test_decimal_ids_forced_down_the_rank_path_are_numbered_alike():
     forced = set()
     for name, text in EDGE_TEXTS.items():
         for size in CHUNKS:
-            with mock.patch.object(graphs, "_CHUNK", size):
+            with _chunk(size):
                 want = _block_path(text)
                 if want is None:
                     continue
-                with mock.patch.object(graphs, "_decimals", lambda *args: None):
-                    assert _arrays(graphs._token_edges(text)) == want, (name, size)
+                with mock.patch.object(_text, "_decimals", lambda *args: None):
+                    assert _arrays(token_edges(text)) == want, (name, size)
             forced.add(name)
     assert {"CR LF pairs", "lone CRs", "a v line on a block boundary", "comments where they stand"} <= forced
     assert not forced & {"string ids", *LATE}
@@ -228,8 +235,8 @@ def test_the_clean_colorings_take_the_token_path():
              "a comment between CR and LF", "no final line end", "a trailing tab"}
     for name in COLORING_TEXTS:
         for size in CHUNKS:
-            with mock.patch.object(graphs, "_CHUNK", size):
-                token = colorings._token_coloring(COLORING_TEXTS[name], coloring_paths._graph())
+            with _chunk(size):
+                token = token_coloring(COLORING_TEXTS[name], coloring_paths._graph())
             assert (token is not None) == (name in taken), (name, size)
 
 
@@ -239,17 +246,17 @@ def _stream(text, tabbed, size):
     Every block must be whole lines: its token count is even, and a line
     end stands between its last token and the next block's first.
     """
-    data = graphs._utf8(text)
+    data = _text._utf8(text)
     if data is None:
         return None
     starts, lengths, last = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)], None
-    for block in graphs._token_blocks(data, tabbed, size):
+    for block in _text._token_blocks(data, tabbed, size):
         if block is None:
             return None
         start, length = block
         assert start.size and start.size % 2 == 0
         if last is not None:
-            assert graphs._LINE_END.search(data, last, int(start[0])), (last, int(start[0]))
+            assert _text._LINE_END.search(data, last, int(start[0])), (last, int(start[0]))
         last = int(start[-1] + length[-1])
         starts.append(start)
         lengths.append(length)
@@ -266,14 +273,14 @@ def test_tokenize_is_the_one_stream_joined(tabbed):
     texts += [text.encode("utf-8") + bad for text in texts for bad in (b"x \xe9\n", b"3\t\xe9\n")]
     taken = set()
     for text in texts:
-        for chunk in [*CHUNKS, graphs._CHUNK]:
-            with mock.patch.object(graphs, "_CHUNK", chunk):
-                want = _arrays(graphs._tokenize(text, tabbed))
+        for chunk in [*CHUNKS, _text._CHUNK]:
+            with _chunk(chunk):
+                want = _arrays(tokenize(text, tabbed))
                 for size in (1, chunk):
                     assert _arrays(_stream(text, tabbed, size)) == want, (text, chunk, size)
                 if want is not None and want[1][1]:  # a stream with a token has a first block
-                    data = graphs._utf8(text)
-                    first = [_arrays(next(graphs._token_blocks(data, tabbed, size))) for size in (1, chunk)]
+                    data = _text._utf8(text)
+                    first = [_arrays(next(_text._token_blocks(data, tabbed, size))) for size in (1, chunk)]
                     assert first[0] == first[1], (text, chunk)
             if want is not None:
                 taken.add(text)

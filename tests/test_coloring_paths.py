@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import nethom as nh
 from nethom import cli, colorings, graphs, reports
+from conftest import token_coloring
 from test_colorings import reference_load_coloring
 
 PATHS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -135,7 +136,7 @@ def test_three_loaders_agree(kind, data):
     encoded = text.encode("utf-8") if data.draw(st.booleans(), label="as bytes") else text
     g = _graph()
     # the token path takes exactly the clean texts, and never builds the index
-    assert (colorings._token_coloring(encoded, g) is not None) == (kind is None)
+    assert (token_coloring(encoded, g) is not None) == (kind is None)
     assert "index" not in g.__dict__
     expected = _outcome(_reference, encoded)
     assert _outcome(nh.load_coloring, encoded) == expected
@@ -152,7 +153,7 @@ def test_three_loaders_agree(kind, data):
     ],
 )
 def test_empty_file_and_one_class(text):
-    assert (colorings._token_coloring(text, _graph()) is not None) == bool(text)
+    assert (token_coloring(text, _graph()) is not None) == bool(text)
     expected = _outcome(_reference, text)
     assert _outcome(nh.load_coloring, text) == expected == _outcome(_general, text)
 
@@ -217,7 +218,7 @@ def test_string_id_graphs_three_loaders_agree(case, as_bytes):
         return nh.Graph.from_edges(len(labels), [], labels=labels)
 
     g = graph()
-    taken = colorings._token_coloring(encoded, g)
+    taken = token_coloring(encoded, g)
     assert "index" not in g.__dict__
     assert (taken is not None) == accept, (labels, text)
     expected = _outcome(_reference, encoded, graph)
@@ -370,7 +371,7 @@ def test_decimal_and_string_ids_never_match(edges, text):
     """The graph's ids and the file's are keyed in one call, so "a" and "97" never share a key."""
     g = nh.load_edge_list(edges)
     assert "_id_text" in g.__dict__
-    assert colorings._token_coloring(text, g) is None
+    assert token_coloring(text, g) is None
     with pytest.raises(nh.UnknownVertexError):
         nh.load_coloring(text, g)
 

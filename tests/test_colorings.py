@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import nethom as nh
 from nethom import colorings
-from conftest import monochrome_edge_scan, random_gnp
+from conftest import monochrome_edge_scan, random_gnp, token_coloring
 
 
 def reference_load_coloring(text, graph):
@@ -241,7 +241,7 @@ class TestIntegerIdPath:
         ],
     )
     def test_non_canonical_graph_labels_take_the_general_path(self, graph, text):
-        assert colorings._token_coloring(text, graph) is None
+        assert token_coloring(text, graph) is None
         assert _coloring_outcome(nh.load_coloring, text, graph) == _coloring_outcome(
             _general_load, text, graph
         )
@@ -257,7 +257,7 @@ class TestIntegerIdPath:
         ],
     )
     def test_non_canonical_decimal_labels_take_the_token_path(self, graph, text):
-        assert colorings._token_coloring(text, graph) is not None
+        assert token_coloring(text, graph) is not None
         assert "index" not in graph.__dict__
         assert _coloring_outcome(nh.load_coloring, text, graph) == _coloring_outcome(
             _general_load, text, graph

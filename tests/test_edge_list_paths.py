@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import nethom as nh
 from nethom import graphs
+from conftest import token_edges, tokenize
 
 PATHS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -181,7 +182,7 @@ def edge_lists(draw):
 def test_integer_path_matches_general_path(case, dedupe, as_bytes):
     text, accept = case
     data = text.encode("utf-8") if as_bytes else text
-    assert (graphs._token_edges(data) is not None) == accept, text
+    assert (token_edges(data) is not None) == accept, text
     assert _outcome(nh.load_edge_list, data, dedupe) == _outcome(_general, data, dedupe)
 
 
@@ -249,7 +250,7 @@ def token_lists(draw):
 def test_token_path_matches_general_path_and_reference(case, dedupe, as_bytes):
     text, accept = case
     data = text.encode("ascii") if as_bytes else text
-    assert (graphs._token_edges(data) is not None) == accept, text
+    assert (token_edges(data) is not None) == accept, text
     expected = _outcome(reference_load, data, dedupe)
     assert _outcome(nh.load_edge_list, data, dedupe) == expected
     assert _outcome(_general, data, dedupe) == expected
@@ -258,7 +259,7 @@ def test_token_path_matches_general_path_and_reference(case, dedupe, as_bytes):
 class TestTokenPath:
     def test_string_ids_take_it(self):
         data = b"# users\nu1 u22\nu22 v\nv u333\nv v\n"
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         g = nh.load_edge_list(data)
         assert g.labels == ("u1", "u22", "v", "u333")
         assert list(zip(g.edges_u.tolist(), g.edges_v.tolist())) == [(0, 1), (1, 2)]
@@ -267,20 +268,20 @@ class TestTokenPath:
     def test_ids_on_both_sides_of_eight_bytes(self, width):
         a, b, c = ("abcdefghijk"[: width - 1] + end for end in "xyz")
         data = f"{a} {b}\n{b} {c}\n{c}\t{a}\nv {a}\n"
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         g = nh.load_edge_list(data)
         assert g.labels == (a, b, c)
         assert g.degrees.tolist() == [2, 2, 2]
 
     def test_wide_ids_keep_the_token_path(self):
         data = "a b\n" * 10 + "abcdefghijkl b\n"  # 22 ids of up to 12 bytes in a 52-byte file
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         assert _outcome(nh.load_edge_list, data, True) == _outcome(reference_load, data, True)
 
     def test_one_long_decimal_among_short_ones_keeps_the_token_path(self):
         # short decimal ids and one of 21 digits, too long for an int64 value
         data = "".join(f"{i} {i + 1}\n" for i in range(2000)) + "123456789012345678901 0\n"
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         g = nh.load_edge_list(data)
         assert g.n == 2002 and g.labels[-1] == "123456789012345678901"
         assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, data, False)
@@ -290,7 +291,7 @@ class TestTokenPath:
         # equal in length and in every 8-byte word but the last
         a, b, c = (("ab" * width)[: width - 1] + end for end in "xyz")
         data = f"{a} {b}\n{b} {c}\nv {c}\n{c} {a}\n{a} {a[:-1]}\n"
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         g = nh.load_edge_list(data)
         assert g.labels == (a, b, c, a[:-1])
         assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, data, False)
@@ -300,7 +301,7 @@ class TestTokenPath:
         # equal in length and in every 8-byte word but the first
         a, b, c = (start + ("ab" * width)[: width - 1] for start in "xyz")
         data = f"{a} {b}\n{b} {c}\n{c} {a}\n"
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         g = nh.load_edge_list(data)
         assert g.labels == (a, b, c)
         assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, data, False)
@@ -310,7 +311,7 @@ class TestTokenPath:
         # ids of short and short + 1 bytes, and the longer one's last byte alone
         base = "0123456789abcdefgh"[:short]
         data = f"{base} {base}z\n{base}z z\nz {base}\n{base[:-1]} {base}\n"
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         g = nh.load_edge_list(data)
         assert g.labels == (base, base + "z", "z", base[:-1])
         assert _outcome(nh.load_edge_list, data, False) == _outcome(reference_load, data, False)
@@ -319,7 +320,7 @@ class TestTokenPath:
 class TestIntegerPath:
     def test_snap_style_file_takes_it(self):
         data = b"# Nodes: 4 Edges: 3\r\n# FromNodeId\tToNodeId\r\n0\t5\r\n5\t12\r\n12\t0\r\nv 7\r\n"
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         g = nh.load_edge_list(data)
         assert g.labels == ("0", "5", "12", "7")
         assert g.degrees.tolist() == [2, 2, 2, 0]
@@ -331,21 +332,21 @@ class TestIntegerPath:
 
     def test_non_integer_id_anywhere_keeps_the_token_path(self):
         data = b"1 2\n2 3\n3 x\n"
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         g = nh.load_edge_list(data)
         assert g.labels == ("1", "2", "3", "x")
         assert g.m == 3
 
     def test_leading_zero_ids_stay_distinct(self):
         data = b"007 7\n7 8\n"
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         g = nh.load_edge_list(data)
         assert g.labels == ("007", "7", "8")
         assert g.degrees.tolist() == [1, 2, 1]
 
     @pytest.mark.parametrize("data", [b"", b"\n\n", b"# only\r\n  # comments\n", b"   \t\n"])
     def test_empty_and_comment_only_files(self, data):
-        assert graphs._token_edges(data) is not None
+        assert token_edges(data) is not None
         g = nh.load_edge_list(data)
         assert (g.n, g.m, g.labels) == (0, 0, ())
         assert _outcome(nh.load_edge_list, data, False) == _outcome(_general, data, False)
@@ -398,7 +399,7 @@ def test_a_failing_load_scans_the_lines_once(data, error, message):
 
     A bad edge in a file the token path read is named without the line pass.
     """
-    scans = 0 if graphs._token_edges(data) is not None else 1
+    scans = 0 if token_edges(data) is not None else 1
     calls = []
     scan = graphs._scan
 
@@ -457,7 +458,7 @@ def test_a_byte_that_is_not_utf8_names_its_line(data, line):
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}: byte 0x")
     assert isinstance(exc.value.__cause__, UnicodeDecodeError)
-    assert graphs._tokenize(data) is None
+    assert tokenize(data) is None
 
 
 # The lines above a byte that is not UTF-8; the bytes end with the line "x \xe9",
@@ -509,9 +510,9 @@ BODY2 = "".join(f"{i}  {i + 2}\n" for i in range(200))  # other edges, two space
 def test_comments_are_removed_where_they_stand(text):
     """The token bounds are those of the text with every comment overwritten by spaces."""
     blank = re.sub(rb"#[^\n\r\x0b\x0c\x1c-\x1e]*", lambda comment: b" " * len(comment[0]), text.encode("utf-8"))
-    want = graphs._tokenize(blank)
+    want = tokenize(blank)
     for data in (text, text.encode("utf-8")):
-        got = graphs._tokenize(data)
+        got = tokenize(data)
         assert got is not None and len(got) == len(want) == 3
         assert got[0].tobytes() == text.encode("utf-8")  # the offsets are those of the text as given
         for a, b in zip(got[1:], want[1:]):

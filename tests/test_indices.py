@@ -357,5 +357,5 @@ class TestBuildIndexReport:
         assert rep.a == pytest.approx(0.6)
         assert rep.h == 0.0
         assert rep.descriptive_ratio == pytest.approx(2 / 3)
-        assert rep.gamma == pytest.approx(1 / 48)
+        assert float(cs.gamma) == pytest.approx(1 / 48)
         assert set(rep.j_theta) == {"ratio", "avg_internal_degree", "dyadicity"}

@@ -44,7 +44,7 @@ def _evaluate(n, edges, f, w):
     cs = nh.covariance_structure(nh.summarize(g), f.profile)
     o = nh.homophilic_counts(g, f)
     j_w = nh.index_j_theta(o, cs, nh.WeightVector(np.array(w)))
-    return o.counts, nh.build_index_report(g, f, o, cs), j_w
+    return o.counts, nh.build_index_report(g, f, o, cs), j_w, cs
 
 
 def _close(x, y):
@@ -53,7 +53,7 @@ def _close(x, y):
     return abs(x - y) <= REL * max(abs(x), abs(y))
 
 
-def _same_indices(rep, other, j_w, other_j_w):
+def _same_indices(rep, other, j_w, other_j_w, cs, other_cs):
     assert _close(rep.a, other.a), (rep.a, other.a)
     assert _close(rep.r, other.r), (rep.r, other.r)
     assert _close(rep.h, other.h), (rep.h, other.h)
@@ -61,7 +61,7 @@ def _same_indices(rep, other, j_w, other_j_w):
     assert rep.j_theta.keys() == other.j_theta.keys()
     for name in rep.j_theta:
         assert _close(rep.j_theta[name], other.j_theta[name]), name
-    assert _close(rep.gamma, other.gamma)
+    assert _close(float(cs.gamma), float(other_cs.gamma))
     assert _close(rep.newman_q, other.newman_q)
     assert _close(rep.descriptive_ratio, other.descriptive_ratio)
 
@@ -82,12 +82,12 @@ def test_vertex_relabeling_and_edge_order(inst, data):
         moved_assignment[perm[v]] = c
     labels = [f"c{c}" for c in range(len(w))]
 
-    counts, rep, j_w = _evaluate(n, edges, _coloring(assignment, labels), w)
-    counts2, rep2, j_w2 = _evaluate(n, moved, _coloring(moved_assignment, labels), w)
+    counts, rep, j_w, cs = _evaluate(n, edges, _coloring(assignment, labels), w)
+    counts2, rep2, j_w2, cs2 = _evaluate(n, moved, _coloring(moved_assignment, labels), w)
     assert counts2 == counts
     assert all(_close(x, y) for x, y in zip(rep2.z, rep.z))
     assert all(_close(x, y) for x, y in zip(rep2.mbar, rep.mbar))
-    _same_indices(rep, rep2, j_w, j_w2)
+    _same_indices(rep, rep2, j_w, j_w2, cs, cs2)
 
 
 @INVARIANCE
@@ -102,11 +102,11 @@ def test_class_permutation(inst, data):
         moved_labels[perm[c]] = labels[c]
         moved_w[perm[c]] = w[c]
 
-    counts, rep, j_w = _evaluate(n, edges, _coloring(assignment, labels), w)
+    counts, rep, j_w, cs = _evaluate(n, edges, _coloring(assignment, labels), w)
     moved_assignment = [perm[c] for c in assignment]
-    counts2, rep2, j_w2 = _evaluate(n, edges, _coloring(moved_assignment, moved_labels), moved_w)
+    counts2, rep2, j_w2, cs2 = _evaluate(n, edges, _coloring(moved_assignment, moved_labels), moved_w)
     for c in range(s):
         assert counts2[perm[c]] == counts[c]
         assert _close(rep2.z[perm[c]], rep.z[c])
         assert _close(rep2.mbar[perm[c]], rep.mbar[c])
-    _same_indices(rep, rep2, j_w, j_w2)
+    _same_indices(rep, rep2, j_w, j_w2, cs, cs2)

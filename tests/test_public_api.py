@@ -1,6 +1,7 @@
 """Every public name, and every function the traced benchmark wraps, still exists;
 the package namespace loads its names on first use."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -18,6 +19,14 @@ SUBMODULES = [
     importlib.import_module(f"nethom.{name}")
     for name in ("graphs", "colorings", "moments", "indices", "oracle")
 ]
+
+
+# The names each module imports from the private text layer, nethom._text: only the
+# two loaders' modules read it, so a new reader or a new name is added here on purpose.
+TEXT_IMPORTS = {
+    "colorings": ["TextSource", "_CHUNK", "_load", "_token_coloring"],
+    "graphs": ["TextSource", "_CHUNK", "_edge_at", "_load", "_token_edges"],
+}
 
 
 def _traced_functions():
@@ -43,6 +52,23 @@ def test_public_name_is_the_object_its_submodule_defines(name):
 
 def test_all_is_the_submodule_lists_in_order():
     assert nh.__all__ == ["__version__", *(name for module in SUBMODULES for name in module.__all__)]
+
+
+def test_only_the_loaders_import_the_text_layer():
+    found = {}
+    for path in sorted((ROOT / "src" / "nethom").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("_text", "nethom._text"):
+                names = [alias.name for alias in node.names]  # from ._text import ...
+            elif isinstance(node, ast.ImportFrom) and node.module in (None, "nethom"):
+                names = [alias.name for alias in node.names if alias.name == "_text"]  # from . import _text
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names if alias.name == "nethom._text"]
+            else:
+                continue
+            if names:
+                found.setdefault(path.stem, []).extend(names)
+    assert {module: sorted(names) for module, names in found.items()} == TEXT_IMPORTS
 
 
 @pytest.mark.parametrize(

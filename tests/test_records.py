@@ -56,7 +56,7 @@ RECORDS = {
     "WeightVector": (dict(w=np.array([0.5, 1.0, 2.0])), True, False),
     "IndexReport": (
         dict(
-            observed=(1,), mbar=(0.5,), z=(1.0,), gamma=-0.25, a=0.5, r=0.5, h=None,
+            observed=(1,), mbar=(0.5,), z=(1.0,), a=0.5, r=0.5, h=None,
             j_theta={"ratio": 0.5}, newman_q=None, descriptive_ratio=1.0, notes=("a note",),
         ),
         True,

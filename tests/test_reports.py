@@ -8,8 +8,10 @@ command must report the first of several bad inputs in the same order.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import nethom as nh
 from nethom import cli, reports
 from nethom.cli import main
 
@@ -48,6 +50,30 @@ def test_analyze_body_is_the_report(pair, p4, capsys):
     body = reports.analyze(*reports.load_pair(graph, coloring), preset="dyadicity")
     argv = ["analyze", "--graph", graph, "--coloring", coloring, "--preset", "dyadicity"]
     assert _body(body) == _main_body(argv, capsys)
+
+
+def test_baseline_rows_are_the_one_row_reports_at_many_classes(tmp_path):
+    """Each ``baseline`` row on 20 classes is, exactly, ``build_index_report`` of its seed's coloring.
+
+    The golden coloring has at most 4 classes; from 8 on, numpy adds a row's
+    values in another order than one by one, so an evaluation of all rows
+    at once could change an index in its last bits.
+    """
+    rng = np.random.default_rng(1)
+    n, s = 400, 20
+    pairs = {tuple(sorted(pair)) for pair in rng.integers(0, n, (1600, 2)).tolist() if pair[0] != pair[1]}
+    graph, coloring = tmp_path / "g.edges", tmp_path / "f.tsv"
+    graph.write_text("".join(f"v {v}\n" for v in range(n)) + "".join(f"{u} {v}\n" for u, v in sorted(pairs)))
+    classes = rng.permutation(np.arange(n) % s)
+    coloring.write_text("".join(f"{v}\tc{k}\n" for v, k in enumerate(classes.tolist())))
+    body = reports.baseline(str(graph), str(coloring), samples=12, seed=1)
+    g, f = reports.load_pair(str(graph), str(coloring))
+    assert f.s == s
+    cs = nh.covariance_structure(nh.summarize(g), f.profile)
+    for row in body["per_sample"]:
+        sample = nh.random_coloring(f.profile, row["seed"])
+        want = nh.build_index_report(g, sample, nh.homophilic_counts(g, sample), cs)
+        assert (row["observed"], row["indices"]) == (want.observed, want.index_fields()), row["seed"]
 
 
 @pytest.mark.parametrize("pair", ["golden", "p4"])

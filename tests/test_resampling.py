@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nethom as nh
-from nethom import colorings, indices, oracle
+from nethom import _text, colorings, indices, oracle
 from nethom.reports import PRESET_FLAGS
 
 ROWS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -144,7 +144,7 @@ BATCH_PROFILES = {
     np.uint16: (1, 2, 3) * 86 + (150, 150),
     np.uint32: (1,) * 65536 + (20_000,),
 }
-STEP_EDGES = 2 * (colorings._CHUNK // 8) + 5  # three steps, the last a partial one
+STEP_EDGES = 2 * (_text._CHUNK // 8) + 5  # three steps, the last a partial one
 
 
 @pytest.mark.parametrize("m", [0, STEP_EDGES], ids=["no edges", "three steps"])
